@@ -125,16 +125,18 @@ def _gauge(p: MasterParams) -> np.ndarray:
     return np.exp(1j * beta * (n[:, None] - n[None, :]))
 
 
-def _reduced_system(
+def _folded_generator(
     gen: scipy.sparse.csc_matrix, u: np.ndarray
-) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
-    """Real system on the upper triangle n <= m of R, trace row first.
+) -> tuple[scipy.sparse.coo_matrix, np.ndarray]:
+    """Real generator on the upper triangle n <= m of R, where Q = u * R.
 
-    Returns the matrix and the map from each full index (n, m) to its
-    unknown, (m, n) for n > m. Rows below the diagonal are dropped: the
-    gauged generator maps real symmetric R to real symmetric R, so they
-    repeat the rows above it. Row (0, 0), redundant because the generator
-    annihilates the trace, is replaced by the trace constraint.
+    Returns the matrix, acting on the dim(dim+1)/2 unknowns R[n, m] with
+    n <= m in triu order, and the map from each full index (n, m) to its
+    unknown, (m, n) for n > m. The gauged generator maps real symmetric R
+    to real symmetric R, so the rows below the diagonal repeat the rows
+    above it and are dropped, and the columns of (n, m) and (m, n) fold
+    into one. The matrix is in COO form, where the two halves of a folded
+    column stay separate entries until a conversion sums them.
     """
     dim = u.shape[0]
     upper_n, upper_m = np.triu_indices(dim)
@@ -144,20 +146,15 @@ def _reduced_system(
     red = red.ravel()
     uf = u.ravel()
     coo = gen.tocoo()
-    keep = (coo.row // dim <= coo.row % dim) & (coo.row != 0)
+    keep = coo.row // dim <= coo.row % dim
     rows, cols = coo.row[keep], coo.col[keep]
-    # imaginary parts are roundoff; a wrong gauge would show in the residual
+    # imaginary parts are roundoff in the right gauge; steady_state's residual
+    # on the complex generator would show a wrong one
     vals = (coo.data[keep] * uf[cols] * uf[rows].conj()).real
-    diag = red[np.arange(dim) * (dim + 1)]
-    a = scipy.sparse.coo_matrix(
-        (
-            np.concatenate((vals, np.ones(dim))),
-            (np.concatenate((red[rows], np.zeros(dim, dtype=np.int64))),
-             np.concatenate((red[cols], diag))),
-        ),
-        shape=(upper_n.size, upper_n.size),
-    ).tocsc()
-    return a, red
+    g = scipy.sparse.coo_matrix(
+        (vals, (red[rows], red[cols])), shape=(upper_n.size, upper_n.size)
+    )
+    return g, red
 
 
 def steady_state(p: MasterParams, max_dim: int = DEFAULT_MAX_DIM) -> FieldState:
@@ -173,7 +170,19 @@ def steady_state(p: MasterParams, max_dim: int = DEFAULT_MAX_DIM) -> FieldState:
     gen = build_generator(p, max_dim=max_dim)
     dim = p.dim
     u = _gauge(p)
-    a, red = _reduced_system(gen, u)
+    g, red = _folded_generator(gen, u)
+    # row (0, 0) is redundant because the generator annihilates the trace;
+    # trade it for the trace constraint
+    keep = g.row != 0
+    a = scipy.sparse.coo_matrix(
+        (
+            np.concatenate((g.data[keep], np.ones(dim))),
+            (np.concatenate((g.row[keep], np.zeros(dim, dtype=np.int64))),
+             np.concatenate((g.col[keep], red[np.arange(dim) * (dim + 1)]))),
+        ),
+        shape=g.shape,
+    ).tocsc()
+    del g  # the factorization below sets the peak memory; free the fold first
     b = np.zeros(a.shape[0])
     b[0] = 1.0
     # of SuperLU's orderings, minimum degree on A^T A factors this lattice
@@ -270,16 +279,20 @@ def steady_state_auto(
     n_max: int | None = None,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> FieldState:
-    """steady_state with automatic cutoff choice and doubling on tail failure."""
+    """steady_state with automatic cutoff choice and doubling on tail failure.
+
+    Doubling is clipped to the largest cutoff the guard allows, n_max =
+    max_dim - 1, so the search gives up only once that cutoff has failed.
+    """
     cur = n_max if n_max is not None else suggest_n_max(n_c, a, k.g_tau)
     cur = max(cur, 2)
     while True:
         try:
             return steady_state(MasterParams(n_c, k, a, cur), max_dim=max_dim)
         except TruncationError:
-            if 2 * cur + 1 > max_dim:
+            if cur >= max_dim - 1:
                 raise
-            cur *= 2
+            cur = min(2 * cur, max_dim - 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -293,12 +306,6 @@ class EvolveResult:
         return np.array([hilbert.mean_photon(s) for s in self.states])
 
 
-def _clean(q: np.ndarray) -> FieldState:
-    q = 0.5 * (q + q.conj().T)
-    q /= float(np.real(np.trace(q)))
-    return FieldState(q)
-
-
 def evolve(
     p: MasterParams,
     q0: FieldState,
@@ -310,10 +317,15 @@ def evolve(
     """Transient evolution from q0 for a time t_end (units of 1/gamma_c).
 
     "coarse-ode" integrates the generator with an adaptive high-order
-    scheme. "discrete-regular" instead alternates exact decay over the
-    spacing 1/n_c with one kick per atom, the natural picture for a
-    regularly spaced beam; output samples then sit on the atom grid and
-    n_samples is ignored.
+    scheme, on the same real state as steady_state: the dim(dim+1)/2
+    entries R[n, m], n <= m, of the real symmetric R with Q = u * R in the
+    gauge of _gauge. The generator preserves that form, so q0 must have it
+    too (the vacuum, any Fock mixture, a steady state of the same atoms);
+    any other q0 raises ValueError. Samples are renormalized to unit trace.
+    "discrete-regular" instead alternates exact decay over the spacing
+    1/n_c with one kick per atom, the natural picture for a regularly
+    spaced beam; it accepts any q0, output samples then sit on the atom
+    grid and n_samples is ignored.
     """
     if q0.dim != p.dim:
         raise ValueError(f"q0 has dim {q0.dim}, params expect {p.dim}")
@@ -322,25 +334,27 @@ def evolve(
     if t_end == 0.0:
         return EvolveResult(np.zeros(1), [q0])
     if mode == "coarse-ode":
-        gen = build_generator(p, max_dim=max_dim)
-        size = p.dim * p.dim
-
-        def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-            z = gen @ (y[:size] + 1j * y[size:])
-            return np.concatenate((z.real, z.imag))
-
-        y0 = np.concatenate((q0.q.ravel().real, q0.q.ravel().imag))
+        u = _gauge(p)
+        r0 = q0.q * u.conj()
+        off = max(float(np.abs(r0.imag).max()), float(np.abs(r0 - r0.T).max()))
+        if off > 1e-12 * abs(np.trace(q0.q)):
+            raise ValueError(
+                f"q0 is not real symmetric in the gauge of the generator (off by "
+                f"{off:.3e}); coarse-ode evolves only such states, discrete-regular any"
+            )
+        g, red = _folded_generator(build_generator(p, max_dim=max_dim), u)
+        g = g.tocsr()
         times = np.linspace(0.0, t_end, n_samples)
         sol = scipy.integrate.solve_ivp(
-            rhs, (0.0, t_end), y0, method="DOP853", t_eval=times,
-            rtol=1e-8, atol=1e-12,
+            lambda _t, y: g @ y, (0.0, t_end), r0.real[np.triu_indices(p.dim)],
+            method="DOP853", t_eval=times, rtol=1e-8, atol=1e-12,
         )
         if not sol.success:
             raise ConvergenceError(f"transient integration failed: {sol.message}")
-        states = [
-            _clean((sol.y[:size, j] + 1j * sol.y[size:, j]).reshape(p.dim, p.dim))
-            for j in range(sol.y.shape[1])
-        ]
+        states = []
+        for y in sol.y.T:
+            r = y[red].reshape(p.dim, p.dim)
+            states.append(FieldState(r * u / float(np.trace(r))))
         return EvolveResult(times, states)
     if mode == "discrete-regular":
         delta = 1.0 / p.n_c

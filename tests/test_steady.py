@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from cavsr.analytic import pn_random_phase
 from cavsr.atom import AtomState, dephase, prepare
 from cavsr.errors import ResourceError, TruncationError
-from cavsr.hilbert import FieldState, fidelity_to_coherent, mean_photon, photon_distribution, vacuum
+from cavsr.hilbert import (
+    FieldState,
+    coherent,
+    fidelity_to_coherent,
+    mean_photon,
+    photon_distribution,
+    vacuum,
+)
 from cavsr.interaction import KickParams, jc_kick
 from cavsr.steady import (
     MasterParams,
@@ -144,6 +152,16 @@ def test_auto_stops_doubling_at_ceiling():
         steady_state_auto(50.0, HALF, KickParams(0.05), n_max=20, max_dim=9)
 
 
+def test_auto_clips_growth_to_ceiling():
+    # n_max 16 is the first cutoff that passes here; doubling 10 overshoots
+    # the guard's largest cutoff 16, so growth must stop there, not give up
+    with pytest.raises(TruncationError):
+        steady_state(MasterParams(50.0, KickParams(0.05), HALF, 15))
+    s = steady_state_auto(50.0, HALF, KickParams(0.05), n_max=10, max_dim=17)
+    assert s.n_max == 16
+    assert float(np.real(s.q[-1, -1])) <= 1e-8
+
+
 def test_suggested_cutoff_in_coherent_regime():
     n = suggest_n_max(100.0, HALF, 0.01)
     assert 14 <= n <= 18
@@ -178,6 +196,44 @@ def test_evolve_discrete_steps_land_on_injection_grid():
     assert len(tr.times) == 31
     assert np.allclose(np.diff(tr.times), 0.1)
     assert tr.mean_n()[-1] == pytest.approx(2.75e-3, rel=0.2)
+
+
+@pytest.mark.parametrize(
+    "atom",
+    [
+        dephase(prepare(1.1, 0.7), 0.8),
+        dephase(prepare(4.0), 0.8),
+        dephase(prepare(math.pi / 2.0, 2.5), 0.8),
+    ],
+)
+def test_evolve_matches_matrix_exponential(atom):
+    # the ODE runs on the folded real state; the exponential of the complex
+    # generator on the full vec(Q) is an independent reference
+    p = MasterParams(30.0, KickParams(0.1), atom, 40)
+    tr = evolve(p, vacuum(40), 3.0, n_samples=7)
+    ref = scipy.sparse.linalg.expm_multiply(
+        build_generator(p), vacuum(40).q.ravel(), start=0.0, stop=3.0, num=7, endpoint=True
+    )
+    assert np.allclose(tr.times, np.linspace(0.0, 3.0, 7))
+    got = np.array([s.q.ravel() for s in tr.states])
+    assert np.max(np.abs(got - ref)) <= 1e-6
+    assert mean_photon(tr.states[-1]) >= 0.1
+
+
+def test_coarse_ode_needs_a_gauge_symmetric_start():
+    # HALF has arg(rho_eg) = 0, so the gauge phase is -pi/2: a coherent state
+    # along the real axis is off it, while Fock mixtures are on every gauge
+    p = MasterParams(20.0, KickParams(0.05), HALF, 30)
+    off_gauge = coherent(1.0, 30)
+    with pytest.raises(ValueError, match="gauge"):
+        evolve(p, off_gauge, 0.5)
+    fock = np.zeros((31, 31), dtype=complex)
+    fock[3, 3] = 1.0
+    for q0 in (vacuum(30), FieldState(fock), coherent(-1.0j, 30)):
+        assert evolve(p, q0, 0.5).states[-1].dim == 31
+    s = steady_state(p)
+    assert evolve(p, s, 0.5).mean_n()[-1] == pytest.approx(mean_photon(s), rel=1e-6)
+    assert len(evolve(p, off_gauge, 0.5, mode="discrete-regular").states) == 11
 
 
 def test_evolve_input_validation():
