@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -54,10 +55,13 @@ class KickParams:
             raise ValueError(f"g_tau must be non-negative, got {self.g_tau}")
 
 
+@functools.lru_cache(maxsize=64)
 def rabi_tables(dim: int, g_tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectors C, S plus their versions shifted down one index (Cm, Sm).
 
     C[n] = cos(sqrt(n+1)*g_tau) and Cm[n] = C[n-1] with Cm[0] = 1; same for S.
+    Built once per (dim, g_tau) and shared by every caller, so the arrays
+    are read-only.
     """
     n = np.arange(dim, dtype=float)
     angles = np.sqrt(n + 1.0) * g_tau
@@ -65,6 +69,8 @@ def rabi_tables(dim: int, g_tau: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     s = np.sin(angles)
     cm = np.concatenate(([1.0], c[:-1]))
     sm = np.concatenate(([0.0], s[:-1]))
+    for table in (c, s, cm, sm):
+        table.flags.writeable = False
     return c, s, cm, sm
 
 
@@ -123,6 +129,8 @@ class JointState:
 
     e: np.ndarray
     g: np.ndarray
+    # unnormalized branch weights (||e||^2, ||g||^2), computed once
+    weights: tuple[float, float] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         e = np.asarray(self.e, dtype=complex)
@@ -131,15 +139,15 @@ class JointState:
             raise ValueError("e and g amplitude vectors must share one shape")
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "g", g)
+        object.__setattr__(self, "weights", (np.vdot(e, e).real, np.vdot(g, g).real))
 
     @property
     def dim(self) -> int:
         return self.e.shape[0]
 
     def norm(self) -> float:
-        return math.sqrt(
-            float(np.sum(np.abs(self.e) ** 2)) + float(np.sum(np.abs(self.g) ** 2))
-        )
+        w_e, w_g = self.weights
+        return math.sqrt(w_e + w_g)
 
 
 def jc_kick_pure(
@@ -157,17 +165,16 @@ def jc_kick_pure(
     nrm = abs(ce) ** 2 + abs(cg) ** 2
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"atom amplitudes have norm {nrm:.6g}, expected 1")
-    dim = psi.dim
-    c, s, cm, sm = rabi_tables(dim, k.g_tau)
+    c, s, cm, sm = rabi_tables(psi.dim, k.g_tau)
     e0 = ce * psi.amp
     g0 = cg * psi.amp
     e1 = c * e0
-    e1[:-1] = e1[:-1] - 1j * s[:-1] * g0[1:]
+    e1[:-1] -= 1j * s[:-1] * g0[1:]
     g1 = cm * g0
-    g1[1:] = g1[1:] - 1j * sm[1:] * e0[:-1]
-    before = math.sqrt(float(np.sum(np.abs(e0) ** 2) + np.sum(np.abs(g0) ** 2)))
+    g1[1:] -= 1j * sm[1:] * e0[:-1]
     joint = JointState(e1, g1)
-    leak = abs(before**2 - joint.norm() ** 2)
+    w_e, w_g = joint.weights
+    leak = abs(nrm * np.vdot(psi.amp, psi.amp).real - (w_e + w_g))
     if leak > _LEAK_TOL:
         raise TruncationError(
             f"pure kick leaks {leak:.3e} norm past n_max={psi.n_max}; enlarge the basis"
@@ -181,17 +188,17 @@ def measure_atom(joint: JointState, u: float) -> tuple[str, PureFieldState, floa
     Returns the outcome label, the collapsed renormalized field, and the
     probability of the branch taken.
     """
-    p_e = float(np.sum(np.abs(joint.e) ** 2))
-    total = p_e + float(np.sum(np.abs(joint.g) ** 2))
+    w_e, w_g = joint.weights
+    total = w_e + w_g
     if total <= 1e-300:
         # both branches underflowed; renormalizing would divide by zero
         raise DegenerateBranchError("joint state norm vanished before measurement")
-    p_e = p_e / total
+    p_e = float(w_e / total)
     if u < p_e:
-        outcome, amp, prob = "e", joint.e, p_e
+        outcome, amp, weight, prob = "e", joint.e, w_e, p_e
     else:
-        outcome, amp, prob = "g", joint.g, 1.0 - p_e
-    nrm = float(np.linalg.norm(amp))
+        outcome, amp, weight, prob = "g", joint.g, w_g, 1.0 - p_e
+    nrm = math.sqrt(weight)
     if nrm <= 1e-150:
         raise DegenerateBranchError(
             f"measurement branch '{outcome}' has vanishing probability {prob:.3e}"

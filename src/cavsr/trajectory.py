@@ -100,6 +100,7 @@ class TrajectoryResult:
     mean_n: np.ndarray
     jump_times: np.ndarray  # s
     n_atoms: int
+    max_top_population: float  # largest |amp[n_max]|^2 after any kick: the truncation margin
     final: PureFieldState
     metadata: dict
 
@@ -116,12 +117,26 @@ class EnsembleResult:
     metadata: dict
 
 
+@dataclasses.dataclass(frozen=True)
+class _DecayRates:
+    """Per-level rates of the photon-loss process, built once per trajectory."""
+
+    n_vec: np.ndarray    # n
+    neg_gn: np.ndarray   # -gamma_c n, amplitude decay
+    neg_2gn: np.ndarray  # -2 gamma_c n, population decay
+    sqrt_n: np.ndarray   # jump amplitudes of the annihilator
+
+    @classmethod
+    def build(cls, dim: int, gamma_c: float) -> _DecayRates:
+        n_vec = np.arange(dim, dtype=float)
+        return cls(n_vec, -gamma_c * n_vec, -2.0 * gamma_c * n_vec, np.sqrt(n_vec))
+
+
 def _record_until(
     w: np.ndarray,
-    n_vec: np.ndarray,
+    rates: _DecayRates,
     t0: float,
     t_stop: float,
-    gamma_c: float,
     grid: np.ndarray,
     series: np.ndarray,
     gi: int,
@@ -129,59 +144,69 @@ def _record_until(
     """Fill sample points in (t0, t_stop] from the analytic no-jump decay."""
     slack = 1e-12 * max(1.0, abs(t_stop))
     while gi < grid.shape[0] and grid[gi] <= t_stop + slack:
-        wd = w * np.exp(-2.0 * gamma_c * n_vec * (grid[gi] - t0))
-        series[gi] = float(n_vec @ wd) / float(np.sum(wd))
+        wd = w * np.exp(rates.neg_2gn * (grid[gi] - t0))
+        series[gi] = float(rates.n_vec @ wd) / float(wd.sum())
         gi += 1
     return gi
+
+
+def _survival_minus_u(s: float, w: np.ndarray, neg_gn: np.ndarray, u: float) -> float:
+    """No-jump probability after time s, less the uniform draw u."""
+    f = np.exp(neg_gn * s)
+    return float(w @ (f * f)) - u
 
 
 def _advance_decay(
     amp: np.ndarray,
     t0: float,
     t1: float,
-    gamma_c: float,
+    rates: _DecayRates,
     rng: np.random.Generator,
-    n_vec: np.ndarray,
     grid: np.ndarray,
     series: np.ndarray,
     gi: int,
     jumps: list[float],
-) -> tuple[np.ndarray, int]:
-    """Evolve the no-jump/jump process from t0 to t1, recording samples."""
+) -> int:
+    """Evolve the unit-norm amp in place from t0 to t1 by no-jump decay and jumps.
+
+    Records samples on the way and returns the next sample index.
+    """
     t = t0
     while t1 - t > 0.0:
         w = np.abs(amp) ** 2
-        w /= np.sum(w)
         u = rng.random()
-
-        def survival_minus_u(s: float) -> float:
-            return float(np.sum(w * np.exp(-2.0 * gamma_c * n_vec * s))) - u
-
         span = t1 - t
-        if survival_minus_u(span) > 0.0:
-            # no jump before t1
-            gi = _record_until(w, n_vec, t, t1, gamma_c, grid, series, gi)
-            amp = amp * np.exp(-gamma_c * n_vec * span)
+        # the arithmetic of _survival_minus_u, so brentq below sees the same sign
+        f = np.exp(rates.neg_gn * span)
+        survival = float(w @ (f * f))
+        if survival > u:
+            # no jump before t1; the survival is the squared norm left
+            gi = _record_until(w, rates, t, t1, grid, series, gi)
+            amp *= f
+            norm2 = survival
             t = t1
         else:
-            s_jump = float(scipy.optimize.brentq(survival_minus_u, 0.0, span))
-            gi = _record_until(w, n_vec, t, t + s_jump, gamma_c, grid, series, gi)
-            amp = amp * np.exp(-gamma_c * n_vec * s_jump)
-            amp = np.concatenate((np.sqrt(n_vec[1:]) * amp[1:], [0.0]))
+            s_jump = float(
+                scipy.optimize.brentq(_survival_minus_u, 0.0, span, args=(w, rates.neg_gn, u))
+            )
+            gi = _record_until(w, rates, t, t + s_jump, grid, series, gi)
+            amp *= np.exp(rates.neg_gn * s_jump)
+            amp[:-1] = rates.sqrt_n[1:] * amp[1:]
+            amp[-1] = 0.0
+            norm2 = np.vdot(amp, amp).real
             t += s_jump
             jumps.append(t)
-        nrm = float(np.linalg.norm(amp))
-        if nrm == 0.0:
+        if norm2 == 0.0:
             raise ConvergenceError("field amplitudes underflowed during decay")
-        amp = amp / nrm
-    return amp, gi
+        amp /= math.sqrt(norm2)
+    return gi
 
 
 def run_trajectory(cfg: TrajectoryConfig, seed: int, n_samples: int = 201) -> TrajectoryResult:
     """One pure-state trajectory, deterministic in (cfg, seed)."""
     rng = np.random.default_rng(seed)
     dim = cfg.n_max + 1
-    n_vec = np.arange(dim, dtype=float)
+    rates = _DecayRates.build(dim, cfg.gamma_c)
     amp = np.zeros(dim, dtype=complex)
     amp[0] = 1.0
     kick = KickParams(cfg.g_tau)
@@ -198,6 +223,7 @@ def run_trajectory(cfg: TrajectoryConfig, seed: int, n_samples: int = 201) -> Tr
     t = 0.0
     t_prev_arrival = 0.0
     n_atoms = 0
+    max_top = 0.0
 
     def next_gap() -> float:
         if cfg.r == 0.0:
@@ -209,9 +235,7 @@ def run_trajectory(cfg: TrajectoryConfig, seed: int, n_samples: int = 201) -> Tr
     t_arrival = next_gap()
     while True:
         target = min(t_arrival, cfg.t_end)
-        amp, gi = _advance_decay(
-            amp, t, target, cfg.gamma_c, rng, n_vec, grid, series, gi, jumps
-        )
+        gi = _advance_decay(amp, t, target, rates, rng, grid, series, gi, jumps)
         t = target
         if t_arrival > cfg.t_end:
             break
@@ -224,11 +248,13 @@ def run_trajectory(cfg: TrajectoryConfig, seed: int, n_samples: int = 201) -> Tr
         joint = jc_kick_pure(PureFieldState(amp), (c_e, c_g, phi_k), kick)
         _outcome, collapsed, _prob = measure_atom(joint, rng.random())
         amp = collapsed.amp
-        if abs(amp[-1]) ** 2 > 1e-6:
+        top = float(abs(amp[-1]) ** 2)
+        if top > 1e-6:
             raise TruncationError(
                 f"trajectory reached the cutoff n_max={cfg.n_max} "
-                f"(top amplitude {abs(amp[-1])**2:.2e}); enlarge the basis"
+                f"(top amplitude {top:.2e}); enlarge the basis"
             )
+        max_top = max(max_top, top)
         n_atoms += 1
         t_prev_arrival = t_arrival
         t_arrival = t_arrival + next_gap()
@@ -236,7 +262,7 @@ def run_trajectory(cfg: TrajectoryConfig, seed: int, n_samples: int = 201) -> Tr
     # defensive: a zero-length time window leaves nothing to fill
     while gi < n_samples:
         w = np.abs(amp) ** 2
-        series[gi] = float(n_vec @ w) / float(np.sum(w))
+        series[gi] = float(rates.n_vec @ w) / float(np.sum(w))
         gi += 1
 
     return TrajectoryResult(
@@ -244,6 +270,7 @@ def run_trajectory(cfg: TrajectoryConfig, seed: int, n_samples: int = 201) -> Tr
         mean_n=series,
         jump_times=np.array(jumps),
         n_atoms=n_atoms,
+        max_top_population=max_top,
         final=PureFieldState(amp),
         metadata=cfg.metadata(),
     )
@@ -264,10 +291,15 @@ def run_ensemble(cfg: TrajectoryConfig, n_samples: int = 201) -> EnsembleResult:
     rates = np.empty(cfg.n_trajectories)
     t_window = 0.75 * cfg.t_end
     times = None
+    atoms = jumps = 0
+    max_top = 0.0
     for i in range(cfg.n_trajectories):
         res = run_trajectory(cfg, cfg.seed + i, n_samples=n_samples)
         if times is None:
             times = res.times
+        atoms += res.n_atoms
+        jumps += res.jump_times.size
+        max_top = max(max_top, res.max_top_population)
         acc += res.mean_n
         window = res.times >= t_window
         steadies[i] = float(np.mean(res.mean_n[window]))
@@ -282,5 +314,12 @@ def run_ensemble(cfg: TrajectoryConfig, n_samples: int = 201) -> EnsembleResult:
         per_traj_steady=steadies,
         jump_rate=float(np.mean(rates)),
         jump_rate_stderr=float(np.std(rates, ddof=1) / math.sqrt(n)),
-        metadata=cfg.metadata() | {"n_trajectories": n, "seed": cfg.seed},
+        metadata=cfg.metadata()
+        | {
+            "n_trajectories": n,
+            "seed": cfg.seed,
+            "atoms": atoms,
+            "jumps": jumps,
+            "max_top_population": max_top,
+        },
     )

@@ -165,6 +165,9 @@ def test_trajectory_ensemble_summary(capsys, tmp_path, small_config):
     assert out["master_steady_mean_n"] > 0.0
     data = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
     assert data[-1, 0] == pytest.approx(4.0)  # axis in units of 1/gamma_c
+    counters = json.loads((tmp_path / "trajectory.meta.json").read_text())["trajectory"]
+    assert counters["atoms"] > 0 and counters["jumps"] >= 0
+    assert 0.0 <= counters["max_top_population"] < 1e-6
 
 
 def test_dicke_rates_and_weights(capsys, small_config):

@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cavsr.atom import AtomState, prepare
 from cavsr.errors import DegenerateBranchError, TruncationError
@@ -221,3 +224,67 @@ def test_bunched_comparator_vs_sequential_small_ensembles():
     for n in (2, 3, 4, 5, 6):
         seq = lossless_sequence([prepare(math.pi / 2.0)] * n, k)[-1]
         assert seq == pytest.approx(bunched_mean_n(n, math.pi / 2.0, 0.0, k), rel=0.01)
+
+
+angles = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def fields_with_empty_top(draw):
+    """Unit-norm Fock amplitudes on 3..16 levels with the top level empty."""
+    dim = draw(st.integers(3, 16))
+    parts = st.floats(-1.0, 1.0)
+    re = np.array(draw(st.lists(parts, min_size=dim - 1, max_size=dim - 1)))
+    im = np.array(draw(st.lists(parts, min_size=dim - 1, max_size=dim - 1)))
+    amp = np.append(re + 1j * im, 0.0)
+    nrm = np.linalg.norm(amp)
+    assume(nrm > 1e-3)
+    return PureFieldState(amp / nrm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields_with_empty_top(), angles, angles, st.floats(0.0, 1.0))
+def test_pure_kick_keeps_the_norm(psi, theta, phi, g_tau):
+    joint = jc_kick_pure(psi, (math.sin(0.5 * theta), math.cos(0.5 * theta), phi), KickParams(g_tau))
+    assert joint.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields_with_empty_top(), angles, angles, st.floats(0.0, 1.0))
+def test_measurement_branches_are_unit_norm_and_exhaustive(psi, theta, phi, g_tau):
+    joint = jc_kick_pure(psi, (math.sin(0.5 * theta), math.cos(0.5 * theta), phi), KickParams(g_tau))
+    w_e, w_g = joint.weights
+    # a branch of dust weight is refused by design; test the rest
+    assume(min(w_e, w_g) == 0.0 or min(w_e, w_g) > 1e-250)
+    taken = {}
+    for u in (0.0, math.nextafter(1.0, 0.0)):
+        outcome, field, prob = measure_atom(joint, u)
+        assert field.norm() == pytest.approx(1.0, abs=1e-12)
+        taken[outcome] = prob
+    assert sum(taken.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 40), st.floats(0.0, 1.0))
+def test_rabi_tables_are_read_only(dim, g_tau):
+    for table in rabi_tables(dim, g_tau):
+        with pytest.raises(ValueError):
+            table[0] = 0.5
+    # the cached tables still hold their values
+    c, s, cm, sm = rabi_tables(dim, g_tau)
+    assert c[0] == pytest.approx(math.cos(g_tau), rel=1e-15, abs=1e-15)
+    assert cm[0] == 1.0 and sm[0] == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields_with_empty_top(), angles, angles, angles, angles, st.floats(0.0, 1.0))
+def test_pure_kick_accepts_complex_atom_amplitudes(psi, theta, phi, alpha, beta, g_tau):
+    # c_e e^{i alpha}|e> + c_g e^{i beta} e^{i phi}|g> is e^{i alpha} times the
+    # real-amplitude atom with phase phi + beta - alpha
+    c_e, c_g = math.sin(0.5 * theta), math.cos(0.5 * theta)
+    k = KickParams(g_tau)
+    joint = jc_kick_pure(psi, (c_e * cmath.exp(1j * alpha), c_g * cmath.exp(1j * beta), phi), k)
+    ref = jc_kick_pure(psi, (c_e, c_g, phi + beta - alpha), k)
+    rot = cmath.exp(1j * alpha)
+    assert np.max(np.abs(joint.e - rot * ref.e)) <= 1e-12
+    assert np.max(np.abs(joint.g - rot * ref.g)) <= 1e-12

@@ -210,3 +210,47 @@ def test_metadata_flags_overlapping_transits():
     quiet = cavity_cfg(r=3.0).metadata()
     assert quiet["annotations"] == []
     assert cavity_cfg(gamma_c=0.0).n_c is None
+
+
+# one fixed seed per config; the values come from the engine before its
+# per-trajectory tables were hoisted, and any change to the order of the
+# random draws moves them by far more than rounding
+STREAM_PINS = {
+    # the benchmark's kick-heavy point: n_c = 20
+    "kicks": (
+        dict(r=20.0, gamma_c=1.0, g=0.02 / 1e-6, tau=1e-6, theta=HALF_PULSE, n_max=14, t_end=10.0),
+        204, 1, (0.032291146272213876, 0.037240592603344225, 0.02976138518801042),
+    ),
+    # the benchmark's jump-heavy point: apparatus scale, 200 kHz pump linewidth
+    "jumps": (
+        dict(r=0.57 / 101e-9, gamma_c=2.0 * math.pi * 75e3, g=2.0 * math.pi * 290e3,
+             tau=101e-9, theta=HALF_PULSE, linewidth=200e3, n_max=20,
+             t_end=8.0 / (2.0 * math.pi * 75e3)),
+        95, 7, (0.09453135421987505, 0.6972635523516355, 1.1458000663338803),
+    ),
+    "regular": (
+        dict(r=3.0, gamma_c=1.0, g=0.3e6, tau=1e-6, theta=HALF_PULSE, injection="regular",
+             transit_dephase=0.0, n_max=10, t_end=12.0),
+        35, 5, (0.015016999411528089, 0.09644765352576598, 7.820850529532382e-05),
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(STREAM_PINS))
+def test_random_stream_is_pinned(label):
+    kw, n_atoms, n_jumps, samples = STREAM_PINS[label]
+    res = run_trajectory(TrajectoryConfig(**kw), seed=2025)
+    assert res.n_atoms == n_atoms
+    assert len(res.jump_times) == n_jumps
+    assert [res.mean_n[i] for i in (50, 100, 200)] == pytest.approx(samples, rel=1e-12, abs=0.0)
+
+
+def test_ensemble_counters_sum_the_trajectories():
+    cfg = cavity_cfg(r=3.0, g=0.4e6, t_end=6.0, n_max=12, seed=9, n_trajectories=6)
+    ens = run_ensemble(cfg, n_samples=31)
+    runs = [run_trajectory(cfg, cfg.seed + i, n_samples=31) for i in range(6)]
+    md = ens.metadata
+    assert md["atoms"] == sum(r.n_atoms for r in runs) > 0
+    assert md["jumps"] == sum(r.jump_times.size for r in runs) > 0
+    assert md["max_top_population"] == max(r.max_top_population for r in runs)
+    assert 0.0 < md["max_top_population"] < 1e-6
