@@ -46,12 +46,16 @@ from .experiments import (
     SweepResult,
     fit_loglog_slope,
     load_config,
+    lossless_emission,
     predicted_alpha,
     preset,
     read_sweep,
+    steady_distribution,
     sweep_atoms,
     sweep_pump,
     trajectory_config,
+    trajectory_ensemble,
+    transient_buildup,
     write_sweep,
 )
 from .hilbert import (
@@ -167,6 +171,10 @@ __all__ = [
     "read_sweep",
     "load_config",
     "trajectory_config",
+    "steady_distribution",
+    "lossless_emission",
+    "transient_buildup",
+    "trajectory_ensemble",
     "predicted_alpha",
     "preset",
 ]

@@ -15,30 +15,32 @@ import math
 import sys
 
 import numpy as np
-from scipy import stats
 
-from ._version import __version__
-from . import analytic
-from .atom import AtomState
-from .dicke import EnsembleSpec, brute_force_rate, decompose_product_state, ensemble_rate
+from . import __version__, analytic
+from .dicke import (
+    EnsembleSpec,
+    brute_force_rate,
+    decompose_product_state,
+    dicke_rate,
+    ensemble_rate,
+)
 from .errors import CavsrError
 from .experiments import (
     PRESET_NAMES,
     RunConfig,
-    SweepResult,
     load_config,
-    predicted_alpha,
+    lossless_emission,
     preset,
+    steady_distribution,
     sweep_atoms,
     sweep_pump,
-    trajectory_config,
+    trajectory_ensemble,
+    transient_buildup,
     write_sweep,
-    _base_metadata,
 )
-from .hilbert import fidelity_to_coherent, mean_photon, photon_distribution, vacuum
-from .interaction import bunched_mean_n, lossless_sequence
-from .steady import MasterParams, evolve, steady_state_auto
-from .trajectory import run_ensemble
+
+# not called here: perfbench's traced run wraps cli.steady_state_auto and cli.evolve by name
+from .steady import evolve, steady_state_auto  # noqa: F401
 
 __all__ = ["main"]
 
@@ -75,37 +77,8 @@ def _require_config(args) -> RunConfig:
 
 
 def _cmd_steady(args) -> None:
-    cfg = _require_config(args)
-    a = cfg.atom()
-    s = steady_state_auto(cfg.derived_n_c, a, cfg.kick(), n_max=cfg.n_max)
-    alpha = predicted_alpha(cfg)
-    p_n = photon_distribution(s)
-    pois = stats.poisson.pmf(np.arange(s.dim), abs(alpha) ** 2)
-    meta = _base_metadata(cfg, "photon number n")
-    meta["baseline"] = "Poisson distribution at the predicted coherent amplitude"
-    meta["n_max_used"] = s.n_max
-    res = SweepResult(np.arange(float(s.dim)), p_n, p_n - pois, pois, meta)
-    csv_path, meta_path = write_sweep(res, args.out, "steady_pn")
-    q = s.q
-    try:
-        fidelity = fidelity_to_coherent(s, alpha)
-        fidelity_note = None
-    except CavsrError as exc:
-        # the linear coherent prediction can exceed the basis when the real
-        # state saturates far below it; report that instead of failing
-        fidelity = None
-        fidelity_note = f"{type(exc).__name__}: {exc}"
-    out = {
-        "mean_n": mean_photon(s),
-        "purity": float(np.trace(q @ q).real),
-        "predicted_alpha": alpha,
-        "fidelity_to_predicted_alpha": fidelity,
-        "n_max_used": s.n_max,
-        "files": [csv_path, meta_path],
-    }
-    if fidelity_note:
-        out["fidelity_note"] = fidelity_note
-    _emit(out)
+    res, summary = steady_distribution(_require_config(args))
+    _emit({**summary, "files": write_sweep(res, args.out, "steady_pn")})
 
 
 def _cmd_sweep_pump(args) -> None:
@@ -143,62 +116,13 @@ def _cmd_sweep_atoms(args) -> None:
 
 
 def _cmd_lossless(args) -> None:
-    cfg = _require_config(args)
-    a = cfg.atom()
-    k = cfg.kick()
-    trace = lossless_sequence([a] * args.atoms, k)
-    bunched = [bunched_mean_n(j, cfg.theta, cfg.phi, k) for j in range(1, args.atoms + 1)]
-    meta = _base_metadata(cfg, "atom index")
-    meta["baseline"] = "same number of atoms crossing the cavity together"
-    res = SweepResult(
-        np.arange(1.0, args.atoms + 1.0),
-        np.array(trace),
-        np.array(trace) - np.array(bunched),
-        np.array(bunched),
-        meta,
-    )
-    csv_path, meta_path = write_sweep(res, args.out, "lossless")
-    _emit(
-        {
-            "files": [csv_path, meta_path],
-            "atoms": args.atoms,
-            "final_mean_n": trace[-1],
-            "final_bunched": bunched[-1],
-        }
-    )
+    res, summary = lossless_emission(_require_config(args), args.atoms)
+    _emit({**summary, "files": write_sweep(res, args.out, "lossless")})
 
 
 def _cmd_transient(args) -> None:
-    cfg = _require_config(args)
-    a = cfg.atom()
-    k = cfg.kick()
-    n_c = cfg.derived_n_c
-    s_ss = steady_state_auto(n_c, a, k, n_max=cfg.n_max)
-    n_max = s_ss.n_max
-    t_end = args.t_end if args.t_end is not None else (cfg.t_end or 8.0)
-    p = MasterParams(n_c, k, a, n_max)
-    tr = evolve(p, vacuum(n_max), t_end, mode=args.mode)
-    mean = tr.mean_n()
-    meta = _base_metadata(cfg, "time [1/gamma_c]")
-    if args.mode == "discrete-regular":
-        n_atoms = len(tr.times) - 1
-        lossless = lossless_sequence([a] * max(n_atoms, 1), k)
-        baseline = np.concatenate(([0.0], np.array(lossless[:n_atoms])))
-        meta["baseline"] = "lossless stepwise emission after the same number of atoms"
-    else:
-        baseline = np.full(mean.shape, mean_photon(s_ss))
-        meta["baseline"] = "steady-state mean photon number"
-    res = SweepResult(tr.times, mean, mean - baseline, baseline, meta)
-    csv_path, meta_path = write_sweep(res, args.out, "transient")
-    _emit(
-        {
-            "files": [csv_path, meta_path],
-            "mode": args.mode,
-            "t_end": t_end,
-            "final_mean_n": float(mean[-1]),
-            "steady_mean_n": mean_photon(s_ss),
-        }
-    )
+    res, summary = transient_buildup(_require_config(args), args.mode, args.t_end)
+    _emit({**summary, "files": write_sweep(res, args.out, "transient")})
 
 
 def _cmd_trajectory(args) -> None:
@@ -207,34 +131,8 @@ def _cmd_trajectory(args) -> None:
         cfg = dataclasses.replace(cfg, t_end=args.t_end)
     if args.trajectories is not None:
         cfg = dataclasses.replace(cfg, n_trajectories=args.trajectories)
-    tcfg = trajectory_config(cfg)
-    ens = run_ensemble(tcfg)
-    a = cfg.atom()
-    s_ss = steady_state_auto(cfg.derived_n_c, a, cfg.kick(), n_max=cfg.n_max)
-    floor = mean_photon(s_ss)
-    times_units = ens.times * cfg.gamma_c
-    meta = _base_metadata(cfg, "time [1/gamma_c]")
-    meta["baseline"] = "master-equation steady state"
-    meta["trajectory"] = ens.metadata
-    res = SweepResult(
-        times_units,
-        ens.mean_n,
-        ens.mean_n - floor,
-        np.full(ens.mean_n.shape, floor),
-        meta,
-    )
-    csv_path, meta_path = write_sweep(res, args.out, "trajectory")
-    _emit(
-        {
-            "files": [csv_path, meta_path],
-            "steady_mean_n": ens.steady_mean_n,
-            "steady_stderr": ens.steady_stderr,
-            "jump_rate": ens.jump_rate,
-            "jump_rate_stderr": ens.jump_rate_stderr,
-            "master_steady_mean_n": floor,
-            "n_trajectories": cfg.n_trajectories,
-        }
-    )
+    res, summary = trajectory_ensemble(cfg)
+    _emit({**summary, "files": write_sweep(res, args.out, "trajectory")})
 
 
 def _cmd_dicke(args) -> None:
@@ -253,8 +151,6 @@ def _cmd_dicke(args) -> None:
         "weights": np.abs(decompose_product_state(spec)) ** 2,
     }
     if args.m is not None:
-        from .dicke import dicke_rate
-
         out["dicke_rate"] = dicke_rate(args.atoms, args.m)
         out["m"] = args.m
     if args.atoms <= 12:

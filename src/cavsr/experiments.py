@@ -19,12 +19,13 @@ import math
 import os
 
 import numpy as np
+from scipy import stats
 
 from ._version import __version__
 from .analytic import coherent_alpha
 from .atom import AtomState, dephase, prepare
 from .errors import CavsrError
-from .hilbert import mean_photon
+from .hilbert import fidelity_to_coherent, mean_photon, photon_distribution, vacuum
 from .interaction import KickParams, bunched_mean_n, lossless_sequence
 from .steady import DEFAULT_MAX_DIM, MasterParams, evolve, steady_state_auto, suggest_n_max
 from .trajectory import TrajectoryConfig, run_ensemble
@@ -40,6 +41,10 @@ __all__ = [
     "write_sweep",
     "read_sweep",
     "trajectory_config",
+    "steady_distribution",
+    "lossless_emission",
+    "transient_buildup",
+    "trajectory_ensemble",
     "predicted_alpha",
     "preset",
     "PRESET_NAMES",
@@ -110,6 +115,11 @@ class RunConfig:
     @property
     def derived_n_mean(self) -> float:
         return self.derived_n_c * self.gamma_c * self.tau
+
+    @property
+    def duration(self) -> float:
+        """t_end, or 8 field decay times when it is unset."""
+        return self.t_end if self.t_end is not None else 8.0
 
     def atom(self) -> AtomState:
         return dephase(prepare(self.theta, self.phi), self.transit_dephase)
@@ -187,29 +197,39 @@ def _steady_mean(
 
 
 def _solve_curve(
-    cfg: RunConfig, nc_values: np.ndarray, meta: dict
+    cfg: RunConfig,
+    points: list[tuple[float, AtomState, str]],
+    meta: dict,
+    note_overlap: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Steady <n> plus its random-phase baseline over a grid of n_c values."""
-    a = cfg.atom()
-    a0 = AtomState(a.rho_ee, 0.0)
+    """Steady <n> plus its random-phase baseline at each (n_c, atom, label) point.
+
+    Failures, and with note_overlap the points whose transits overlap, are
+    annotated under the point's label.
+    """
     k = cfg.kick()
-    mean = np.empty(nc_values.shape)
-    base = np.empty(nc_values.shape)
+    mean = np.empty(len(points))
+    base = np.empty(len(points))
     used = []
-    for i, n_c in enumerate(nc_values):
-        mean[i], n_used, err = _steady_mean(float(n_c), a, k, cfg.n_max)
-        base[i], _, err0 = _steady_mean(float(n_c), a0, k, cfg.n_max)
+    for i, (n_c, a, label) in enumerate(points):
+        mean[i], n_used, err = _steady_mean(n_c, a, k, cfg.n_max)
+        base[i], _, err0 = _steady_mean(n_c, AtomState(a.rho_ee, 0.0), k, cfg.n_max)
         used.append(n_used)
         for e in (err, err0):
             if e:
-                meta["annotations"].append(f"n_c={n_c:.6g}: {e}")
-        if n_c * cfg.gamma_c * cfg.tau > 1.0:
+                meta["annotations"].append(f"{label}: {e}")
+        if note_overlap and n_c * cfg.gamma_c * cfg.tau > 1.0:
             meta["annotations"].append(
-                f"n_c={n_c:.6g}: mean intracavity atom number "
+                f"{label}: mean intracavity atom number "
                 f"{n_c * cfg.gamma_c * cfg.tau:.3g} exceeds 1; transits overlap"
             )
     meta["n_max_used"] = used
     return mean, base
+
+
+def _nc_points(cfg: RunConfig, nc_values: np.ndarray) -> list[tuple[float, AtomState, str]]:
+    a = cfg.atom()
+    return [(float(n_c), a, f"n_c={n_c:.6g}") for n_c in nc_values]
 
 
 def sweep_pump(cfg: RunConfig, theta_grid: np.ndarray) -> SweepResult:
@@ -223,26 +243,18 @@ def sweep_pump(cfg: RunConfig, theta_grid: np.ndarray) -> SweepResult:
     if grid.size == 0:
         raise ValueError("theta grid is empty")
     meta = _base_metadata(cfg, "pump pulse area theta [rad]")
-    n_c = cfg.derived_n_c
+    meta["baseline"] = "random-phase (rho_eg = 0) steady state at matching rho_ee"
     if cfg.derived_n_mean > 1.0:
         meta["annotations"].append(
             f"mean intracavity atom number {cfg.derived_n_mean:.3g} exceeds 1"
         )
-    k = cfg.kick()
-    mean = np.empty(grid.shape)
-    base = np.empty(grid.shape)
-    used = []
-    for i, theta in enumerate(grid):
-        a = dephase(prepare(float(theta), cfg.phi), cfg.transit_dephase)
-        a0 = AtomState(a.rho_ee, 0.0)
-        mean[i], n_used, err = _steady_mean(n_c, a, k, cfg.n_max)
-        base[i], _, err0 = _steady_mean(n_c, a0, k, cfg.n_max)
-        used.append(n_used)
-        for e in (err, err0):
-            if e:
-                meta["annotations"].append(f"theta={theta:.6g}: {e}")
-    meta["n_max_used"] = used
-    meta["baseline"] = "random-phase (rho_eg = 0) steady state at matching rho_ee"
+    points = [
+        (cfg.derived_n_c, dephase(prepare(float(t), cfg.phi), cfg.transit_dephase),
+         f"theta={t:.6g}")
+        for t in grid
+    ]
+    # the flux is the same at every point and is annotated once above
+    mean, base = _solve_curve(cfg, points, meta, note_overlap=False)
     return SweepResult(grid, mean, mean - base, base, meta)
 
 
@@ -264,7 +276,7 @@ def sweep_atoms(cfg: RunConfig, n_grid: np.ndarray) -> SweepResult:
     meta = _base_metadata(cfg, "excited-state atom number n_mean * rho_ee")
     meta["baseline"] = "random-phase (rho_eg = 0) steady state at matching rho_ee"
     nc_values = grid / rho_ee / (cfg.gamma_c * cfg.tau)
-    mean, base = _solve_curve(cfg, nc_values, meta)
+    mean, base = _solve_curve(cfg, _nc_points(cfg, nc_values), meta)
     return SweepResult(grid, mean, mean - base, base, meta)
 
 
@@ -322,7 +334,8 @@ def read_sweep(csv_path: str) -> SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# trajectory plumbing shared by presets and the CLI
+# command pipelines shared by presets and the CLI: each returns the sweep to
+# write and the summary numbers to print
 
 
 def trajectory_config(cfg: RunConfig, linewidth: float | None = None) -> TrajectoryConfig:
@@ -331,7 +344,6 @@ def trajectory_config(cfg: RunConfig, linewidth: float | None = None) -> Traject
     n_max = cfg.n_max
     if n_max is None:
         n_max = suggest_n_max(cfg.derived_n_c, a, cfg.g_tau)
-    t_end_units = cfg.t_end if cfg.t_end is not None else 8.0
     return TrajectoryConfig(
         r=cfg.derived_r,
         gamma_c=cfg.gamma_c,
@@ -342,10 +354,106 @@ def trajectory_config(cfg: RunConfig, linewidth: float | None = None) -> Traject
         linewidth=cfg.linewidth if linewidth is None else linewidth,
         transit_dephase=cfg.transit_dephase,
         n_max=n_max,
-        t_end=t_end_units / cfg.gamma_c,
+        t_end=cfg.duration / cfg.gamma_c,
         seed=cfg.seed,
         n_trajectories=cfg.n_trajectories,
     )
+
+
+def steady_distribution(cfg: RunConfig) -> tuple[SweepResult, dict]:
+    """Steady photon distribution p_n against the Poisson law at the predicted amplitude."""
+    s = steady_state_auto(cfg.derived_n_c, cfg.atom(), cfg.kick(), n_max=cfg.n_max)
+    alpha = predicted_alpha(cfg)
+    p_n = photon_distribution(s)
+    pois = stats.poisson.pmf(np.arange(s.dim), abs(alpha) ** 2)
+    meta = _base_metadata(cfg, "photon number n")
+    meta["baseline"] = "Poisson distribution at the predicted coherent amplitude"
+    meta["n_max_used"] = s.n_max
+    summary = {
+        "mean_n": mean_photon(s),
+        "purity": float(np.trace(s.q @ s.q).real),
+        "predicted_alpha": alpha,
+        "n_max_used": s.n_max,
+    }
+    try:
+        summary["fidelity_to_predicted_alpha"] = fidelity_to_coherent(s, alpha)
+    except CavsrError as exc:
+        # the linear coherent prediction can exceed the basis when the real
+        # state saturates far below it; report that instead of failing
+        summary["fidelity_to_predicted_alpha"] = None
+        summary["fidelity_note"] = f"{type(exc).__name__}: {exc}"
+    return SweepResult(np.arange(float(s.dim)), p_n, p_n - pois, pois, meta), summary
+
+
+def lossless_emission(cfg: RunConfig, n_atoms: int) -> tuple[SweepResult, dict]:
+    """<n> after each of n_atoms sequential atoms with no cavity loss.
+
+    The baseline is the same number of atoms crossing the cavity together.
+    """
+    k = cfg.kick()
+    trace = np.array(lossless_sequence([cfg.atom()] * n_atoms, k))
+    bunched = np.array([bunched_mean_n(j, cfg.theta, cfg.phi, k) for j in range(1, n_atoms + 1)])
+    meta = _base_metadata(cfg, "atom index")
+    meta["baseline"] = "same number of atoms crossing the lossless cavity together"
+    res = SweepResult(np.arange(1.0, n_atoms + 1.0), trace, trace - bunched, bunched, meta)
+    return res, {
+        "atoms": n_atoms,
+        "final_mean_n": float(trace[-1]),
+        "final_bunched": float(bunched[-1]),
+    }
+
+
+def transient_buildup(
+    cfg: RunConfig, mode: str = "coarse-ode", t_end: float | None = None
+) -> tuple[SweepResult, dict]:
+    """<n>(t) from the vacuum over t_end (1/gamma_c; default cfg.duration).
+
+    The field basis is the steady state's cutoff. The baseline is the steady
+    <n> for "coarse-ode", and for "discrete-regular" the lossless stepwise
+    emission after the same number of atoms.
+    """
+    a, k, n_c = cfg.atom(), cfg.kick(), cfg.derived_n_c
+    t_end = cfg.duration if t_end is None else t_end
+    s_ss = steady_state_auto(n_c, a, k, n_max=cfg.n_max)
+    tr = evolve(MasterParams(n_c, k, a, s_ss.n_max), vacuum(s_ss.n_max), t_end, mode=mode)
+    mean = tr.mean_n()
+    meta = _base_metadata(cfg, "time [1/gamma_c]")
+    if mode == "discrete-regular":
+        n_atoms = len(tr.times) - 1
+        lossless = lossless_sequence([a] * max(n_atoms, 1), k)
+        baseline = np.concatenate(([0.0], np.array(lossless[:n_atoms])))
+        meta["baseline"] = "lossless stepwise emission after the same number of atoms"
+    else:
+        baseline = np.full(mean.shape, mean_photon(s_ss))
+        meta["baseline"] = "steady-state mean photon number"
+    summary = {
+        "mode": mode,
+        "t_end": t_end,
+        "final_mean_n": float(mean[-1]),
+        "steady_mean_n": mean_photon(s_ss),
+    }
+    return SweepResult(tr.times, mean, mean - baseline, baseline, meta), summary
+
+
+def trajectory_ensemble(cfg: RunConfig) -> tuple[SweepResult, dict]:
+    """Ensemble-mean <n>(t) of the quantum-jump engine against the master-equation floor."""
+    ens = run_ensemble(trajectory_config(cfg))
+    s_ss = steady_state_auto(cfg.derived_n_c, cfg.atom(), cfg.kick(), n_max=cfg.n_max)
+    floor = mean_photon(s_ss)
+    meta = _base_metadata(cfg, "time [1/gamma_c]")
+    meta["baseline"] = "master-equation steady state"
+    meta["trajectory"] = ens.metadata
+    baseline = np.full(ens.mean_n.shape, floor)
+    res = SweepResult(ens.times * cfg.gamma_c, ens.mean_n, ens.mean_n - floor, baseline, meta)
+    summary = {
+        "steady_mean_n": ens.steady_mean_n,
+        "steady_stderr": ens.steady_stderr,
+        "jump_rate": ens.jump_rate,
+        "jump_rate_stderr": ens.jump_rate_stderr,
+        "master_steady_mean_n": floor,
+        "n_trajectories": cfg.n_trajectories,
+    }
+    return res, summary
 
 
 # ---------------------------------------------------------------------------
@@ -418,24 +526,12 @@ def _preset_figs1(overrides: dict | None, out_dir: str) -> dict:
     base = RunConfig(g=_G0, gamma_c=_GAMMA_C0, tau=0.01 / _G0, theta=0.5 * math.pi, n_c=20.0)
     cfg, extras = _apply_overrides(base, overrides)
     n_atoms = int(extras.get("atoms", 20))
-    a = cfg.atom()
-    k = cfg.kick()
-    trace = lossless_sequence([a] * n_atoms, k)
-    bunched = [bunched_mean_n(j, cfg.theta, cfg.phi, k) for j in range(1, n_atoms + 1)]
-    meta = _base_metadata(cfg, "atom index")
-    meta["baseline"] = "same number of atoms crossing the lossless cavity together"
-    res = SweepResult(
-        np.arange(1.0, n_atoms + 1.0),
-        np.array(trace),
-        np.array(trace) - np.array(bunched),
-        np.array(bunched),
-        meta,
-    )
-    csv_path, meta_path = write_sweep(res, out_dir, "figS1")
+    res, summary = lossless_emission(cfg, n_atoms)
+    trace = res.mean_n
     return {
-        "files": [csv_path, meta_path],
-        "final_sequential": trace[-1],
-        "final_bunched": bunched[-1],
+        "files": list(write_sweep(res, out_dir, "figS1")),
+        "final_sequential": summary["final_mean_n"],
+        "final_bunched": summary["final_bunched"],
         "last_increment_over_average": (trace[-1] - trace[-2]) / (trace[-1] / n_atoms)
         if n_atoms > 1
         else 1.0,
@@ -504,7 +600,7 @@ def _preset_figs5(overrides: dict | None, out_dir: str) -> dict:
                 f"curve stops at n_c={nc_hi:.4g}, short of the requested "
                 f"{target:.4g}: larger fields exceed the direct-solver guard"
             )
-        mean, basev = _solve_curve(cfg_i, nc_values, meta)
+        mean, basev = _solve_curve(cfg_i, _nc_points(cfg_i, nc_values), meta)
         res = SweepResult(nc_values, mean, mean - basev, basev, meta)
         stem = f"figS5_gtau_{g_tau:g}".replace(".", "p")
         csv_path, meta_path = write_sweep(res, out_dir, stem)
@@ -519,29 +615,16 @@ def _preset_figs6(overrides: dict | None, out_dir: str) -> dict:
         n_c=10.0, t_end=6.0,
     )
     cfg, extras = _apply_overrides(base, overrides)
-    a = cfg.atom()
-    k = cfg.kick()
-    n_c = cfg.derived_n_c
-    n_max = cfg.n_max if cfg.n_max is not None else suggest_n_max(n_c, a, cfg.g_tau)
-    t_end = cfg.t_end if cfg.t_end is not None else 6.0
-    from .hilbert import vacuum  # local import keeps module top light
-
-    p = MasterParams(n_c, k, a, n_max)
-    tr = evolve(p, vacuum(n_max), t_end, mode="discrete-regular")
-    mean = tr.mean_n()
-    n_atoms = len(tr.times) - 1
-    lossless = lossless_sequence([a] * max(n_atoms, 1), k)
-    baseline = np.concatenate(([0.0], np.array(lossless[:n_atoms])))
-    meta = _base_metadata(cfg, "time [1/gamma_c]")
-    meta["baseline"] = "lossless stepwise emission after the same number of atoms"
-    res = SweepResult(tr.times, mean, mean - baseline, baseline, meta)
-    csv_path, meta_path = write_sweep(res, out_dir, "figS6")
-    k_ref = max(int(round(n_c)), 1)
-    tail = mean[int(0.75 * mean.size) :]
+    res, _ = transient_buildup(cfg, mode="discrete-regular")
+    # baseline[j] is the lossless <n> after j atoms
+    k_ref = max(int(round(cfg.derived_n_c)), 1)
+    tail = res.mean_n[int(0.75 * res.mean_n.size) :]
     return {
-        "files": [csv_path, meta_path],
+        "files": list(write_sweep(res, out_dir, "figS6")),
         "steady_mean_n": float(np.mean(tail)),
-        "lossless_at_nc_atoms": lossless[k_ref - 1] if len(lossless) >= k_ref else math.nan,
+        "lossless_at_nc_atoms": float(res.baseline[k_ref])
+        if k_ref < res.axis.size
+        else math.nan,
     }
 
 

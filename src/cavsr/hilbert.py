@@ -173,9 +173,10 @@ def apply_decay(s: FieldState, gamma_c: float, dt: float) -> FieldState:
     """
     if gamma_c < 0.0 or dt < 0.0:
         raise ValueError(f"gamma_c and dt must be non-negative, got {gamma_c}, {dt}")
-    if gamma_c == 0.0 or dt == 0.0:
-        return s
     eta = math.exp(-2.0 * gamma_c * dt)
+    if eta == 1.0:
+        # no decay, or less than double precision resolves (log(1 - eta) fails)
+        return s
     dim = s.dim
     if eta == 0.0:
         # everything decayed; all population lands in the vacuum

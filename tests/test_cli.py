@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,3 +226,57 @@ def test_bad_config_key_is_a_clean_error(capsys, tmp_path):
     assert rc == 1
     assert err["error"]["type"] == "ValueError"
     assert "flux" in err["error"]["message"]
+
+
+def preset_config(capsys, tmp_path, name):
+    """Run a preset at its defaults; its sidecar's config as a CLI config file."""
+    out = tmp_path / name
+    rc, _, _ = run_cli(capsys, "preset", name, "--out", str(out))
+    assert rc == 0
+    meta = json.loads((out / f"{name}.meta.json").read_text(encoding="utf-8"))
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(meta["config"]), encoding="utf-8")
+    return str(path), (out / f"{name}.csv").read_text(encoding="utf-8")
+
+
+def test_lossless_runs_the_figs1_pipeline(capsys, tmp_path):
+    config, rows = preset_config(capsys, tmp_path, "figS1")
+    rc, out, _ = run_cli(capsys, "lossless", "--config", config, "--out", str(tmp_path))
+    assert rc == 0
+    assert out["atoms"] == 20
+    assert (tmp_path / "lossless.csv").read_text(encoding="utf-8") == rows
+
+
+def test_discrete_transient_runs_the_figs6_pipeline(capsys, tmp_path):
+    config, rows = preset_config(capsys, tmp_path, "figS6")
+    assert json.loads(Path(config).read_text(encoding="utf-8"))["n_c"] == 10.0
+    rc, out, _ = run_cli(
+        capsys, "transient", "--config", config, "--out", str(tmp_path),
+        "--mode", "discrete-regular",
+    )
+    assert rc == 0
+    assert out["t_end"] == 6.0
+    text = (tmp_path / "transient.csv").read_text(encoding="utf-8")
+    assert text == rows
+    assert len(text.splitlines()) == 62  # header and t = 0, 1/10, ..., 6
+
+
+def test_zero_duration_from_config_or_flag(capsys, tmp_path, small_config):
+    cfg = json.loads(Path(small_config).read_text(encoding="utf-8"))
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({**cfg, "t_end": 0}), encoding="utf-8")
+    runs = {}
+    for label, argv in (
+        ("config", ["--config", str(path)]),
+        ("flag", ["--config", small_config, "--t-end", "0"]),
+    ):
+        out_dir = tmp_path / label
+        rc, out, _ = run_cli(capsys, "transient", *argv, "--out", str(out_dir))
+        assert rc == 0
+        del out["files"]
+        runs[label] = out, (out_dir / "transient.csv").read_text(encoding="utf-8")
+    assert runs["config"] == runs["flag"]
+    out, text = runs["config"]
+    assert out["t_end"] == 0
+    rows = text.splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith("0,0,")  # the vacuum at t = 0

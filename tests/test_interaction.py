@@ -6,9 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cavsr.atom import AtomState, prepare
+from cavsr.atom import AtomState, dephase, prepare
 from cavsr.errors import DegenerateBranchError, TruncationError
-from cavsr.hilbert import FieldState, PureFieldState, mean_photon, photon_distribution, vacuum
+from cavsr.hilbert import (
+    FieldState,
+    PureFieldState,
+    apply_decay,
+    mean_photon,
+    photon_distribution,
+    vacuum,
+)
 from cavsr.interaction import (
     JointState,
     KickParams,
@@ -288,3 +295,36 @@ def test_pure_kick_accepts_complex_atom_amplitudes(psi, theta, phi, alpha, beta,
     rot = cmath.exp(1j * alpha)
     assert np.max(np.abs(joint.e - rot * ref.e)) <= 1e-12
     assert np.max(np.abs(joint.g - rot * ref.g)) <= 1e-12
+
+
+@st.composite
+def mixed_fields_with_empty_top(draw):
+    """Random density matrices on 3..16 levels with the top level empty."""
+    dim = draw(st.integers(2, 15))
+    return random_field(dim, 1, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+# any atom a pump pulse and partial dephasing can prepare
+atoms = st.builds(
+    lambda theta, phi, coherence: dephase(prepare(theta, phi), coherence),
+    st.floats(0.0, math.pi),
+    angles,
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_fields_with_empty_top(), atoms, st.floats(0.0, 1.0))
+def test_mixed_kick_is_trace_preserving_and_positive(s, a, g_tau):
+    out = jc_kick(s, a, KickParams(g_tau))
+    assert np.trace(out.q).real == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(out.q - out.q.conj().T)) <= 1e-12
+    assert np.linalg.eigvalsh(out.q).min() >= -1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_fields_with_empty_top(), st.floats(0.0, 2.0), *[st.floats(0.0, 3.0)] * 2)
+def test_decay_is_a_semigroup(s, gamma_c, t1, t2):
+    twice = apply_decay(apply_decay(s, gamma_c, t1), gamma_c, t2)
+    once = apply_decay(s, gamma_c, t1 + t2)
+    assert np.max(np.abs(twice.q - once.q)) <= 1e-12

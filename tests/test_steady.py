@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavsr.analytic import pn_random_phase
 from cavsr.atom import AtomState, dephase, prepare
@@ -54,6 +56,28 @@ def test_generator_conserves_trace():
     h /= np.trace(h).real
     dket = (gen @ h.ravel()).reshape(10, 10)
     assert abs(np.trace(dket)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(1e-3, 1e3),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(0.0, 1.0),
+    st.integers(1, 24),
+)
+def test_generator_annihilates_the_trace(n_c, g_tau, theta, phi, coherence, n_max):
+    # vec(I) times L is d tr(Q)/dt per entry of Q: zero everywhere except at
+    # (n_max, n_max), where the kick |e, n_max> -> |g, n_max + 1> leaves the basis
+    a = dephase(prepare(theta, phi), coherence)
+    gen = build_generator(MasterParams(n_c, KickParams(g_tau), a, n_max))
+    row = (np.eye(n_max + 1).ravel() @ gen).reshape(n_max + 1, n_max + 1)
+    tol = 1e-12 * (1.0 + n_c + 2.0 * n_max)
+    leak = n_c * a.rho_ee * math.sin(g_tau * math.sqrt(n_max + 1.0)) ** 2
+    assert abs(row[n_max, n_max] + leak) <= tol
+    row[n_max, n_max] = 0.0
+    assert np.max(np.abs(row)) <= tol
 
 
 def test_generator_size_guard():
