@@ -14,167 +14,19 @@ interaction). experiments and cli wire these into reproducible sweeps.
 """
 
 from ._version import __version__
-from .analytic import (
-    beta_factors,
-    coherent_alpha,
-    dominance_threshold,
-    emission_rate_per_atom,
-    mean_n_noncollective,
-    mean_n_total,
-    n_eff,
-    pn_random_phase,
-    saturation_nc,
-)
-from .atom import AtomState, dephase, pair_correlation, prepare
-from .dicke import (
-    EnsembleSpec,
-    brute_force_rate,
-    decompose_product_state,
-    dicke_rate,
-    ensemble_rate,
-)
-from .errors import (
-    CavsrError,
-    ConvergenceError,
-    DegenerateBranchError,
-    DivergenceError,
-    ResourceError,
-    TruncationError,
-)
-from .experiments import (
-    RunConfig,
-    SweepResult,
-    fit_loglog_slope,
-    load_config,
-    lossless_emission,
-    predicted_alpha,
-    preset,
-    read_sweep,
-    steady_distribution,
-    sweep_atoms,
-    sweep_pump,
-    trajectory_config,
-    trajectory_ensemble,
-    transient_buildup,
-    write_sweep,
-)
-from .hilbert import (
-    FieldState,
-    PureFieldState,
-    apply_decay,
-    coherent,
-    coherent_amplitudes,
-    fidelity_to_coherent,
-    mean_photon,
-    photon_distribution,
-    vacuum,
-)
-from .interaction import (
-    JointState,
-    KickParams,
-    bunched_mean_n,
-    jc_kick,
-    jc_kick_pure,
-    kick_stencil,
-    lossless_sequence,
-    measure_atom,
-    rabi_tables,
-)
-from .steady import (
-    EvolveResult,
-    MasterParams,
-    build_generator,
-    evolve,
-    steady_state,
-    steady_state_auto,
-    suggest_n_max,
-)
-from .trajectory import (
-    EnsembleResult,
-    TrajectoryConfig,
-    TrajectoryResult,
-    run_ensemble,
-    run_trajectory,
-)
+from . import analytic, atom, dicke, errors, experiments, hilbert, interaction, steady, trajectory
+from .analytic import *  # noqa: F403
+from .atom import *  # noqa: F403
+from .dicke import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .hilbert import *  # noqa: F403
+from .interaction import *  # noqa: F403
+from .steady import *  # noqa: F403
+from .trajectory import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    # errors
-    "CavsrError",
-    "TruncationError",
-    "ConvergenceError",
-    "ResourceError",
-    "DivergenceError",
-    "DegenerateBranchError",
-    # hilbert
-    "FieldState",
-    "PureFieldState",
-    "vacuum",
-    "coherent",
-    "coherent_amplitudes",
-    "mean_photon",
-    "photon_distribution",
-    "fidelity_to_coherent",
-    "apply_decay",
-    # atom
-    "AtomState",
-    "prepare",
-    "dephase",
-    "pair_correlation",
-    # interaction
-    "KickParams",
-    "JointState",
-    "rabi_tables",
-    "kick_stencil",
-    "jc_kick",
-    "jc_kick_pure",
-    "measure_atom",
-    "lossless_sequence",
-    "bunched_mean_n",
-    # dicke
-    "EnsembleSpec",
-    "dicke_rate",
-    "decompose_product_state",
-    "ensemble_rate",
-    "brute_force_rate",
-    # analytic
-    "pn_random_phase",
-    "mean_n_noncollective",
-    "coherent_alpha",
-    "mean_n_total",
-    "n_eff",
-    "emission_rate_per_atom",
-    "dominance_threshold",
-    "saturation_nc",
-    "beta_factors",
-    # steady
-    "MasterParams",
-    "build_generator",
-    "steady_state",
-    "steady_state_auto",
-    "suggest_n_max",
-    "EvolveResult",
-    "evolve",
-    # trajectory
-    "TrajectoryConfig",
-    "TrajectoryResult",
-    "EnsembleResult",
-    "run_trajectory",
-    "run_ensemble",
-    # experiments
-    "RunConfig",
-    "SweepResult",
-    "sweep_pump",
-    "sweep_atoms",
-    "fit_loglog_slope",
-    "write_sweep",
-    "read_sweep",
-    "load_config",
-    "trajectory_config",
-    "steady_distribution",
-    "lossless_emission",
-    "transient_buildup",
-    "trajectory_ensemble",
-    "predicted_alpha",
-    "preset",
-]
+# each module's __all__ is its public API; the package re-exports all of them
+__all__ = ["__version__"]
+for _module in (errors, hilbert, atom, interaction, dicke, analytic, steady, trajectory, experiments):
+    __all__ += _module.__all__
+del _module

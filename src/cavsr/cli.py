@@ -24,7 +24,7 @@ from .dicke import (
     dicke_rate,
     ensemble_rate,
 )
-from .errors import CavsrError
+from .errors import CavsrError, ResourceError
 from .experiments import (
     PRESET_NAMES,
     RunConfig,
@@ -69,11 +69,9 @@ def _require_config(args) -> RunConfig:
     if not args.config:
         raise ValueError("this subcommand needs --config pointing at a JSON file")
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.n_max is not None:
-        cfg = dataclasses.replace(cfg, n_max=args.n_max)
-    return cfg
+    # --t-end exists only on the subcommands that run for a duration
+    flags = {"seed": args.seed, "n_max": args.n_max, "t_end": getattr(args, "t_end", None)}
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_steady(args) -> None:
@@ -121,14 +119,12 @@ def _cmd_lossless(args) -> None:
 
 
 def _cmd_transient(args) -> None:
-    res, summary = transient_buildup(_require_config(args), args.mode, args.t_end)
+    res, summary = transient_buildup(_require_config(args), args.mode)
     _emit({**summary, "files": write_sweep(res, args.out, "transient")})
 
 
 def _cmd_trajectory(args) -> None:
     cfg = _require_config(args)
-    if args.t_end is not None:
-        cfg = dataclasses.replace(cfg, t_end=args.t_end)
     if args.trajectories is not None:
         cfg = dataclasses.replace(cfg, n_trajectories=args.trajectories)
     res, summary = trajectory_ensemble(cfg)
@@ -137,12 +133,7 @@ def _cmd_trajectory(args) -> None:
 
 def _cmd_dicke(args) -> None:
     cfg = _require_config(args)
-    theta, phi = cfg.theta, cfg.phi
-    spec = EnsembleSpec(
-        args.atoms,
-        complex(math.sin(0.5 * theta)),
-        complex(math.cos(0.5 * theta)) * complex(math.cos(phi), math.sin(phi)),
-    )
+    spec = EnsembleSpec.from_pulse(args.atoms, cfg.theta, cfg.phi)
     a = spec.atom_state()
     out = {
         "atoms": args.atoms,
@@ -153,9 +144,9 @@ def _cmd_dicke(args) -> None:
     if args.m is not None:
         out["dicke_rate"] = dicke_rate(args.atoms, args.m)
         out["m"] = args.m
-    if args.atoms <= 12:
+    try:
         out["brute_force_rate"] = brute_force_rate(spec)
-    else:
+    except ResourceError:
         out["brute_force_rate"] = None
         out["note"] = "direct 2^N check skipped above 12 atoms"
     _emit(out)
@@ -172,11 +163,6 @@ def _cmd_analytic(args) -> None:
         "rho_ee": a.rho_ee,
         "rho_eg": a.rho_eg,
         "predicted_alpha": analytic.coherent_alpha(n_c, a.rho_eg, g_tau),
-        "beta_factors": None,
-        "mean_n_total": None,
-        "mean_n_noncollective": None,
-        "dominance_threshold": None,
-        "saturation_nc": None,
         "n_eff": analytic.n_eff(cfg.injection, n_c),
     }
     for key, call in (

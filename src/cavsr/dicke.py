@@ -45,6 +45,12 @@ class EnsembleSpec:
         object.__setattr__(self, "c_e", complex(self.c_e))
         object.__setattr__(self, "c_g", complex(self.c_g))
 
+    @classmethod
+    def from_pulse(cls, n_atoms: int, theta: float, phi: float = 0.0) -> EnsembleSpec:
+        """N atoms after a pump pulse of area theta and phase phi, as in atom.prepare."""
+        c_g = math.cos(0.5 * theta) * complex(math.cos(phi), math.sin(phi))
+        return cls(n_atoms, math.sin(0.5 * theta), c_g)
+
     def atom_state(self) -> AtomState:
         return AtomState(abs(self.c_e) ** 2, self.c_e * self.c_g.conjugate())
 

@@ -5,6 +5,15 @@ modes a caller may want to catch and handle differently (enlarge the
 basis, change solver, accept a diverging analytic branch, ...).
 """
 
+__all__ = [
+    "CavsrError",
+    "TruncationError",
+    "ConvergenceError",
+    "ResourceError",
+    "DivergenceError",
+    "DegenerateBranchError",
+]
+
 
 class CavsrError(Exception):
     """Base class for domain errors raised by this package."""

@@ -27,7 +27,8 @@ from .atom import AtomState, dephase, prepare
 from .errors import CavsrError
 from .hilbert import fidelity_to_coherent, mean_photon, photon_distribution, vacuum
 from .interaction import KickParams, bunched_mean_n, lossless_sequence
-from .steady import DEFAULT_MAX_DIM, MasterParams, evolve, steady_state_auto, suggest_n_max
+from . import steady
+from .steady import MasterParams, evolve, steady_state_auto, suggest_n_max
 from .trajectory import TrajectoryConfig, run_ensemble
 
 __all__ = [
@@ -208,6 +209,7 @@ def _solve_curve(
     annotated under the point's label.
     """
     k = cfg.kick()
+    meta["baseline"] = "random-phase (rho_eg = 0) steady state at matching rho_ee"
     mean = np.empty(len(points))
     base = np.empty(len(points))
     used = []
@@ -243,7 +245,6 @@ def sweep_pump(cfg: RunConfig, theta_grid: np.ndarray) -> SweepResult:
     if grid.size == 0:
         raise ValueError("theta grid is empty")
     meta = _base_metadata(cfg, "pump pulse area theta [rad]")
-    meta["baseline"] = "random-phase (rho_eg = 0) steady state at matching rho_ee"
     if cfg.derived_n_mean > 1.0:
         meta["annotations"].append(
             f"mean intracavity atom number {cfg.derived_n_mean:.3g} exceeds 1"
@@ -274,7 +275,6 @@ def sweep_atoms(cfg: RunConfig, n_grid: np.ndarray) -> SweepResult:
     if rho_ee <= 0.0:
         raise ValueError("excited-atom axis undefined for rho_ee = 0")
     meta = _base_metadata(cfg, "excited-state atom number n_mean * rho_ee")
-    meta["baseline"] = "random-phase (rho_eg = 0) steady state at matching rho_ee"
     nc_values = grid / rho_ee / (cfg.gamma_c * cfg.tau)
     mean, base = _solve_curve(cfg, _nc_points(cfg, nc_values), meta)
     return SweepResult(grid, mean, mean - base, base, meta)
@@ -403,17 +403,15 @@ def lossless_emission(cfg: RunConfig, n_atoms: int) -> tuple[SweepResult, dict]:
     }
 
 
-def transient_buildup(
-    cfg: RunConfig, mode: str = "coarse-ode", t_end: float | None = None
-) -> tuple[SweepResult, dict]:
-    """<n>(t) from the vacuum over t_end (1/gamma_c; default cfg.duration).
+def transient_buildup(cfg: RunConfig, mode: str = "coarse-ode") -> tuple[SweepResult, dict]:
+    """<n>(t) from the vacuum over cfg.duration (1/gamma_c).
 
     The field basis is the steady state's cutoff. The baseline is the steady
     <n> for "coarse-ode", and for "discrete-regular" the lossless stepwise
     emission after the same number of atoms.
     """
     a, k, n_c = cfg.atom(), cfg.kick(), cfg.derived_n_c
-    t_end = cfg.duration if t_end is None else t_end
+    t_end = cfg.duration
     s_ss = steady_state_auto(n_c, a, k, n_max=cfg.n_max)
     tr = evolve(MasterParams(n_c, k, a, s_ss.n_max), vacuum(s_ss.n_max), t_end, mode=mode)
     mean = tr.mean_n()
@@ -591,10 +589,9 @@ def _preset_figs5(overrides: dict | None, out_dir: str) -> dict:
         a = cfg_i.atom()
         sat = 3.3 / g_tau**2
         target = float(extras.get("grid_max", sat))
-        nc_hi = _dim_limited_nc(a, g_tau, target, dim_cap=DEFAULT_MAX_DIM - 30)
+        nc_hi = _dim_limited_nc(a, g_tau, target, dim_cap=steady.DEFAULT_MAX_DIM - 30)
         nc_values = np.geomspace(nc_min, nc_hi, points)
         meta = _base_metadata(cfg_i, "atoms per cavity decay time n_c")
-        meta["baseline"] = "random-phase (rho_eg = 0) steady state at matching rho_ee"
         if nc_hi < target:
             meta["annotations"].append(
                 f"curve stops at n_c={nc_hi:.4g}, short of the requested "

@@ -22,11 +22,17 @@ __all__ = [
     "PureFieldState",
     "vacuum",
     "coherent",
+    "coherent_amplitudes",
     "mean_photon",
     "photon_distribution",
     "fidelity_to_coherent",
     "apply_decay",
 ]
+
+# FieldState.validate: largest asymmetry, trace error and negative eigenvalue accepted
+_HERM_TOL = 1e-12
+_TRACE_TOL = 1e-9
+_PSD_TOL = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,21 +59,16 @@ class FieldState:
     def n_max(self) -> int:
         return self.q.shape[0] - 1
 
-    def validate(
-        self,
-        herm_tol: float = 1e-12,
-        trace_tol: float = 1e-9,
-        psd_tol: float = 1e-9,
-    ) -> None:
+    def validate(self) -> None:
         """Check Hermiticity, unit trace, and positivity; raise ValueError if violated."""
         herm = np.max(np.abs(self.q - self.q.conj().T))
-        if herm > herm_tol:
+        if herm > _HERM_TOL:
             raise ValueError(f"not Hermitian: max asymmetry {herm:.3e}")
         tr = float(np.real(np.trace(self.q)))
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > _TRACE_TOL:
             raise ValueError(f"trace {tr!r} differs from 1")
         w_min = float(np.linalg.eigvalsh(self.q)[0])
-        if w_min < -psd_tol:
+        if w_min < -_PSD_TOL:
             raise ValueError(f"negative eigenvalue {w_min:.3e}")
 
 

@@ -26,11 +26,13 @@ import numpy as np
 import scipy.linalg
 
 from .atom import AtomState
+from .dicke import EnsembleSpec, decompose_product_state, ensemble_rate
 from .errors import DegenerateBranchError, TruncationError
 from .hilbert import FieldState, PureFieldState, mean_photon, vacuum
 
 __all__ = [
     "KickParams",
+    "JointState",
     "jc_kick",
     "jc_kick_pure",
     "measure_atom",
@@ -223,7 +225,7 @@ def lossless_sequence(atoms: list[AtomState], k: KickParams) -> list[float]:
     return trace
 
 
-def _tavis_cummings_mean_n(n_atoms: int, c_e: complex, c_g: complex, g_tau: float) -> float:
+def _tavis_cummings_mean_n(spec: EnsembleSpec, g_tau: float) -> float:
     """<n> after N atoms cross together, by exact joint evolution.
 
     Identically prepared product atoms stay in the fully symmetric collective
@@ -236,6 +238,7 @@ def _tavis_cummings_mean_n(n_atoms: int, c_e: complex, c_g: complex, g_tau: floa
 
     Evolving for angle g_tau and weighing by photon number gives the result.
     """
+    n_atoms = spec.n_atoms
     levels = n_atoms + 1
     size = levels * levels
 
@@ -251,10 +254,7 @@ def _tavis_cummings_mean_n(n_atoms: int, c_e: complex, c_g: complex, g_tau: floa
                 h[idx(kg, n), idx(kg + 1, n + 1)] = v
     w, vec = scipy.linalg.eigh(h)
     psi0 = np.zeros(size, dtype=complex)
-    for kg in range(levels):
-        psi0[idx(kg, 0)] = (
-            c_e ** (n_atoms - kg) * c_g**kg * math.sqrt(math.comb(n_atoms, kg))
-        )
+    psi0[::levels] = decompose_product_state(spec)  # the vacuum times the atoms
     psi = (vec * np.exp(-1j * w * g_tau)) @ (vec.conj().T @ psi0)
     weights = np.abs(psi) ** 2
     photon = np.tile(np.arange(levels, dtype=float), levels)
@@ -265,15 +265,11 @@ def bunched_mean_n(n_atoms: int, theta: float, phi: float, k: KickParams) -> flo
     """<n> emitted when n_atoms cross the lossless cavity simultaneously.
 
     Exact joint evolution up to 6 atoms; beyond that the collective
-    second-order emission formula (g_tau)^2 * (N rho_ee + N(N-1)|rho_eg|^2),
-    which is what the exact result reduces to for small g_tau*sqrt(N).
+    second-order emission (g_tau)^2 times the collective rate of
+    dicke.ensemble_rate, which is what the exact result reduces to for small
+    g_tau*sqrt(N).
     """
-    if n_atoms < 1:
-        raise ValueError(f"need at least one atom, got {n_atoms}")
-    c_e = math.sin(0.5 * theta)
-    c_g = math.cos(0.5 * theta) * cmath.exp(1j * phi)
+    spec = EnsembleSpec.from_pulse(n_atoms, theta, phi)
     if n_atoms <= 6:
-        return _tavis_cummings_mean_n(n_atoms, c_e, c_g, k.g_tau)
-    rho_ee = abs(c_e) ** 2
-    coh2 = abs(c_e * c_g.conjugate()) ** 2
-    return k.g_tau**2 * (n_atoms * rho_ee + n_atoms * (n_atoms - 1) * coh2)
+        return _tavis_cummings_mean_n(spec, k.g_tau)
+    return k.g_tau**2 * ensemble_rate(n_atoms, spec.atom_state())

@@ -26,7 +26,7 @@ import scipy.sparse.linalg
 from .analytic import mean_n_noncollective
 from .atom import AtomState
 from .errors import ConvergenceError, DivergenceError, ResourceError, TruncationError
-from .hilbert import FieldState, vacuum
+from .hilbert import FieldState
 from .interaction import KickParams, jc_kick, kick_stencil
 from . import hilbert
 
@@ -43,6 +43,7 @@ __all__ = [
 # Direct sparse-LU factorization of the real dim(dim+1)/2 system is the whole
 # strategy; fill-in grows fast, and at dim 1040 it peaks at about 1.6 GB and
 # takes about 18 s on 2 cores. Past the guard we refuse rather than thrash.
+# Every solver reads the guard when called, so raising it here raises it for all.
 DEFAULT_MAX_DIM = 1100
 
 _TAIL_TOL = 1e-8
@@ -79,7 +80,7 @@ def _generator_stencil(p: MasterParams) -> dict[tuple[int, int], np.ndarray]:
     return st
 
 
-def build_generator(p: MasterParams, max_dim: int = DEFAULT_MAX_DIM) -> scipy.sparse.csc_matrix:
+def build_generator(p: MasterParams) -> scipy.sparse.csc_matrix:
     """Sparse generator L acting on vec(Q), row-major vectorization.
 
     L annihilates the trace: summing the rows that correspond to diagonal
@@ -87,9 +88,9 @@ def build_generator(p: MasterParams, max_dim: int = DEFAULT_MAX_DIM) -> scipy.sp
     loss terms cancel in pairs.
     """
     dim = p.dim
-    if dim > max_dim:
+    if dim > DEFAULT_MAX_DIM:
         raise ResourceError(
-            f"generator dimension {dim}^2 exceeds the solver guard ({max_dim}^2); "
+            f"generator dimension {dim}^2 exceeds the solver guard ({DEFAULT_MAX_DIM}^2); "
             "the direct factorization would not fit"
         )
     n = np.arange(dim)
@@ -157,7 +158,7 @@ def _folded_generator(
     return g, red
 
 
-def steady_state(p: MasterParams, max_dim: int = DEFAULT_MAX_DIM) -> FieldState:
+def steady_state(p: MasterParams) -> FieldState:
     """Unique steady state of the generator at the given cutoff.
 
     Solves L vec(Q) = 0 in the real gauge of _gauge, on the dim(dim+1)/2
@@ -167,7 +168,7 @@ def steady_state(p: MasterParams, max_dim: int = DEFAULT_MAX_DIM) -> FieldState:
     diagonal, so each entry keeps its magnitude) and the tail mass at the
     cutoff.
     """
-    gen = build_generator(p, max_dim=max_dim)
+    gen = build_generator(p)
     dim = p.dim
     u = _gauge(p)
     g, red = _folded_generator(gen, u)
@@ -237,16 +238,20 @@ def _balance_angle(n_c: float, a: AtomState, g_tau: float) -> float:
     gives F(chi) = kappa [z (1 - cos chi) + s sin chi] - chi^2 = 0, with
     kappa = n_c g_tau^2. Returns 0 when no positive root exists (no
     self-sustained field).
+
+    1 - cos chi is evaluated as 2 sin^2(chi/2): at the grid's first point
+    the former rounds to 0, which would hide the small-angle gain
+    (kappa z / 2 - 1) chi^2 of a dephased beam above threshold.
     """
     kappa = n_c * g_tau * g_tau
     z = 2.0 * a.rho_ee - 1.0
     s = 2.0 * abs(a.rho_eg)
 
-    def f(chi: float) -> float:
-        return kappa * (z * (1.0 - math.cos(chi)) + s * math.sin(chi)) - chi * chi
+    def f(chi):
+        return kappa * (2.0 * z * np.sin(0.5 * chi) ** 2 + s * np.sin(chi)) - chi * chi
 
     grid = np.linspace(1e-8, 2.0 * math.pi, 2049)
-    vals = np.array([f(c) for c in grid])
+    vals = f(grid)
     if vals[0] <= 0.0:
         return 0.0
     crossings = np.nonzero(vals <= 0.0)[0]
@@ -277,22 +282,22 @@ def steady_state_auto(
     a: AtomState,
     k: KickParams,
     n_max: int | None = None,
-    max_dim: int = DEFAULT_MAX_DIM,
 ) -> FieldState:
     """steady_state with automatic cutoff choice and doubling on tail failure.
 
     Doubling is clipped to the largest cutoff the guard allows, n_max =
-    max_dim - 1, so the search gives up only once that cutoff has failed.
+    DEFAULT_MAX_DIM - 1, so the search gives up only once that cutoff has
+    failed.
     """
     cur = n_max if n_max is not None else suggest_n_max(n_c, a, k.g_tau)
     cur = max(cur, 2)
     while True:
         try:
-            return steady_state(MasterParams(n_c, k, a, cur), max_dim=max_dim)
+            return steady_state(MasterParams(n_c, k, a, cur))
         except TruncationError:
-            if cur >= max_dim - 1:
+            if cur >= DEFAULT_MAX_DIM - 1:
                 raise
-            cur = min(2 * cur, max_dim - 1)
+            cur = min(2 * cur, DEFAULT_MAX_DIM - 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -312,7 +317,6 @@ def evolve(
     t_end: float,
     mode: str = "coarse-ode",
     n_samples: int = 81,
-    max_dim: int = DEFAULT_MAX_DIM,
 ) -> EvolveResult:
     """Transient evolution from q0 for a time t_end (units of 1/gamma_c).
 
@@ -342,7 +346,7 @@ def evolve(
                 f"q0 is not real symmetric in the gauge of the generator (off by "
                 f"{off:.3e}); coarse-ode evolves only such states, discrete-regular any"
             )
-        g, red = _folded_generator(build_generator(p, max_dim=max_dim), u)
+        g, red = _folded_generator(build_generator(p), u)
         g = g.tocsr()
         times = np.linspace(0.0, t_end, n_samples)
         sol = scipy.integrate.solve_ivp(

@@ -274,9 +274,11 @@ def test_zero_duration_from_config_or_flag(capsys, tmp_path, small_config):
         rc, out, _ = run_cli(capsys, "transient", *argv, "--out", str(out_dir))
         assert rc == 0
         del out["files"]
-        runs[label] = out, (out_dir / "transient.csv").read_text(encoding="utf-8")
+        # the sidecar records the duration run, whether it came from the file or the flag
+        meta = json.loads((out_dir / "transient.meta.json").read_text(encoding="utf-8"))
+        runs[label] = out, (out_dir / "transient.csv").read_text(encoding="utf-8"), meta
     assert runs["config"] == runs["flag"]
-    out, text = runs["config"]
+    out, text, _ = runs["config"]
     assert out["t_end"] == 0
     rows = text.splitlines()[1:]
     assert len(rows) == 1 and rows[0].startswith("0,0,")  # the vacuum at t = 0

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,12 +190,12 @@ def test_atom_sweep_input_validation():
 def test_sweep_files_round_trip_and_reruns_identically(tmp_path):
     res = sweep_pump(small_cavity(), np.array([0.3, 0.8, 1.3]))
     csv_path, meta_path = write_sweep(res, str(tmp_path), "probe")
-    text = open(csv_path, encoding="utf-8").read()
+    text = Path(csv_path).read_text(encoding="utf-8")
     assert text.splitlines()[0] == "axis,mean_n,collective_part,baseline"
     again = sweep_pump(small_cavity(), np.array([0.3, 0.8, 1.3]))
     write_sweep(again, str(tmp_path), "probe")
-    assert open(csv_path, encoding="utf-8").read() == text
-    meta_text = open(meta_path, encoding="utf-8").read()
+    assert Path(csv_path).read_text(encoding="utf-8") == text
+    meta_text = Path(meta_path).read_text(encoding="utf-8")
     assert "timestamp" not in meta_text
 
     back = read_sweep(csv_path)

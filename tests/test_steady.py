@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavsr.analytic import pn_random_phase
@@ -17,12 +17,14 @@ from cavsr.hilbert import (
     photon_distribution,
     vacuum,
 )
+from cavsr import steady
 from cavsr.interaction import KickParams, jc_kick
 from cavsr.steady import (
     MasterParams,
     build_generator,
     evolve,
     steady_state,
+    _balance_angle,
     steady_state_auto,
     suggest_n_max,
 )
@@ -80,10 +82,11 @@ def test_generator_annihilates_the_trace(n_c, g_tau, theta, phi, coherence, n_ma
     assert np.max(np.abs(row)) <= tol
 
 
-def test_generator_size_guard():
+def test_generator_size_guard(monkeypatch):
+    monkeypatch.setattr(steady, "DEFAULT_MAX_DIM", 20)
     p = MasterParams(1.0, KickParams(0.1), HALF, 30)
     with pytest.raises(ResourceError):
-        build_generator(p, max_dim=20)
+        build_generator(p)
 
 
 def test_weak_pump_mean():
@@ -114,18 +117,21 @@ def test_solution_is_generator_fixed_point():
         assert abs(dn_dt) <= 1e-8
 
 
-@pytest.mark.parametrize(
-    "theta, phi, ref_theta, rotation",
-    [
-        (1.1, 0.7, 1.1, 0.7),
-        # past pi, rho_eg < 0: the area 2 pi - theta rotated by pi
-        (4.0, 0.0, 2.0 * math.pi - 4.0, math.pi),
-    ],
+@settings(max_examples=15, deadline=None)
+@given(
+    theta=st.floats(0.3, 2.0 * math.pi - 0.3).filter(lambda t: abs(math.sin(t)) >= 0.3),
+    phi=st.floats(-math.pi, math.pi),
 )
-def test_phased_solution_is_gauge_covariant(theta, phi, ref_theta, rotation):
+@example(theta=1.1, phi=0.7)
+@example(theta=4.0, phi=0.0)  # past pi, rho_eg < 0: the area 2 pi - theta rotated by pi
+def test_phased_solution_is_gauge_covariant(theta, phi):
     # the solve runs in a real gauge set by arg(rho_eg); the answer must
     # still satisfy the complex generator and rotate with the atom phase,
-    # Q[n, m] -> exp(-i rotation (n - m)) Q[n, m]
+    # Q[n, m] -> exp(-i rotation (n - m)) Q[n, m], against the unrotated
+    # atom of the same rho_ee and |rho_eg|
+    ref_theta, rotation = theta, phi
+    if theta > math.pi:
+        ref_theta, rotation = 2.0 * math.pi - theta, phi + math.pi
     k = KickParams(0.05)
     atom = dephase(prepare(theta, phi), 0.8)
     n_max = suggest_n_max(30.0, atom, k.g_tau)
@@ -169,19 +175,21 @@ def test_auto_growth_from_tight_start():
     assert float(np.real(s.q[-1, -1])) <= 1e-8
 
 
-def test_auto_stops_doubling_at_ceiling():
+def test_auto_stops_doubling_at_ceiling(monkeypatch):
+    monkeypatch.setattr(steady, "DEFAULT_MAX_DIM", 9)
     with pytest.raises(TruncationError):
-        steady_state_auto(50.0, HALF, KickParams(0.05), n_max=4, max_dim=9)
+        steady_state_auto(50.0, HALF, KickParams(0.05), n_max=4)
     with pytest.raises(ResourceError):
-        steady_state_auto(50.0, HALF, KickParams(0.05), n_max=20, max_dim=9)
+        steady_state_auto(50.0, HALF, KickParams(0.05), n_max=20)
 
 
-def test_auto_clips_growth_to_ceiling():
+def test_auto_clips_growth_to_ceiling(monkeypatch):
     # n_max 16 is the first cutoff that passes here; doubling 10 overshoots
     # the guard's largest cutoff 16, so growth must stop there, not give up
     with pytest.raises(TruncationError):
         steady_state(MasterParams(50.0, KickParams(0.05), HALF, 15))
-    s = steady_state_auto(50.0, HALF, KickParams(0.05), n_max=10, max_dim=17)
+    monkeypatch.setattr(steady, "DEFAULT_MAX_DIM", 17)
+    s = steady_state_auto(50.0, HALF, KickParams(0.05), n_max=10)
     assert s.n_max == 16
     assert float(np.real(s.q[-1, -1])) <= 1e-8
 
@@ -189,6 +197,14 @@ def test_auto_clips_growth_to_ceiling():
 def test_suggested_cutoff_in_coherent_regime():
     n = suggest_n_max(100.0, HALF, 0.01)
     assert 14 <= n <= 18
+
+
+def test_dephased_beam_above_threshold_has_a_balance_root():
+    # kappa (2 rho_ee - 1) = 3 > 2: the gain beats the loss at small angles,
+    # so the balance has a root and the cutoff covers the lasing field
+    a = AtomState(1.0, 0.0)
+    assert _balance_angle(300.0, a, 0.1) > 0.0
+    assert suggest_n_max(300.0, a, 0.1) >= 116
 
 
 def test_suggested_cutoff_tracks_saturated_field():
