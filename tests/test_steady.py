@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavsr.analytic import pn_random_phase
@@ -117,21 +117,11 @@ def test_solution_is_generator_fixed_point():
         assert abs(dn_dt) <= 1e-8
 
 
-@settings(max_examples=15, deadline=None)
-@given(
-    theta=st.floats(0.3, 2.0 * math.pi - 0.3).filter(lambda t: abs(math.sin(t)) >= 0.3),
-    phi=st.floats(-math.pi, math.pi),
-)
-@example(theta=1.1, phi=0.7)
-@example(theta=4.0, phi=0.0)  # past pi, rho_eg < 0: the area 2 pi - theta rotated by pi
-def test_phased_solution_is_gauge_covariant(theta, phi):
+def _check_gauge_covariance(theta, phi, ref_theta, rotation):
     # the solve runs in a real gauge set by arg(rho_eg); the answer must
     # still satisfy the complex generator and rotate with the atom phase,
     # Q[n, m] -> exp(-i rotation (n - m)) Q[n, m], against the unrotated
-    # atom of the same rho_ee and |rho_eg|
-    ref_theta, rotation = theta, phi
-    if theta > math.pi:
-        ref_theta, rotation = 2.0 * math.pi - theta, phi + math.pi
+    # atom of area ref_theta with the same rho_ee and |rho_eg|
     k = KickParams(0.05)
     atom = dephase(prepare(theta, phi), 0.8)
     n_max = suggest_n_max(30.0, atom, k.g_tau)
@@ -143,6 +133,31 @@ def test_phased_solution_is_gauge_covariant(theta, phi):
     rotated = np.exp(-1j * rotation * (n[:, None] - n[None, :])) * ref.q
     assert np.max(np.abs(s.q - rotated)) <= 1e-12
     assert abs(s.q[1, 0]) >= 1e-3
+
+
+@pytest.mark.parametrize(
+    "theta, phi, ref_theta, rotation",
+    [
+        (1.1, 0.7, 1.1, 0.7),
+        # past pi, rho_eg < 0: the area 2 pi - theta rotated by pi
+        (4.0, 0.0, 2.0 * math.pi - 4.0, math.pi),
+    ],
+)
+def test_phased_solution_is_gauge_covariant(theta, phi, ref_theta, rotation):
+    _check_gauge_covariance(theta, phi, ref_theta, rotation)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    theta=st.floats(0.3, 2.0 * math.pi - 0.3).filter(lambda t: abs(math.sin(t)) >= 0.3),
+    phi=st.floats(-math.pi, math.pi),
+)
+def test_phased_solution_is_gauge_covariant_at_any_phase(theta, phi):
+    # past pi the atom is the area 2 pi - theta rotated by an extra pi
+    if theta > math.pi:
+        _check_gauge_covariance(theta, phi, 2.0 * math.pi - theta, phi + math.pi)
+    else:
+        _check_gauge_covariance(theta, phi, theta, phi)
 
 
 def test_solution_matches_recursion_exactly():
