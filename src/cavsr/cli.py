@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__, analytic
 from .dicke import (
+    MAX_BRUTE_FORCE_ATOMS,
     EnsembleSpec,
     brute_force_rate,
     decompose_product_state,
@@ -148,7 +149,7 @@ def _cmd_dicke(args) -> None:
         out["brute_force_rate"] = brute_force_rate(spec)
     except ResourceError:
         out["brute_force_rate"] = None
-        out["note"] = "direct 2^N check skipped above 12 atoms"
+        out["note"] = f"direct 2^N check skipped above {MAX_BRUTE_FORCE_ATOMS} atoms"
     _emit(out)
 
 

@@ -21,11 +21,12 @@ __all__ = [
     "decompose_product_state",
     "ensemble_rate",
     "brute_force_rate",
+    "MAX_BRUTE_FORCE_ATOMS",
 ]
 
 # past this size binomial weights and the 2^N state both stop being exact/cheap
 _MAX_SYMMETRIC_ATOMS = 64
-_MAX_BRUTE_FORCE_ATOMS = 12
+MAX_BRUTE_FORCE_ATOMS = 12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,9 +99,9 @@ def brute_force_rate(spec: EnsembleSpec) -> float:
     basis state b is the sum of psi over all single-bit raisings of b.
     """
     n = spec.n_atoms
-    if n > _MAX_BRUTE_FORCE_ATOMS:
+    if n > MAX_BRUTE_FORCE_ATOMS:
         raise ResourceError(
-            f"brute-force rate limited to {_MAX_BRUTE_FORCE_ATOMS} atoms, got {n}"
+            f"brute-force rate limited to {MAX_BRUTE_FORCE_ATOMS} atoms, got {n}"
         )
     size = 1 << n
     b = np.arange(size, dtype=np.uint64)

@@ -76,14 +76,20 @@ def rabi_tables(dim: int, g_tau: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     return c, s, cm, sm
 
 
-def kick_stencil(dim: int, a: AtomState, k: KickParams) -> dict[tuple[int, int], np.ndarray]:
+def kick_stencil(
+    dim: int, a: AtomState, k: KickParams, n_lo: int = 0
+) -> dict[tuple[int, int], np.ndarray]:
     """Coefficient arrays of the kick map, keyed by source offset (dn, dm).
 
-    Entry (dn, dm) holds the dim x dim coefficient multiplying Q[n+dn, m+dm]
-    in the update of Q'[n, m]; rows whose source index leaves 0..dim-1
-    contribute nothing regardless of the stored coefficient.
+    The arrays cover the dim levels n_lo..n_lo+dim-1: entry (dn, dm) holds
+    the dim x dim coefficient multiplying Q[n+dn, m+dm] in the update of
+    Q'[n, m], local indices counted from n_lo; rows whose source index
+    leaves 0..dim-1 contribute nothing regardless of the stored
+    coefficient. The tables are slices of the full ones, so the lower edge
+    of a window above the vacuum carries C_{n_lo-1} = cos(sqrt(n_lo) g_tau),
+    and the stencil equals the full basis's restricted to the window.
     """
-    c, s, cm, sm = rabi_tables(dim, k.g_tau)
+    c, s, cm, sm = (t[n_lo:] for t in rabi_tables(n_lo + dim, k.g_tau))
     ree = a.rho_ee
     rgg = a.rho_gg
     reg = a.rho_eg

@@ -27,7 +27,7 @@ from .analytic import mean_n_noncollective
 from .atom import AtomState
 from .errors import ConvergenceError, DivergenceError, ResourceError, TruncationError
 from .hilbert import FieldState
-from .interaction import KickParams, jc_kick, kick_stencil
+from .interaction import KickParams, apply_stencil, jc_kick, kick_stencil
 from . import hilbert
 
 __all__ = [
@@ -52,28 +52,40 @@ _RESIDUAL_TOL = 1e-9
 
 @dataclasses.dataclass(frozen=True)
 class MasterParams:
-    """Pump and basis parameters: atoms per decay time, kick angle, atom state."""
+    """Pump and basis parameters: atoms per decay time, kick angle, atom state.
+
+    The basis is the Fock window of levels n_lo..n_max; n_lo = 0 is the full
+    basis. A window above the vacuum treats every level below n_lo as empty.
+    """
 
     n_c: float
     k: KickParams
     a: AtomState
     n_max: int
+    n_lo: int = 0
 
     def __post_init__(self) -> None:
         if self.n_c <= 0.0:
             raise ValueError(f"n_c must be positive, got {self.n_c}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be at least 1, got {self.n_max}")
+        if not 0 <= self.n_lo < self.n_max:
+            raise ValueError(f"n_lo must lie in 0..n_max-1, got {self.n_lo}")
 
     @property
     def dim(self) -> int:
+        """Dimension of the field state on levels 0..n_max."""
         return self.n_max + 1
+
+    @property
+    def width(self) -> int:
+        """Number of levels in the window, the side of the solved Q."""
+        return self.n_max - self.n_lo + 1
 
 
 def _generator_stencil(p: MasterParams) -> dict[tuple[int, int], np.ndarray]:
-    dim = p.dim
-    st = {off: p.n_c * coef for off, coef in kick_stencil(dim, p.a, p.k).items()}
-    n = np.arange(dim, dtype=float)
+    st = {off: p.n_c * coef for off, coef in kick_stencil(p.width, p.a, p.k, p.n_lo).items()}
+    n = np.arange(p.n_lo, p.n_max + 1, dtype=float)
     nn, mm = np.meshgrid(n, n, indexing="ij")
     st[(0, 0)] = st[(0, 0)] - p.n_c - (nn + mm)
     st[(1, 1)] = st[(1, 1)] + 2.0 * np.sqrt((nn + 1.0) * (mm + 1.0))
@@ -83,16 +95,18 @@ def _generator_stencil(p: MasterParams) -> dict[tuple[int, int], np.ndarray]:
 def build_generator(p: MasterParams) -> scipy.sparse.csc_matrix:
     """Sparse generator L acting on vec(Q), row-major vectorization.
 
-    L annihilates the trace: summing the rows that correspond to diagonal
-    entries (n, n) gives zero, because the kick is trace preserving and the
-    loss terms cancel in pairs.
+    Q is the window's width x width block, levels n_lo..n_max, and L is the
+    full basis's generator restricted to those rows and columns. On the full
+    basis L annihilates the trace: summing the rows that correspond to
+    diagonal entries (n, n) gives zero, because the kick is trace preserving
+    and the loss terms cancel in pairs.
     """
-    dim = p.dim
-    if dim > DEFAULT_MAX_DIM:
+    if p.dim > DEFAULT_MAX_DIM:
         raise ResourceError(
-            f"generator dimension {dim}^2 exceeds the solver guard ({DEFAULT_MAX_DIM}^2); "
+            f"generator dimension {p.dim}^2 exceeds the solver guard ({DEFAULT_MAX_DIM}^2); "
             "the direct factorization would not fit"
         )
+    dim = p.width
     n = np.arange(dim)
     nn, mm = np.meshgrid(n, n, indexing="ij")
     rows: list[np.ndarray] = []
@@ -119,10 +133,11 @@ def _gauge(p: MasterParams) -> np.ndarray:
     phase, so with beta = arg(rho_eg) - pi/2 every coherence term of the
     kick stencil turns into +-|rho_eg| and U^dagger L U is real, where U
     multiplies vec(Q) by u. The steady state is then Q = u * R with R real
-    symmetric. Any beta works when rho_eg = 0.
+    symmetric. Any beta works when rho_eg = 0. The phases depend on n - m
+    only, so on a window they are the full basis's restricted to it.
     """
     beta = cmath.phase(p.a.rho_eg) - 0.5 * math.pi
-    n = np.arange(p.dim)
+    n = np.arange(p.width)
     return np.exp(1j * beta * (n[:, None] - n[None, :]))
 
 
@@ -159,21 +174,27 @@ def _folded_generator(
 
 
 def steady_state(p: MasterParams) -> FieldState:
-    """Unique steady state of the generator at the given cutoff.
+    """Unique steady state of the generator on the window n_lo..n_max.
 
     Solves L vec(Q) = 0 in the real gauge of _gauge, on the dim(dim+1)/2
-    unknowns of the symmetric R, with one redundant row traded for the
-    trace constraint, via sparse LU. The result is checked against the
-    untouched complex generator: its residual (the gauge is unitary and
-    diagonal, so each entry keeps its magnitude) and the tail mass at the
-    cutoff.
+    unknowns of the symmetric R (dim the window's width), with one row
+    traded for the trace constraint, via sparse LU. The result is checked
+    against the untouched complex generator: its residual (the gauge is
+    unitary and diagonal, so each entry keeps its magnitude), then one
+    check per edge of the window. The upper edge holds at most _TAIL_TOL
+    population. Below a lower edge n_lo > 0, the state padded with zeros
+    must keep its residual on the generator one level wider: loss and
+    absorption carry population and coherence out of level n_lo, which the
+    trace row sees only in part. The returned state is padded with zeros
+    to levels 0..n_max.
     """
     gen = build_generator(p)
-    dim = p.dim
+    dim = p.width
     u = _gauge(p)
     g, red = _folded_generator(gen, u)
-    # row (0, 0) is redundant because the generator annihilates the trace;
-    # trade it for the trace constraint
+    # row (0, 0) is redundant because the generator annihilates the trace
+    # (up to the edge leaks a window must keep small anyway); trade it for
+    # the trace constraint
     keep = g.row != 0
     a = scipy.sparse.coo_matrix(
         (
@@ -207,24 +228,36 @@ def steady_state(p: MasterParams) -> FieldState:
         x, resid, best = x_new, resid_new, float(resid_new.max())
     if best > _RESIDUAL_TOL:
         # a residual confined to the replaced trace row is the rate at which
-        # probability escapes past the cutoff: a basis problem, not a solver
-        # one, so report it as such and let callers enlarge the basis
+        # probability escapes past the window's edges: a basis problem, not a
+        # solver one, so report it as such and let callers enlarge the basis
         if float(resid[1:].max()) <= _RESIDUAL_TOL:
             raise TruncationError(
-                f"trace leaks past n_max={p.n_max} at rate {best:.3e}; "
+                f"trace leaks out of levels {p.n_lo}..{p.n_max} at rate {best:.3e}; "
                 "enlarge the basis"
             )
         raise ConvergenceError(
             f"steady-state residual {best:.3e} above {_RESIDUAL_TOL:.0e}"
         )
+    del lu, a  # the lower edge's check below allocates; free the factors first
     r = x[red].reshape(dim, dim)
-    q = r * u / float(np.trace(r))
-    tail = float(q[dim - 1, dim - 1].real)
+    q = np.zeros((p.dim, p.dim), dtype=complex)
+    q[p.n_lo :, p.n_lo :] = r * u / float(np.trace(r))
+    tail = float(q[p.n_max, p.n_max].real)
     if tail > _TAIL_TOL:
         raise TruncationError(
             f"steady state keeps {tail:.3e} population at n_max={p.n_max}; "
             "enlarge the basis"
         )
+    if p.n_lo > 0:
+        wider = dataclasses.replace(p, n_lo=p.n_lo - 1)
+        # the stencil applies the generator without assembling it
+        flow = apply_stencil(q[wider.n_lo :, wider.n_lo :], _generator_stencil(wider))
+        edge = float(np.abs(flow).max())
+        if edge > _RESIDUAL_TOL:
+            raise TruncationError(
+                f"steady state flows out of level n_lo={p.n_lo} at rate {edge:.3e}; "
+                "lower the window's edge"
+            )
     return FieldState(q)
 
 
@@ -259,12 +292,12 @@ def _balance_angle(n_c: float, a: AtomState, g_tau: float) -> float:
     return float(scipy.optimize.brentq(f, grid[i - 1], grid[i], xtol=1e-12))
 
 
-def suggest_n_max(n_c: float, a: AtomState, g_tau: float) -> int:
-    """Fock cutoff estimate: predicted <n> plus a ten-sigma-and-ten margin.
+def _predicted_mean(n_c: float, a: AtomState, g_tau: float) -> float:
+    """Predicted <n>: the semiclassical balance plus the noncollective mean.
 
-    The prediction adds the finite noncollective mean (when it exists) to the
-    semiclassical balance solution, which is what caps the field in the
-    saturated and lasing regimes where the small-angle formula blows up.
+    The noncollective mean counts only where it is finite. The balance is
+    what caps the field in the saturated and lasing regimes where the
+    small-angle formula blows up.
     """
     if g_tau <= 0.0:
         raise ValueError(f"g_tau must be positive, got {g_tau}")
@@ -274,7 +307,18 @@ def suggest_n_max(n_c: float, a: AtomState, g_tau: float) -> int:
         est += mean_n_noncollective(n_c * g_tau * g_tau, a.rho_ee)
     except DivergenceError:
         pass  # lasing regime: the balance root already carries the saturated value
-    return math.ceil(est + 10.0 * math.sqrt(est) + 10.0)
+    return est
+
+
+def _window_edges(est: float) -> tuple[int, int]:
+    """Window n_lo..n_max around a predicted mean: ten sigma and ten on each side."""
+    margin = 10.0 * math.sqrt(est) + 10.0
+    return max(0, math.floor(est - margin)), math.ceil(est + margin)
+
+
+def suggest_n_max(n_c: float, a: AtomState, g_tau: float) -> int:
+    """Fock cutoff estimate: predicted <n> plus a ten-sigma-and-ten margin."""
+    return _window_edges(_predicted_mean(n_c, a, g_tau))[1]
 
 
 def steady_state_auto(
@@ -283,21 +327,31 @@ def steady_state_auto(
     k: KickParams,
     n_max: int | None = None,
 ) -> FieldState:
-    """steady_state with automatic cutoff choice and doubling on tail failure.
+    """steady_state with automatic window choice and doubling on tail failure.
 
-    Doubling is clipped to the largest cutoff the guard allows, n_max =
-    DEFAULT_MAX_DIM - 1, so the search gives up only once that cutoff has
-    failed.
+    Without n_max, the window runs from ten sigma and ten below the
+    predicted mean (or from the vacuum, when that reaches it) up to
+    suggest_n_max's cutoff; a given n_max is solved on the full basis. A
+    truncation on a window above the vacuum re-solves once on the full
+    basis at the same cutoff, since either edge may have failed; on the
+    full basis a truncation doubles the cutoff. Doubling is clipped to the
+    largest cutoff the guard allows, n_max = DEFAULT_MAX_DIM - 1, so the
+    search gives up only once that cutoff has failed.
     """
-    cur = n_max if n_max is not None else suggest_n_max(n_c, a, k.g_tau)
-    cur = max(cur, 2)
+    if n_max is None:
+        lo, cur = _window_edges(_predicted_mean(n_c, a, k.g_tau))
+    else:
+        lo, cur = 0, max(n_max, 2)
     while True:
         try:
-            return steady_state(MasterParams(n_c, k, a, cur))
+            return steady_state(MasterParams(n_c, k, a, cur, lo))
         except TruncationError:
-            if cur >= DEFAULT_MAX_DIM - 1:
+            if lo > 0:
+                lo = 0
+            elif cur >= DEFAULT_MAX_DIM - 1:
                 raise
-            cur = min(2 * cur, DEFAULT_MAX_DIM - 1)
+            else:
+                cur = min(2 * cur, DEFAULT_MAX_DIM - 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -331,6 +385,8 @@ def evolve(
     spaced beam; it accepts any q0, output samples then sit on the atom
     grid and n_samples is ignored.
     """
+    if p.n_lo != 0:
+        raise ValueError(f"evolve runs on the full basis, got n_lo={p.n_lo}")
     if q0.dim != p.dim:
         raise ValueError(f"q0 has dim {q0.dim}, params expect {p.dim}")
     if t_end < 0.0:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cavsr.cli import main
+from cavsr.dicke import MAX_BRUTE_FORCE_ATOMS
 
 
 @pytest.fixture
@@ -189,10 +190,11 @@ def test_dicke_half_integer_ladder(capsys, small_config):
 
 
 def test_dicke_skips_brute_force_for_large_ensembles(capsys, small_config):
-    rc, out, _ = run_cli(capsys, "dicke", "--config", small_config, "--atoms", "13")
+    atoms = str(MAX_BRUTE_FORCE_ATOMS + 1)
+    rc, out, _ = run_cli(capsys, "dicke", "--config", small_config, "--atoms", atoms)
     assert rc == 0
     assert out["brute_force_rate"] is None
-    assert "note" in out
+    assert out["note"] == f"direct 2^N check skipped above {MAX_BRUTE_FORCE_ATOMS} atoms"
 
 
 def test_preset_via_cli(capsys, tmp_path):

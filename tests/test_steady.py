@@ -18,7 +18,7 @@ from cavsr.hilbert import (
     vacuum,
 )
 from cavsr import steady
-from cavsr.interaction import KickParams, jc_kick
+from cavsr.interaction import KickParams, jc_kick, kick_stencil
 from cavsr.steady import (
     MasterParams,
     build_generator,
@@ -80,6 +80,30 @@ def test_generator_annihilates_the_trace(n_c, g_tau, theta, phi, coherence, n_ma
     assert abs(row[n_max, n_max] + leak) <= tol
     row[n_max, n_max] = 0.0
     assert np.max(np.abs(row)) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 20),
+    st.integers(1, 12),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(-math.pi, math.pi),
+    st.floats(0.0, 1.0),
+)
+def test_window_generator_is_the_restricted_full_one(n_lo, width, theta, phi, coherence):
+    # the window drops the levels below n_lo and keeps absolute-level
+    # coefficients, so it must be the full generator's block on its levels
+    n_max = n_lo + width
+    a = dephase(prepare(theta, phi), coherence)
+    k = KickParams(0.3)
+    full = build_generator(MasterParams(40.0, k, a, n_max)).toarray()
+    window = build_generator(MasterParams(40.0, k, a, n_max, n_lo)).toarray()
+    levels = np.arange(n_lo, n_max + 1)
+    idx = (levels[:, None] * (n_max + 1) + levels[None, :]).ravel()
+    assert np.max(np.abs(window - full[np.ix_(idx, idx)])) <= 1e-15
+    full_kick = kick_stencil(n_max + 1, a, k)
+    for off, coef in kick_stencil(width + 1, a, k, n_lo).items():
+        assert np.max(np.abs(coef - full_kick[off][n_lo:, n_lo:])) <= 1e-15
 
 
 def test_generator_size_guard(monkeypatch):
@@ -209,6 +233,47 @@ def test_auto_clips_growth_to_ceiling(monkeypatch):
     assert float(np.real(s.q[-1, -1])) <= 1e-8
 
 
+def test_window_edge_flux_is_caught():
+    # at n_lo = 140 the trace row leaks only 1.6e-11 and the edge holds
+    # 3.8e-14, yet the coherences Q[140, m] flow out of the window through
+    # loss and absorption: the zero-padded state misses the full generator
+    # by 2.9e-7, which only the residual one level wider sees
+    k = KickParams(0.05)
+    with pytest.raises(TruncationError, match="n_lo=140"):
+        steady_state(MasterParams(1000.0, k, HALF, 419, n_lo=140))
+    s = steady_state(MasterParams(1000.0, k, HALF, 419, n_lo=82))
+    assert not np.any(s.q[:82])
+
+
+@pytest.mark.parametrize(
+    "n_c, pinned",
+    # 249.891350914484 is the benchmark's steady-large coherent oracle
+    [(1000.0, 249.891350914484), (1300.0, None), (1550.0, None)],
+)
+def test_window_matches_full_basis(n_c, pinned):
+    k = KickParams(0.05)
+    n_lo = steady._window_edges(steady._predicted_mean(n_c, HALF, k.g_tau))[0]
+    s = steady_state_auto(n_c, HALF, k)
+    assert n_lo > 0
+    assert not np.any(s.q[:n_lo]) and not np.any(s.q[:, :n_lo])
+    p = MasterParams(n_c, k, HALF, s.n_max)
+    assert mean_photon(s) == pytest.approx(mean_photon(steady_state(p)), rel=1e-10)
+    assert np.max(np.abs(build_generator(p) @ s.q.ravel())) <= 1e-9
+    if pinned is not None:
+        assert mean_photon(s) == pytest.approx(pinned, rel=1e-8)
+
+
+def test_auto_falls_back_to_full_basis_when_a_window_fails(monkeypatch):
+    # a window forced to [40, 60] around a mean near 49 fails its edges; the
+    # retry on the full basis at 60 truncates too, so the cutoff doubles
+    k = KickParams(0.1)
+    monkeypatch.setattr(steady, "_window_edges", lambda est: (40, 60))
+    s = steady_state_auto(200.0, HALF, k)
+    assert s.n_max == 120
+    ref = steady_state(MasterParams(200.0, k, HALF, 120))
+    assert np.max(np.abs(s.q - ref.q)) == 0.0
+
+
 def test_suggested_cutoff_in_coherent_regime():
     n = suggest_n_max(100.0, HALF, 0.01)
     assert 14 <= n <= 18
@@ -299,6 +364,8 @@ def test_evolve_input_validation():
         evolve(p, vacuum(8), -1.0)
     with pytest.raises(ValueError):
         evolve(p, vacuum(8), 1.0, mode="leapfrog")
+    with pytest.raises(ValueError, match="full basis"):
+        evolve(MasterParams(5.0, KickParams(0.05), HALF, 8, n_lo=2), vacuum(8), 1.0)
 
 
 def test_master_params_validation():
@@ -306,3 +373,6 @@ def test_master_params_validation():
         MasterParams(0.0, KickParams(0.1), HALF, 5)
     with pytest.raises(ValueError):
         MasterParams(1.0, KickParams(0.1), HALF, 0)
+    for n_lo in (-1, 5):
+        with pytest.raises(ValueError):
+            MasterParams(1.0, KickParams(0.1), HALF, 5, n_lo=n_lo)
