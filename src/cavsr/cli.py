@@ -66,13 +66,17 @@ def _emit(payload: dict) -> None:
     print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
 
 
+def _flag_overrides(args) -> dict:
+    """The config fields set on the command line."""
+    # --t-end exists only on the subcommands that run for a duration
+    flags = {"seed": args.seed, "n_max": args.n_max, "t_end": getattr(args, "t_end", None)}
+    return {k: v for k, v in flags.items() if v is not None}
+
+
 def _require_config(args) -> RunConfig:
     if not args.config:
         raise ValueError("this subcommand needs --config pointing at a JSON file")
-    cfg = load_config(args.config)
-    # --t-end exists only on the subcommands that run for a duration
-    flags = {"seed": args.seed, "n_max": args.n_max, "t_end": getattr(args, "t_end", None)}
-    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    return dataclasses.replace(load_config(args.config), **_flag_overrides(args))
 
 
 def _cmd_steady(args) -> None:
@@ -187,19 +191,13 @@ def _cmd_analytic(args) -> None:
 
 
 def _cmd_preset(args) -> None:
-    overrides = None
+    overrides = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             overrides = json.load(fh)
         if not isinstance(overrides, dict):
             raise ValueError("preset overrides file must hold a JSON object")
-    if args.seed is not None:
-        overrides = dict(overrides or {})
-        overrides["seed"] = args.seed
-    if args.n_max is not None:
-        overrides = dict(overrides or {})
-        overrides["n_max"] = args.n_max
-    _emit(preset(args.name, overrides, args.out))
+    _emit(preset(args.name, {**overrides, **_flag_overrides(args)}, args.out))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,8 +7,10 @@ atoms crossing per decay time, the field obeys
 
 where kick is the single-transit update from the interaction module and D is
 the photon-loss dissipator, D(Q)[n,m] = 2 sqrt((n+1)(m+1)) Q[n+1,m+1]
-- (n+m) Q[n,m]. Both pieces are seven-band stencils on the index lattice, so
-the generator assembles directly into a sparse matrix on vectorized Q.
+- (n+m) Q[n,m]. Both pieces are seven-band stencils on the index lattice.
+The solvers build the real, folded matrix of the gauged stencil directly
+and check their results by applying the complex stencil matrix-free;
+build_generator assembles the complex matrix as a reference.
 """
 
 from __future__ import annotations
@@ -84,12 +86,36 @@ class MasterParams:
 
 
 def _generator_stencil(p: MasterParams) -> dict[tuple[int, int], np.ndarray]:
+    """The one description of L on the window, laid out as kick_stencil.
+
+    The guard is checked here, before anything sized by the window exists.
+    """
+    if p.dim > DEFAULT_MAX_DIM:
+        raise ResourceError(
+            f"generator dimension {p.dim}^2 exceeds the solver guard ({DEFAULT_MAX_DIM}^2); "
+            "the direct factorization would not fit"
+        )
     st = {off: p.n_c * coef for off, coef in kick_stencil(p.width, p.a, p.k, p.n_lo).items()}
     n = np.arange(p.n_lo, p.n_max + 1, dtype=float)
     nn, mm = np.meshgrid(n, n, indexing="ij")
     st[(0, 0)] = st[(0, 0)] - p.n_c - (nn + mm)
     st[(1, 1)] = st[(1, 1)] + 2.0 * np.sqrt((nn + 1.0) * (mm + 1.0))
     return st
+
+
+def _triplets(stencil: dict, dim: int, rows: np.ndarray, col: np.ndarray) -> list[np.ndarray]:
+    """COO (row, column, value) arrays of a stencil on the dim x dim lattice.
+
+    rows holds the row-major indices n * dim + m of the rows to build, and
+    row i of the result is rows[i]; col maps each row-major index to its
+    column. Sources outside the lattice contribute nothing.
+    """
+    n, m = np.divmod(rows, dim)
+    parts = []
+    for (dn, dm), coef in stencil.items():
+        ok = (n + dn >= 0) & (n + dn < dim) & (m + dm >= 0) & (m + dm < dim)
+        parts.append((np.flatnonzero(ok), col[rows[ok] + dn * dim + dm], coef.ravel()[rows[ok]]))
+    return [np.concatenate(x) for x in zip(*parts)]
 
 
 def build_generator(p: MasterParams) -> scipy.sparse.csc_matrix:
@@ -99,31 +125,16 @@ def build_generator(p: MasterParams) -> scipy.sparse.csc_matrix:
     full basis's generator restricted to those rows and columns. On the full
     basis L annihilates the trace: summing the rows that correspond to
     diagonal entries (n, n) gives zero, because the kick is trace preserving
-    and the loss terms cancel in pairs.
+    and the loss terms cancel in pairs. The solvers never assemble L; it is
+    the reference their results are checked against.
     """
-    if p.dim > DEFAULT_MAX_DIM:
-        raise ResourceError(
-            f"generator dimension {p.dim}^2 exceeds the solver guard ({DEFAULT_MAX_DIM}^2); "
-            "the direct factorization would not fit"
-        )
-    dim = p.width
-    n = np.arange(dim)
-    nn, mm = np.meshgrid(n, n, indexing="ij")
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for (dn, dm), coef in _generator_stencil(p).items():
-        src_n = nn + dn
-        src_m = mm + dm
-        ok = (src_n >= 0) & (src_n < dim) & (src_m >= 0) & (src_m < dim)
-        rows.append((nn[ok] * dim + mm[ok]).ravel())
-        cols.append((src_n[ok] * dim + src_m[ok]).ravel())
-        vals.append(coef[ok].ravel().astype(complex))
-    size = dim * dim
-    return scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    ).tocsc()
+    size = p.width * p.width
+    rows, cols, vals = _triplets(_generator_stencil(p), p.width, np.arange(size), np.arange(size))
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsc()
+
+
+def _gauge_angle(a: AtomState) -> float:
+    return cmath.phase(a.rho_eg) - 0.5 * math.pi
 
 
 def _gauge(p: MasterParams) -> np.ndarray:
@@ -136,41 +147,36 @@ def _gauge(p: MasterParams) -> np.ndarray:
     symmetric. Any beta works when rho_eg = 0. The phases depend on n - m
     only, so on a window they are the full basis's restricted to it.
     """
-    beta = cmath.phase(p.a.rho_eg) - 0.5 * math.pi
     n = np.arange(p.width)
-    return np.exp(1j * beta * (n[:, None] - n[None, :]))
+    return np.exp(1j * _gauge_angle(p.a) * (n[:, None] - n[None, :]))
 
 
-def _folded_generator(
-    gen: scipy.sparse.csc_matrix, u: np.ndarray
-) -> tuple[scipy.sparse.coo_matrix, np.ndarray]:
+def _folded_generator(p: MasterParams) -> tuple[scipy.sparse.coo_matrix, np.ndarray]:
     """Real generator on the upper triangle n <= m of R, where Q = u * R.
 
     Returns the matrix, acting on the dim(dim+1)/2 unknowns R[n, m] with
     n <= m in triu order, and the map from each full index (n, m) to its
-    unknown, (m, n) for n > m. The gauged generator maps real symmetric R
-    to real symmetric R, so the rows below the diagonal repeat the rows
-    above it and are dropped, and the columns of (n, m) and (m, n) fold
-    into one. The matrix is in COO form, where the two halves of a folded
-    column stay separate entries until a conversion sums them.
+    unknown, (m, n) for n > m. In the gauge, offset (dn, dm) of the stencil
+    only picks up the phase exp(i beta (dn - dm)). The gauged generator maps
+    real symmetric R to real symmetric R, so only the rows n <= m are built,
+    and the columns of (n, m) and (m, n) fold into one: two COO entries that
+    a conversion sums.
     """
-    dim = u.shape[0]
+    beta = _gauge_angle(p.a)
+    # imaginary parts are roundoff in the right gauge; steady_state's residual
+    # on the ungauged stencil would show a wrong one
+    st = {
+        (dn, dm): (coef * np.exp(1j * beta * (dn - dm))).real
+        for (dn, dm), coef in _generator_stencil(p).items()
+    }
+    dim = p.width
     upper_n, upper_m = np.triu_indices(dim)
     red = np.empty((dim, dim), dtype=np.int64)
     red[upper_n, upper_m] = np.arange(upper_n.size)
     red[upper_m, upper_n] = red[upper_n, upper_m]
     red = red.ravel()
-    uf = u.ravel()
-    coo = gen.tocoo()
-    keep = coo.row // dim <= coo.row % dim
-    rows, cols = coo.row[keep], coo.col[keep]
-    # imaginary parts are roundoff in the right gauge; steady_state's residual
-    # on the complex generator would show a wrong one
-    vals = (coo.data[keep] * uf[cols] * uf[rows].conj()).real
-    g = scipy.sparse.coo_matrix(
-        (vals, (red[rows], red[cols])), shape=(upper_n.size, upper_n.size)
-    )
-    return g, red
+    rows, cols, vals = _triplets(st, dim, upper_n * dim + upper_m, red)
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(upper_n.size,) * 2), red
 
 
 def steady_state(p: MasterParams) -> FieldState:
@@ -178,20 +184,18 @@ def steady_state(p: MasterParams) -> FieldState:
 
     Solves L vec(Q) = 0 in the real gauge of _gauge, on the dim(dim+1)/2
     unknowns of the symmetric R (dim the window's width), with one row
-    traded for the trace constraint, via sparse LU. The result is checked
-    against the untouched complex generator: its residual (the gauge is
-    unitary and diagonal, so each entry keeps its magnitude), then one
-    check per edge of the window. The upper edge holds at most _TAIL_TOL
-    population. Below a lower edge n_lo > 0, the state padded with zeros
-    must keep its residual on the generator one level wider: loss and
-    absorption carry population and coherence out of level n_lo, which the
-    trace row sees only in part. The returned state is padded with zeros
-    to levels 0..n_max.
+    traded for the trace constraint, via sparse LU. Every check applies the
+    ungauged complex stencil, matrix-free, to the state padded with zeros
+    one level below n_lo > 0, so a wrong gauge shows. In the window this
+    flow is the residual, refined while that helps; its entry (n_lo, n_lo),
+    the traded row, is the rate at which probability leaks out. Row and
+    column n_lo - 1 are the flow out of the lower edge through loss and
+    absorption, which the trace row sees only in part. The upper edge holds
+    at most _TAIL_TOL population. The result is padded with zeros to levels
+    0..n_max.
     """
-    gen = build_generator(p)
+    g, red = _folded_generator(p)
     dim = p.width
-    u = _gauge(p)
-    g, red = _folded_generator(gen, u)
     # row (0, 0) is redundant because the generator annihilates the trace
     # (up to the edge leaks a window must keep small anyway); trade it for
     # the trace constraint
@@ -212,25 +216,32 @@ def steady_state(p: MasterParams) -> FieldState:
     lu = scipy.sparse.linalg.splu(a, permc_spec="MMD_ATA")
     x = lu.solve(b)
 
-    def residual(sol: np.ndarray) -> np.ndarray:
-        return np.abs(gen @ (sol[red] * u.ravel()))
+    wider = dataclasses.replace(p, n_lo=max(p.n_lo - 1, 0))
+    pad = p.n_lo - wider.n_lo
+    stencil = _generator_stencil(wider)
+    u = _gauge(p)
+    padded = np.zeros((wider.width, wider.width), dtype=complex)
+
+    def flow(sol: np.ndarray) -> tuple[np.ndarray, float]:
+        padded[pad:, pad:] = sol[red].reshape(dim, dim) * u
+        f = apply_stencil(padded, stencil)
+        return f, float(np.abs(f[pad:, pad:]).max())
 
     # one LU pass is condition-limited at large n_c; refine while it helps
-    resid = residual(x)
-    best = float(resid.max())
+    f, best = flow(x)
     for _ in range(5):
         if best <= 0.1 * _RESIDUAL_TOL:
             break
         x_new = x + lu.solve(b - a @ x)
-        resid_new = residual(x_new)
-        if float(resid_new.max()) >= best:
+        f_new, best_new = flow(x_new)
+        if best_new >= best:
             break
-        x, resid, best = x_new, resid_new, float(resid_new.max())
+        x, f, best = x_new, f_new, best_new
     if best > _RESIDUAL_TOL:
         # a residual confined to the replaced trace row is the rate at which
         # probability escapes past the window's edges: a basis problem, not a
         # solver one, so report it as such and let callers enlarge the basis
-        if float(resid[1:].max()) <= _RESIDUAL_TOL:
+        if float(np.abs(f[pad:, pad:]).ravel()[1:].max()) <= _RESIDUAL_TOL:
             raise TruncationError(
                 f"trace leaks out of levels {p.n_lo}..{p.n_max} at rate {best:.3e}; "
                 "enlarge the basis"
@@ -238,7 +249,6 @@ def steady_state(p: MasterParams) -> FieldState:
         raise ConvergenceError(
             f"steady-state residual {best:.3e} above {_RESIDUAL_TOL:.0e}"
         )
-    del lu, a  # the lower edge's check below allocates; free the factors first
     r = x[red].reshape(dim, dim)
     q = np.zeros((p.dim, p.dim), dtype=complex)
     q[p.n_lo :, p.n_lo :] = r * u / float(np.trace(r))
@@ -248,16 +258,12 @@ def steady_state(p: MasterParams) -> FieldState:
             f"steady state keeps {tail:.3e} population at n_max={p.n_max}; "
             "enlarge the basis"
         )
-    if p.n_lo > 0:
-        wider = dataclasses.replace(p, n_lo=p.n_lo - 1)
-        # the stencil applies the generator without assembling it
-        flow = apply_stencil(q[wider.n_lo :, wider.n_lo :], _generator_stencil(wider))
-        edge = float(np.abs(flow).max())
-        if edge > _RESIDUAL_TOL:
-            raise TruncationError(
-                f"steady state flows out of level n_lo={p.n_lo} at rate {edge:.3e}; "
-                "lower the window's edge"
-            )
+    edge = max(np.abs(f[:pad]).max(initial=0.0), np.abs(f[:, :pad]).max(initial=0.0))
+    if edge > _RESIDUAL_TOL:
+        raise TruncationError(
+            f"steady state flows out of level n_lo={p.n_lo} at rate {edge:.3e}; "
+            "lower the window's edge"
+        )
     return FieldState(q)
 
 
@@ -394,6 +400,7 @@ def evolve(
     if t_end == 0.0:
         return EvolveResult(np.zeros(1), [q0])
     if mode == "coarse-ode":
+        g, red = _folded_generator(p)
         u = _gauge(p)
         r0 = q0.q * u.conj()
         off = max(float(np.abs(r0.imag).max()), float(np.abs(r0 - r0.T).max()))
@@ -402,7 +409,6 @@ def evolve(
                 f"q0 is not real symmetric in the gauge of the generator (off by "
                 f"{off:.3e}); coarse-ode evolves only such states, discrete-regular any"
             )
-        g, red = _folded_generator(build_generator(p), u)
         g = g.tocsr()
         times = np.linspace(0.0, t_end, n_samples)
         sol = scipy.integrate.solve_ivp(

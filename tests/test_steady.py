@@ -106,11 +106,43 @@ def test_window_generator_is_the_restricted_full_one(n_lo, width, theta, phi, co
         assert np.max(np.abs(coef - full_kick[off][n_lo:, n_lo:])) <= 1e-15
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(-math.pi, math.pi),
+    st.floats(0.0, 1.0),
+    st.integers(0, 20),
+    st.integers(1, 12),
+)
+def test_folded_generator_is_the_gauged_full_one(theta, phi, coherence, n_lo, width):
+    # the fold the long way round: gauge the assembled complex generator,
+    # conj(u_row) L u_col, keep the rows n <= m and sum each column into its
+    # unknown through red
+    a = dephase(prepare(theta, phi), coherence)
+    p = MasterParams(40.0, KickParams(0.3), a, n_lo + width, n_lo)
+    g, red = steady._folded_generator(p)
+    dim = p.width
+    u = steady._gauge(p).ravel()
+    gauged = u.conj()[:, None] * build_generator(p).toarray() * u[None, :]
+    rows = np.flatnonzero(np.triu(np.ones((dim, dim), dtype=bool)))
+    assert np.array_equal(red[rows], np.arange(rows.size))
+    fold = np.zeros((dim * dim, rows.size))
+    fold[np.arange(dim * dim), red] = 1.0
+    ref = gauged[rows].real @ fold
+    assert np.max(np.abs(g.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_generator_size_guard(monkeypatch):
+    # the solvers fold and apply the generator without assembling it; each
+    # must refuse before allocating anything of the basis's size
     monkeypatch.setattr(steady, "DEFAULT_MAX_DIM", 20)
     p = MasterParams(1.0, KickParams(0.1), HALF, 30)
     with pytest.raises(ResourceError):
         build_generator(p)
+    with pytest.raises(ResourceError):
+        steady_state(p)
+    with pytest.raises(ResourceError):
+        evolve(p, vacuum(30), 1.0)
 
 
 def test_weak_pump_mean():
