@@ -108,7 +108,10 @@ def n_eff(injection: str, n_c: float) -> float:
     if injection == "poisson":
         return n_c
     if injection == "regular":
-        return 1.0 / math.expm1(1.0 / n_c)
+        # exp(-x) / (1 - exp(-x)) is the same value, but tends to 0 where
+        # exp(x) would overflow for a sparse beam
+        x = 1.0 / n_c
+        return math.exp(-x) / -math.expm1(-x)
     raise ValueError(f"unknown injection model {injection!r}")
 
 

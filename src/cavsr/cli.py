@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Every subcommand reads one JSON config (except `preset`, where the config
-holds overrides), writes CSV/JSON outputs under --out, and prints a summary
-JSON object to stdout. Failures print {"error": {...}} to stderr and exit 1,
+holds overrides), makes one call into experiments, writes CSV/JSON outputs
+under --out, and prints the summary JSON object to stdout. Failures print {"error": {...}} to stderr and exit 1,
 so scripts never have to parse tracebacks.
 """
 
@@ -16,25 +16,19 @@ import sys
 
 import numpy as np
 
-from . import __version__, analytic
-from .dicke import (
-    MAX_BRUTE_FORCE_ATOMS,
-    EnsembleSpec,
-    brute_force_rate,
-    decompose_product_state,
-    dicke_rate,
-    ensemble_rate,
-)
-from .errors import CavsrError, ResourceError
+from . import __version__
+from .errors import CavsrError
 from .experiments import (
     PRESET_NAMES,
     RunConfig,
+    atom_scaling,
+    closed_forms,
+    collective_rates,
     load_config,
     lossless_emission,
     preset,
+    pump_response,
     steady_distribution,
-    sweep_atoms,
-    sweep_pump,
     trajectory_ensemble,
     transient_buildup,
     write_sweep,
@@ -66,11 +60,15 @@ def _emit(payload: dict) -> None:
     print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
 
 
+def _given(args, *names: str) -> dict:
+    """The named options set on the command line; the pipeline defaults the rest."""
+    # an option a subcommand does not have is unset
+    return {k: v for k in names if (v := getattr(args, k, None)) is not None}
+
+
 def _flag_overrides(args) -> dict:
     """The config fields set on the command line."""
-    # --t-end exists only on the subcommands that run for a duration
-    flags = {"seed": args.seed, "n_max": args.n_max, "t_end": getattr(args, "t_end", None)}
-    return {k: v for k, v in flags.items() if v is not None}
+    return _given(args, "seed", "n_max", "t_end", "n_trajectories")
 
 
 def _require_config(args) -> RunConfig:
@@ -85,41 +83,18 @@ def _cmd_steady(args) -> None:
 
 
 def _cmd_sweep_pump(args) -> None:
-    cfg = _require_config(args)
-    grid = np.linspace(0.0, args.theta_max, args.points)
-    res = sweep_pump(cfg, grid)
-    csv_path, meta_path = write_sweep(res, args.out, "sweep_pump")
-    i_peak = int(np.nanargmax(res.mean_n))
-    _emit(
-        {
-            "files": [csv_path, meta_path],
-            "points": int(res.axis.size),
-            "theta_peak": float(res.axis[i_peak]),
-            "mean_n_peak": float(res.mean_n[i_peak]),
-        }
-    )
+    res, summary = pump_response(_require_config(args), **_given(args, "theta_max", "points"))
+    _emit({**summary, "files": write_sweep(res, args.out, "sweep_pump")})
 
 
 def _cmd_sweep_atoms(args) -> None:
-    cfg = _require_config(args)
-    if args.linear:
-        grid = np.linspace(args.grid_min, args.grid_max, args.points)
-    else:
-        grid = np.geomspace(args.grid_min, args.grid_max, args.points)
-    res = sweep_atoms(cfg, grid)
-    csv_path, meta_path = write_sweep(res, args.out, "sweep_atoms")
-    _emit(
-        {
-            "files": [csv_path, meta_path],
-            "points": int(res.axis.size),
-            "mean_n_final": float(res.mean_n[-1]),
-            "collective_final": float(res.collective_part[-1]),
-        }
-    )
+    grid = _given(args, "grid_min", "grid_max", "points")
+    res, summary = atom_scaling(_require_config(args), **grid, linear=args.linear)
+    _emit({**summary, "files": write_sweep(res, args.out, "sweep_atoms")})
 
 
 def _cmd_lossless(args) -> None:
-    res, summary = lossless_emission(_require_config(args), args.atoms)
+    res, summary = lossless_emission(_require_config(args), **_given(args, "atoms"))
     _emit({**summary, "files": write_sweep(res, args.out, "lossless")})
 
 
@@ -129,65 +104,16 @@ def _cmd_transient(args) -> None:
 
 
 def _cmd_trajectory(args) -> None:
-    cfg = _require_config(args)
-    if args.trajectories is not None:
-        cfg = dataclasses.replace(cfg, n_trajectories=args.trajectories)
-    res, summary = trajectory_ensemble(cfg)
+    res, summary = trajectory_ensemble(_require_config(args))
     _emit({**summary, "files": write_sweep(res, args.out, "trajectory")})
 
 
 def _cmd_dicke(args) -> None:
-    cfg = _require_config(args)
-    spec = EnsembleSpec.from_pulse(args.atoms, cfg.theta, cfg.phi)
-    a = spec.atom_state()
-    out = {
-        "atoms": args.atoms,
-        "ensemble_rate": ensemble_rate(args.atoms, a),
-        "independent_rate": args.atoms * a.rho_ee,
-        "weights": np.abs(decompose_product_state(spec)) ** 2,
-    }
-    if args.m is not None:
-        out["dicke_rate"] = dicke_rate(args.atoms, args.m)
-        out["m"] = args.m
-    try:
-        out["brute_force_rate"] = brute_force_rate(spec)
-    except ResourceError:
-        out["brute_force_rate"] = None
-        out["note"] = f"direct 2^N check skipped above {MAX_BRUTE_FORCE_ATOMS} atoms"
-    _emit(out)
+    _emit(collective_rates(_require_config(args), args.atoms, args.m))
 
 
 def _cmd_analytic(args) -> None:
-    cfg = _require_config(args)
-    a = cfg.atom()
-    n_c = cfg.derived_n_c
-    g_tau = cfg.g_tau
-    out: dict = {
-        "n_c": n_c,
-        "g_tau": g_tau,
-        "rho_ee": a.rho_ee,
-        "rho_eg": a.rho_eg,
-        "predicted_alpha": analytic.coherent_alpha(n_c, a.rho_eg, g_tau),
-        "n_eff": analytic.n_eff(cfg.injection, n_c),
-    }
-    for key, call in (
-        ("beta_factors", lambda: analytic.beta_factors(n_c, a, g_tau)),
-        ("mean_n_total", lambda: analytic.mean_n_total(n_c, a, g_tau)),
-        (
-            "mean_n_noncollective",
-            lambda: analytic.mean_n_noncollective(n_c * g_tau**2, a.rho_ee),
-        ),
-        ("dominance_threshold", lambda: analytic.dominance_threshold(a)),
-        ("saturation_nc", lambda: analytic.saturation_nc(g_tau, cfg.theta)),
-    ):
-        try:
-            out[key] = call()
-        except (CavsrError, ValueError, ZeroDivisionError) as exc:
-            out[key] = f"{type(exc).__name__}: {exc}"
-    out["emission_rate_per_atom"] = analytic.emission_rate_per_atom(
-        out["n_eff"], a, cfg.g, cfg.tau
-    )
-    _emit(out)
+    _emit(closed_forms(_require_config(args)))
 
 
 def _cmd_preset(args) -> None:
@@ -219,19 +145,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_steady)
 
     p = sub.add_parser("sweep-pump", parents=[common], help="mean n versus pump pulse area")
-    p.add_argument("--theta-max", type=float, default=1.25 * math.pi)
-    p.add_argument("--points", type=int, default=51)
+    p.add_argument("--theta-max", type=float, default=None)
+    p.add_argument("--points", type=int, default=None)
     p.set_defaults(func=_cmd_sweep_pump)
 
     p = sub.add_parser("sweep-atoms", parents=[common], help="mean n versus excited atom number")
-    p.add_argument("--grid-min", type=float, default=0.02)
-    p.add_argument("--grid-max", type=float, default=2.5)
-    p.add_argument("--points", type=int, default=25)
+    p.add_argument("--grid-min", type=float, default=None)
+    p.add_argument("--grid-max", type=float, default=None)
+    p.add_argument("--points", type=int, default=None)
     p.add_argument("--linear", action="store_true", help="linear instead of log grid")
     p.set_defaults(func=_cmd_sweep_atoms)
 
     p = sub.add_parser("lossless", parents=[common], help="sequential emission, no cavity loss")
-    p.add_argument("--atoms", type=int, default=20)
+    p.add_argument("--atoms", type=int, default=None)
     p.set_defaults(func=_cmd_lossless)
 
     p = sub.add_parser("transient", parents=[common], help="buildup from vacuum")
@@ -243,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trajectory", parents=[common], help="stochastic trajectory ensemble")
     p.add_argument("--t-end", type=float, default=None, help="duration in units of 1/gamma_c")
-    p.add_argument("--trajectories", type=int, default=None)
+    p.add_argument("--trajectories", dest="n_trajectories", type=int, default=None)
     p.set_defaults(func=_cmd_trajectory)
 
     p = sub.add_parser("dicke", parents=[common], help="collective emission rates")

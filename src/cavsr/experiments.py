@@ -1,4 +1,5 @@
-"""Run configurations, parameter sweeps, figure presets, and file output.
+"""Run configurations, parameter sweeps, the pipeline behind each CLI command,
+figure presets, and file output.
 
 This is the only module that touches physical units end to end: a RunConfig
 carries rates in rad/s and times in seconds, and every derived quantity
@@ -22,12 +23,11 @@ import numpy as np
 from scipy import stats
 
 from ._version import __version__
-from .analytic import coherent_alpha
+from . import analytic, dicke, steady
 from .atom import AtomState, dephase, prepare
-from .errors import CavsrError
+from .errors import CavsrError, ResourceError
 from .hilbert import fidelity_to_coherent, mean_photon, photon_distribution, vacuum
 from .interaction import KickParams, bunched_mean_n, lossless_sequence
-from . import steady
 from .steady import MasterParams, evolve, steady_state_auto, suggest_n_max
 from .trajectory import TrajectoryConfig, run_ensemble
 
@@ -43,9 +43,13 @@ __all__ = [
     "read_sweep",
     "trajectory_config",
     "steady_distribution",
+    "pump_response",
+    "atom_scaling",
     "lossless_emission",
     "transient_buildup",
     "trajectory_ensemble",
+    "collective_rates",
+    "closed_forms",
     "predicted_alpha",
     "preset",
     "PRESET_NAMES",
@@ -335,10 +339,10 @@ def read_sweep(csv_path: str) -> SweepResult:
 
 # ---------------------------------------------------------------------------
 # command pipelines shared by presets and the CLI: each returns the sweep to
-# write and the summary numbers to print
+# write and the summary numbers to print, or the summary alone
 
 
-def trajectory_config(cfg: RunConfig, linewidth: float | None = None) -> TrajectoryConfig:
+def trajectory_config(cfg: RunConfig) -> TrajectoryConfig:
     """Translate a RunConfig into trajectory units (seconds)."""
     a = cfg.atom()
     n_max = cfg.n_max
@@ -351,7 +355,7 @@ def trajectory_config(cfg: RunConfig, linewidth: float | None = None) -> Traject
         tau=cfg.tau,
         theta=cfg.theta,
         injection=cfg.injection,
-        linewidth=cfg.linewidth if linewidth is None else linewidth,
+        linewidth=cfg.linewidth,
         transit_dephase=cfg.transit_dephase,
         n_max=n_max,
         t_end=cfg.duration / cfg.gamma_c,
@@ -385,11 +389,45 @@ def steady_distribution(cfg: RunConfig) -> tuple[SweepResult, dict]:
     return SweepResult(np.arange(float(s.dim)), p_n, p_n - pois, pois, meta), summary
 
 
-def lossless_emission(cfg: RunConfig, n_atoms: int) -> tuple[SweepResult, dict]:
-    """<n> after each of n_atoms sequential atoms with no cavity loss.
+def pump_response(
+    cfg: RunConfig, theta_max: float = 1.25 * math.pi, points: int = 51
+) -> tuple[SweepResult, dict]:
+    """sweep_pump on `points` pulse areas from 0 to theta_max, and where <n> peaks."""
+    res = sweep_pump(cfg, np.linspace(0.0, float(theta_max), int(points)))
+    i_peak = int(np.nanargmax(res.mean_n))
+    return res, {
+        "points": int(res.axis.size),
+        "theta_peak": float(res.axis[i_peak]),
+        "mean_n_peak": float(res.mean_n[i_peak]),
+    }
+
+
+def atom_scaling(
+    cfg: RunConfig,
+    grid_min: float = 0.02,
+    grid_max: float = 2.5,
+    points: int = 25,
+    linear: bool = False,
+) -> tuple[SweepResult, dict]:
+    """sweep_atoms on `points` excited-atom numbers from grid_min to grid_max.
+
+    The grid is logarithmic unless linear is set.
+    """
+    space = np.linspace if linear else np.geomspace
+    res = sweep_atoms(cfg, space(float(grid_min), float(grid_max), int(points)))
+    return res, {
+        "points": int(res.axis.size),
+        "mean_n_final": float(res.mean_n[-1]),
+        "collective_final": float(res.collective_part[-1]),
+    }
+
+
+def lossless_emission(cfg: RunConfig, atoms: int = 20) -> tuple[SweepResult, dict]:
+    """<n> after each of `atoms` sequential atoms with no cavity loss.
 
     The baseline is the same number of atoms crossing the cavity together.
     """
+    n_atoms = int(atoms)
     k = cfg.kick()
     trace = np.array(lossless_sequence([cfg.atom()] * n_atoms, k))
     bunched = np.array([bunched_mean_n(j, cfg.theta, cfg.phi, k) for j in range(1, n_atoms + 1)])
@@ -454,25 +492,86 @@ def trajectory_ensemble(cfg: RunConfig) -> tuple[SweepResult, dict]:
     return res, summary
 
 
+def collective_rates(cfg: RunConfig, atoms: int, m: float | None = None) -> dict:
+    """Emission rates of `atoms` product atoms prepared by the config's pulse.
+
+    With m, also the rate of the symmetric level |J = atoms/2, M = m>. The
+    direct 2^N check is skipped, with a note, above MAX_BRUTE_FORCE_ATOMS.
+    """
+    spec = dicke.EnsembleSpec.from_pulse(atoms, cfg.theta, cfg.phi)
+    a = spec.atom_state()
+    out = {
+        "atoms": atoms,
+        "ensemble_rate": dicke.ensemble_rate(atoms, a),
+        "independent_rate": atoms * a.rho_ee,
+        "weights": np.abs(dicke.decompose_product_state(spec)) ** 2,
+    }
+    if m is not None:
+        out["dicke_rate"] = dicke.dicke_rate(atoms, m)
+        out["m"] = m
+    try:
+        out["brute_force_rate"] = dicke.brute_force_rate(spec)
+    except ResourceError:
+        out["brute_force_rate"] = None
+        out["note"] = f"direct 2^N check skipped above {dicke.MAX_BRUTE_FORCE_ATOMS} atoms"
+    return out
+
+
+def _value_or_error(closed_form, *args):
+    """closed_form(*args), or the error's text where it has no value."""
+    try:
+        return closed_form(*args)
+    except (CavsrError, ValueError, ZeroDivisionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def closed_forms(cfg: RunConfig) -> dict:
+    """Every closed-form prediction at the config's point.
+
+    One with no value there (divergent, or outside its range) is reported
+    as its error's text, so the others still come back.
+    """
+    a, n_c, g_tau = cfg.atom(), cfg.derived_n_c, cfg.g_tau
+    n_eff = analytic.n_eff(cfg.injection, n_c)
+    return {
+        "n_c": n_c,
+        "g_tau": g_tau,
+        "rho_ee": a.rho_ee,
+        "rho_eg": a.rho_eg,
+        "predicted_alpha": analytic.coherent_alpha(n_c, a.rho_eg, g_tau),
+        "n_eff": n_eff,
+        "emission_rate_per_atom": analytic.emission_rate_per_atom(n_eff, a, cfg.g, cfg.tau),
+        "beta_factors": _value_or_error(analytic.beta_factors, n_c, a, g_tau),
+        "mean_n_total": _value_or_error(analytic.mean_n_total, n_c, a, g_tau),
+        "mean_n_noncollective": _value_or_error(
+            analytic.mean_n_noncollective, n_c * g_tau**2, a.rho_ee
+        ),
+        "dominance_threshold": _value_or_error(analytic.dominance_threshold, a),
+        "saturation_nc": _value_or_error(analytic.saturation_nc, g_tau, cfg.theta),
+    }
+
+
 # ---------------------------------------------------------------------------
 # figure presets
 
-_EXTRA_OVERRIDE_KEYS = {"points", "grid_min", "grid_max", "theta_max", "atoms"}
 
-
-def _apply_overrides(base: RunConfig, overrides: dict | None) -> tuple[RunConfig, dict]:
+def _apply_overrides(
+    base: RunConfig, overrides: dict | None, extra_keys: set[str]
+) -> tuple[RunConfig, dict]:
+    """base with the overrides that name config fields; the rest must be in extra_keys."""
     if not overrides:
         return base, {}
     known = {f.name for f in dataclasses.fields(RunConfig)}
     extras = {}
     cfg_kw = {}
     for key, value in overrides.items():
-        if key in _EXTRA_OVERRIDE_KEYS:
+        if key in extra_keys:
             extras[key] = value
         elif key in known:
             cfg_kw[key] = value
         else:
-            raise ValueError(f"unknown preset override {key!r}")
+            reads = ", ".join(sorted(extra_keys)) or "none"
+            raise ValueError(f"unknown preset override {key!r}; this preset also reads {reads}")
     if cfg_kw.keys() & {"r", "n_mean", "n_c"}:
         # flux respecification replaces, not joins, the baked-in choice
         cfg_kw.setdefault("r", None)
@@ -483,32 +582,23 @@ def _apply_overrides(base: RunConfig, overrides: dict | None) -> tuple[RunConfig
 
 def _preset_fig2(overrides: dict | None, out_dir: str) -> dict:
     base = RunConfig(g=_G0, gamma_c=_GAMMA_C0, tau=_TAU0, theta=0.5 * math.pi, n_mean=1.0)
-    cfg, extras = _apply_overrides(base, overrides)
-    points = int(extras.get("points", 51))
-    theta_max = float(extras.get("theta_max", 1.25 * math.pi))
-    grid = np.linspace(0.0, theta_max, points)
-    res = sweep_pump(cfg, grid)
+    cfg, extras = _apply_overrides(base, overrides, {"points", "theta_max"})
+    res, summary = pump_response(cfg, **extras)
     res.metadata["annotations"].append(
         "beyond theta = pi the model keeps the ideal pump; measured curves "
         "are known to deviate there from stray-pump effects not modeled here"
     )
-    csv_path, meta_path = write_sweep(res, out_dir, "fig2")
-    i_peak = int(np.nanargmax(res.mean_n))
     return {
-        "files": [csv_path, meta_path],
-        "theta_peak": float(res.axis[i_peak]),
+        "files": list(write_sweep(res, out_dir, "fig2")),
+        "theta_peak": summary["theta_peak"],
         "theta_peak_baseline": float(res.axis[int(np.nanargmax(res.baseline))]),
     }
 
 
 def _preset_fig3(overrides: dict | None, out_dir: str) -> dict:
     base = RunConfig(g=_G0, gamma_c=_GAMMA_C0, tau=_TAU0, theta=0.5 * math.pi, n_c=1.0)
-    cfg, extras = _apply_overrides(base, overrides)
-    points = int(extras.get("points", 25))
-    lo = float(extras.get("grid_min", 0.02))
-    hi = float(extras.get("grid_max", 2.5))
-    grid = np.geomspace(lo, hi, points)
-    res = sweep_atoms(cfg, grid)
+    cfg, extras = _apply_overrides(base, overrides, {"points", "grid_min", "grid_max"})
+    res, _ = atom_scaling(cfg, **extras)
     csv_path, meta_path = write_sweep(res, out_dir, "fig3")
     good = np.isfinite(res.collective_part) & (res.collective_part > 0.0)
     slope = stderr = math.nan
@@ -522,10 +612,9 @@ def _preset_fig3(overrides: dict | None, out_dir: str) -> dict:
 def _preset_figs1(overrides: dict | None, out_dir: str) -> dict:
     # g_tau = 0.01 keeps the second-order bunched comparator honest at N = 20
     base = RunConfig(g=_G0, gamma_c=_GAMMA_C0, tau=0.01 / _G0, theta=0.5 * math.pi, n_c=20.0)
-    cfg, extras = _apply_overrides(base, overrides)
-    n_atoms = int(extras.get("atoms", 20))
-    res, summary = lossless_emission(cfg, n_atoms)
-    trace = res.mean_n
+    cfg, extras = _apply_overrides(base, overrides, {"atoms"})
+    res, summary = lossless_emission(cfg, **extras)
+    trace, n_atoms = res.mean_n, summary["atoms"]
     return {
         "files": list(write_sweep(res, out_dir, "figS1")),
         "final_sequential": summary["final_mean_n"],
@@ -541,7 +630,7 @@ def _preset_figs3(overrides: dict | None, out_dir: str) -> dict:
         g=_G0, gamma_c=_GAMMA_C0, tau=_TAU0, theta=0.5 * math.pi,
         n_mean=0.57, t_end=8.0, n_trajectories=300,
     )
-    cfg, extras = _apply_overrides(base, overrides)
+    cfg, extras = _apply_overrides(base, overrides, {"points", "grid_max"})
     grid = np.array([0.0, 25e3, 50e3, 100e3, 200e3, 400e3, 800e3])
     if "grid_max" in extras:
         grid = grid[grid <= float(extras["grid_max"])]
@@ -555,7 +644,7 @@ def _preset_figs3(overrides: dict | None, out_dir: str) -> dict:
     means = np.empty(grid.shape)
     errs = np.empty(grid.shape)
     for i, lw in enumerate(grid):
-        ens = run_ensemble(trajectory_config(cfg, linewidth=float(lw)))
+        ens = run_ensemble(trajectory_config(dataclasses.replace(cfg, linewidth=float(lw))))
         means[i] = ens.steady_mean_n
         errs[i] = ens.steady_stderr
     meta["steady_stderr"] = errs.tolist()
@@ -580,7 +669,7 @@ def _dim_limited_nc(a: AtomState, g_tau: float, nc_target: float, dim_cap: int) 
 
 def _preset_figs5(overrides: dict | None, out_dir: str) -> dict:
     base = RunConfig(g=_G0, gamma_c=_GAMMA_C0, tau=_TAU0, theta=0.5 * math.pi, n_c=1.0)
-    cfg, extras = _apply_overrides(base, overrides)
+    cfg, extras = _apply_overrides(base, overrides, {"points", "grid_min", "grid_max"})
     points = int(extras.get("points", 21))
     nc_min = float(extras.get("grid_min", 0.1))
     out: dict = {"files": [], "curves": {}}
@@ -611,7 +700,7 @@ def _preset_figs6(overrides: dict | None, out_dir: str) -> dict:
         g=_G0, gamma_c=_GAMMA_C0, tau=0.01 / _G0, theta=0.5 * math.pi,
         n_c=10.0, t_end=6.0,
     )
-    cfg, extras = _apply_overrides(base, overrides)
+    cfg, _ = _apply_overrides(base, overrides, set())
     res, _ = transient_buildup(cfg, mode="discrete-regular")
     # baseline[j] is the lossless <n> after j atoms
     k_ref = max(int(round(cfg.derived_n_c)), 1)
@@ -646,4 +735,4 @@ def preset(name: str, overrides: dict | None = None, out_dir: str = ".") -> dict
 
 def predicted_alpha(cfg: RunConfig) -> complex:
     """Coherent amplitude the phased beam drives the cavity toward."""
-    return coherent_alpha(cfg.derived_n_c, cfg.atom().rho_eg, cfg.g_tau)
+    return analytic.coherent_alpha(cfg.derived_n_c, cfg.atom().rho_eg, cfg.g_tau)

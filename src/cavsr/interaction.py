@@ -235,36 +235,27 @@ def _tavis_cummings_mean_n(spec: EnsembleSpec, g_tau: float) -> float:
     """<n> after N atoms cross together, by exact joint evolution.
 
     Identically prepared product atoms stay in the fully symmetric collective
-    sector, so the joint space is (collective level kg = number of ground
-    atoms) x (photon number), of size (N+1)^2. The coupling Hamiltonian in
-    units of g is h = a sigma_+ + a^dagger sigma_-, with matrix elements
+    sector, spanned by (kg ground atoms) x (n photons). The coupling
+    h = a sigma_+ + a^dagger sigma_- (units of g) conserves n + N - kg, so
+    the part of the product state on collective level k evolves on its own
+    in the block of states (k + j ground atoms, j photons), j = 0..N-k,
+    where h is tridiagonal:
 
-        <kg-1, n-1| h |kg, n> = sqrt(n * kg * (N - kg + 1))
-        <kg+1, n+1| h |kg, n> = sqrt((n+1) * (N - kg) * (kg + 1))
+        <k+j+1, j+1| h |k+j, j> = sqrt((j+1) * (N-k-j) * (k+j+1))
 
-    Evolving for angle g_tau and weighing by photon number gives the result.
+    Blocks never mix, so <n> is the sum over k of |amplitude_k|^2 times the
+    block's <n> after evolving for angle g_tau.
     """
     n_atoms = spec.n_atoms
-    levels = n_atoms + 1
-    size = levels * levels
-
-    def idx(kg: int, n: int) -> int:
-        return kg * levels + n
-
-    h = np.zeros((size, size))
-    for kg in range(levels):
-        for n in range(levels):
-            if n + 1 < levels and kg + 1 < levels:
-                v = math.sqrt((n + 1.0) * (n_atoms - kg) * (kg + 1.0))
-                h[idx(kg + 1, n + 1), idx(kg, n)] = v
-                h[idx(kg, n), idx(kg + 1, n + 1)] = v
-    w, vec = scipy.linalg.eigh(h)
-    psi0 = np.zeros(size, dtype=complex)
-    psi0[::levels] = decompose_product_state(spec)  # the vacuum times the atoms
-    psi = (vec * np.exp(-1j * w * g_tau)) @ (vec.conj().T @ psi0)
-    weights = np.abs(psi) ** 2
-    photon = np.tile(np.arange(levels, dtype=float), levels)
-    return float(photon @ weights)
+    weights = np.abs(decompose_product_state(spec)) ** 2
+    total = 0.0
+    for k in range(n_atoms):  # k = N, every atom in the ground state, emits nothing
+        j = np.arange(n_atoms - k + 1.0)
+        off = np.sqrt((j[:-1] + 1.0) * (n_atoms - k - j[:-1]) * (k + j[:-1] + 1.0))
+        w, vec = scipy.linalg.eigh_tridiagonal(np.zeros(j.size), off)
+        psi = vec @ (np.exp(-1j * w * g_tau) * vec[0])
+        total += weights[k] * float(j @ np.abs(psi) ** 2)
+    return total
 
 
 def bunched_mean_n(n_atoms: int, theta: float, phi: float, k: KickParams) -> float:

@@ -376,7 +376,6 @@ def evolve(
     q0: FieldState,
     t_end: float,
     mode: str = "coarse-ode",
-    n_samples: int = 81,
 ) -> EvolveResult:
     """Transient evolution from q0 for a time t_end (units of 1/gamma_c).
 
@@ -385,11 +384,11 @@ def evolve(
     entries R[n, m], n <= m, of the real symmetric R with Q = u * R in the
     gauge of _gauge. The generator preserves that form, so q0 must have it
     too (the vacuum, any Fock mixture, a steady state of the same atoms);
-    any other q0 raises ValueError. Samples are renormalized to unit trace.
-    "discrete-regular" instead alternates exact decay over the spacing
-    1/n_c with one kick per atom, the natural picture for a regularly
-    spaced beam; it accepts any q0, output samples then sit on the atom
-    grid and n_samples is ignored.
+    any other q0 raises ValueError. It samples 81 evenly spaced times, each
+    state renormalized to unit trace. "discrete-regular" instead alternates
+    exact decay over the spacing 1/n_c with one kick per atom, the natural
+    picture for a regularly spaced beam; it accepts any q0, and its samples
+    sit on the atom grid.
     """
     if p.n_lo != 0:
         raise ValueError(f"evolve runs on the full basis, got n_lo={p.n_lo}")
@@ -410,7 +409,7 @@ def evolve(
                 f"{off:.3e}); coarse-ode evolves only such states, discrete-regular any"
             )
         g = g.tocsr()
-        times = np.linspace(0.0, t_end, n_samples)
+        times = np.linspace(0.0, t_end, 81)
         sol = scipy.integrate.solve_ivp(
             lambda _t, y: g @ y, (0.0, t_end), r0.real[np.triu_indices(p.dim)],
             method="DOP853", t_eval=times, rtol=1e-8, atol=1e-12,

@@ -102,6 +102,13 @@ def test_n_eff_conventions():
         n_eff("poisson", 0.0)
 
 
+def test_n_eff_of_a_sparse_regular_beam():
+    # 1/expm1(1/n_c) overflows for n_c below about 1/710
+    assert n_eff("regular", 1e-3) == 0.0
+    for n_c in np.geomspace(0.5, 1e4, 101):
+        assert n_eff("regular", n_c) == pytest.approx(1.0 / math.expm1(1.0 / n_c), rel=1e-15)
+
+
 def test_emission_rate_per_atom():
     a = prepare(math.pi / 2.0)
     assert emission_rate_per_atom(0.0, a, 2.0, 0.25) == pytest.approx(0.5 * 4.0 * 0.25)

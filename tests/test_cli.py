@@ -284,3 +284,15 @@ def test_zero_duration_from_config_or_flag(capsys, tmp_path, small_config):
     assert out["t_end"] == 0
     rows = text.splitlines()[1:]
     assert len(rows) == 1 and rows[0].startswith("0,0,")  # the vacuum at t = 0
+
+
+@pytest.mark.parametrize(
+    "name, command, stem",
+    [("fig2", "sweep-pump", "sweep_pump"), ("fig3", "sweep-atoms", "sweep_atoms")],
+)
+def test_sweep_commands_run_the_figure_pipelines(capsys, tmp_path, name, command, stem):
+    # at the preset's configuration and both defaults, command and preset are one curve
+    config, rows = preset_config(capsys, tmp_path, name)
+    rc, _, _ = run_cli(capsys, command, "--config", config, "--out", str(tmp_path))
+    assert rc == 0
+    assert (tmp_path / f"{stem}.csv").read_text(encoding="utf-8") == rows

@@ -225,7 +225,7 @@ def test_trajectory_translation():
     assert tc.injection == "regular"
     assert tc.seed == 3 and tc.n_trajectories == 7
     assert tc.n_max >= 10
-    assert trajectory_config(cfg, linewidth=0.0).linewidth == 0.0
+    assert trajectory_config(dataclasses.replace(cfg, linewidth=0.0)).linewidth == 0.0
 
 
 def test_predicted_amplitude():
@@ -236,8 +236,11 @@ def test_predicted_amplitude():
 def test_preset_rejects_unknown_name_and_override(tmp_path):
     with pytest.raises(ValueError):
         preset("figure-eight", out_dir=str(tmp_path))
-    with pytest.raises(ValueError):
-        preset("fig2", {"wavelength": 780e-9}, out_dir=str(tmp_path))
+    # an override is a config field or one the named preset reads, never dropped
+    for name, key in (("fig2", "wavelength"), ("fig2", "atoms"), ("figS6", "points")):
+        with pytest.raises(ValueError, match=repr(key)):
+            preset(name, {key: 3}, out_dir=str(tmp_path))
+    assert not list(tmp_path.iterdir())
 
 
 def test_preset_pump_angle_curve(tmp_path):

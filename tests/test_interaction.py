@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cavsr.atom import AtomState, dephase, prepare
+from cavsr.dicke import EnsembleSpec, decompose_product_state
 from cavsr.errors import DegenerateBranchError, TruncationError
 from cavsr.hilbert import (
     FieldState,
@@ -231,6 +233,35 @@ def test_bunched_comparator_vs_sequential_small_ensembles():
     for n in (2, 3, 4, 5, 6):
         seq = lossless_sequence([prepare(math.pi / 2.0)] * n, k)[-1]
         assert seq == pytest.approx(bunched_mean_n(n, math.pi / 2.0, 0.0, k), rel=0.01)
+
+
+def dense_tavis_cummings_mean_n(spec, g_tau):
+    """<n> from h = a sigma_+ + a^dagger sigma_- on the whole (N+1)^2 collective space."""
+    n_atoms = spec.n_atoms
+    levels = n_atoms + 1
+    size = levels * levels
+    h = np.zeros((size, size))
+    for kg in range(n_atoms):
+        for n in range(n_atoms):
+            v = math.sqrt((n + 1.0) * (n_atoms - kg) * (kg + 1.0))
+            h[(kg + 1) * levels + n + 1, kg * levels + n] = v
+            h[kg * levels + n, (kg + 1) * levels + n + 1] = v
+    w, vec = scipy.linalg.eigh(h)
+    psi0 = np.zeros(size, dtype=complex)
+    psi0[::levels] = decompose_product_state(spec)  # the vacuum times the atoms
+    psi = (vec * np.exp(-1j * w * g_tau)) @ (vec.conj().T @ psi0)
+    photon = np.tile(np.arange(levels, dtype=float), levels)
+    return float(photon @ np.abs(psi) ** 2)
+
+
+@pytest.mark.parametrize("n_atoms", range(1, 7))
+def test_tavis_cummings_blocks_match_the_dense_evolution(n_atoms):
+    for theta in (0.3, 1.0, math.pi / 2.0, 2.5, math.pi):
+        for g_tau in (0.005, 0.1, 0.7):
+            # up to 6 atoms the bunched comparator is the exact evolution
+            ref = dense_tavis_cummings_mean_n(EnsembleSpec.from_pulse(n_atoms, theta, 0.4), g_tau)
+            got = bunched_mean_n(n_atoms, theta, 0.4, KickParams(g_tau))
+            assert got == pytest.approx(ref, rel=1e-12)
 
 
 angles = st.floats(0.0, 2.0 * math.pi)

@@ -1,7 +1,11 @@
+import ast
+import inspect
+
 import cavsr
 from cavsr import (
     analytic,
     atom,
+    cli,
     dicke,
     errors,
     experiments,
@@ -21,3 +25,22 @@ def test_package_exports_exactly_the_module_lists():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(cavsr, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_cli_imports_only_the_pipelines():
+    # the CLI parses and prints; perfbench's traced run wraps the two steady names in cli
+    tree = ast.parse(inspect.getsource(cli))
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert {module for module, _ in imported} == {None, "errors", "experiments", "steady"}
+    assert {name for module, name in imported if module is None} == {"__version__"}
+    assert {name for module, name in imported if module == "steady"} == {
+        "evolve", "steady_state_auto",
+    }
+    absolute = [ast.dump(node) for node in ast.walk(tree) if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert not any("cavsr" in line for line in absolute)
