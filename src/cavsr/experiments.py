@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 
 import numpy as np
@@ -538,7 +539,7 @@ def closed_forms(cfg: RunConfig) -> dict:
         "g_tau": g_tau,
         "rho_ee": a.rho_ee,
         "rho_eg": a.rho_eg,
-        "predicted_alpha": analytic.coherent_alpha(n_c, a.rho_eg, g_tau),
+        "predicted_alpha": predicted_alpha(cfg),
         "n_eff": n_eff,
         "emission_rate_per_atom": analytic.emission_rate_per_atom(n_eff, a, cfg.g, cfg.tau),
         "beta_factors": _value_or_error(analytic.beta_factors, n_c, a, g_tau),
@@ -555,19 +556,34 @@ def closed_forms(cfg: RunConfig) -> dict:
 # figure presets
 
 
+def _check_override(key: str, value, kind: str) -> None:
+    """Reject a value not of the kind given: a RunConfig annotation or "a number"."""
+    if value is None and "None" in kind:
+        return
+    if kind == "str":
+        ok = isinstance(value, str)
+    else:
+        want = numbers.Integral if kind.startswith("int") else numbers.Real
+        ok = isinstance(value, want) and not isinstance(value, bool)
+    if not ok:
+        raise ValueError(f"preset override {key!r} must be {kind}, got {value!r}")
+
+
 def _apply_overrides(
     base: RunConfig, overrides: dict | None, extra_keys: set[str]
 ) -> tuple[RunConfig, dict]:
     """base with the overrides that name config fields; the rest must be in extra_keys."""
     if not overrides:
         return base, {}
-    known = {f.name for f in dataclasses.fields(RunConfig)}
+    known = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     extras = {}
     cfg_kw = {}
     for key, value in overrides.items():
         if key in extra_keys:
+            _check_override(key, value, "a number")
             extras[key] = value
         elif key in known:
+            _check_override(key, value, known[key])
             cfg_kw[key] = value
         else:
             reads = ", ".join(sorted(extra_keys)) or "none"

@@ -385,7 +385,9 @@ def evolve(
     gauge of _gauge. The generator preserves that form, so q0 must have it
     too (the vacuum, any Fock mixture, a steady state of the same atoms);
     any other q0 raises ValueError. It samples 81 evenly spaced times, each
-    state renormalized to unit trace. "discrete-regular" instead alternates
+    state renormalized to unit trace, and raises TruncationError if any
+    sample keeps more than _TAIL_TOL population on the top level, the rule
+    steady_state applies. "discrete-regular" instead alternates
     exact decay over the spacing 1/n_c with one kick per atom, the natural
     picture for a regularly spaced beam; it accepts any q0, and its samples
     sit on the atom grid.
@@ -420,6 +422,12 @@ def evolve(
         for y in sol.y.T:
             r = y[red].reshape(p.dim, p.dim)
             states.append(FieldState(r * u / float(np.trace(r))))
+        top = max(float(s.q[-1, -1].real) for s in states)
+        if top > _TAIL_TOL:
+            raise TruncationError(
+                f"transient reaches {top:.3e} population at n_max={p.n_max}; "
+                "enlarge the basis"
+            )
         return EvolveResult(times, states)
     if mode == "discrete-regular":
         delta = 1.0 / p.n_c

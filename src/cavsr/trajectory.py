@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Iterator
 
 import numpy as np
 import scipy.optimize
@@ -39,6 +40,8 @@ __all__ = [
 ]
 
 _INJECTIONS = ("poisson", "regular")
+
+N_SAMPLES = 201  # evenly spaced <n> samples over [0, t_end], both ends included
 
 
 @dataclasses.dataclass(frozen=True)
@@ -117,107 +120,68 @@ class EnsembleResult:
     metadata: dict
 
 
-@dataclasses.dataclass(frozen=True)
-class _DecayRates:
-    """Per-level rates of the photon-loss process, built once per trajectory."""
-
-    n_vec: np.ndarray    # n
-    neg_gn: np.ndarray   # -gamma_c n, amplitude decay
-    neg_2gn: np.ndarray  # -2 gamma_c n, population decay
-    sqrt_n: np.ndarray   # jump amplitudes of the annihilator
-
-    @classmethod
-    def build(cls, dim: int, gamma_c: float) -> _DecayRates:
-        n_vec = np.arange(dim, dtype=float)
-        return cls(n_vec, -gamma_c * n_vec, -2.0 * gamma_c * n_vec, np.sqrt(n_vec))
-
-
-def _record_until(
-    w: np.ndarray,
-    rates: _DecayRates,
-    t0: float,
-    t_stop: float,
-    grid: np.ndarray,
-    series: np.ndarray,
-    gi: int,
-) -> int:
-    """Fill sample points in (t0, t_stop] from the analytic no-jump decay."""
-    slack = 1e-12 * max(1.0, abs(t_stop))
-    while gi < grid.shape[0] and grid[gi] <= t_stop + slack:
-        wd = w * np.exp(rates.neg_2gn * (grid[gi] - t0))
-        series[gi] = float(rates.n_vec @ wd) / float(wd.sum())
-        gi += 1
-    return gi
-
-
 def _survival_minus_u(s: float, w: np.ndarray, neg_gn: np.ndarray, u: float) -> float:
     """No-jump probability after time s, less the uniform draw u."""
     f = np.exp(neg_gn * s)
     return float(w @ (f * f)) - u
 
 
-def _advance_decay(
+def _photon_losses(
     amp: np.ndarray,
-    t0: float,
+    t: float,
     t1: float,
-    rates: _DecayRates,
+    neg_gn: np.ndarray,
+    sqrt_n: np.ndarray,
     rng: np.random.Generator,
-    grid: np.ndarray,
-    series: np.ndarray,
-    gi: int,
-    jumps: list[float],
-) -> int:
-    """Evolve the unit-norm amp in place from t0 to t1 by no-jump decay and jumps.
+) -> Iterator[float]:
+    """Evolve the unit-norm amp in place from t to t1 by no-jump decay and jumps.
 
-    Records samples on the way and returns the next sample index.
+    Yields each jump's time, with amp then holding the normalized post-jump state.
     """
-    t = t0
     while t1 - t > 0.0:
         w = np.abs(amp) ** 2
         u = rng.random()
         span = t1 - t
         # the arithmetic of _survival_minus_u, so brentq below sees the same sign
-        f = np.exp(rates.neg_gn * span)
+        f = np.exp(neg_gn * span)
         survival = float(w @ (f * f))
         if survival > u:
             # no jump before t1; the survival is the squared norm left
-            gi = _record_until(w, rates, t, t1, grid, series, gi)
             amp *= f
-            norm2 = survival
-            t = t1
-        else:
-            s_jump = float(
-                scipy.optimize.brentq(_survival_minus_u, 0.0, span, args=(w, rates.neg_gn, u))
-            )
-            gi = _record_until(w, rates, t, t + s_jump, grid, series, gi)
-            amp *= np.exp(rates.neg_gn * s_jump)
-            amp[:-1] = rates.sqrt_n[1:] * amp[1:]
-            amp[-1] = 0.0
-            norm2 = np.vdot(amp, amp).real
-            t += s_jump
-            jumps.append(t)
+            amp /= math.sqrt(survival)
+            return
+        s_jump = float(scipy.optimize.brentq(_survival_minus_u, 0.0, span, args=(w, neg_gn, u)))
+        amp *= np.exp(neg_gn * s_jump)
+        amp[:-1] = sqrt_n[1:] * amp[1:]
+        amp[-1] = 0.0
+        norm2 = np.vdot(amp, amp).real
         if norm2 == 0.0:
             raise ConvergenceError("field amplitudes underflowed during decay")
         amp /= math.sqrt(norm2)
-    return gi
+        t += s_jump
+        yield t
 
 
-def run_trajectory(cfg: TrajectoryConfig, seed: int, n_samples: int = 201) -> TrajectoryResult:
-    """One pure-state trajectory, deterministic in (cfg, seed)."""
+def run_trajectory(cfg: TrajectoryConfig, seed: int) -> TrajectoryResult:
+    """One pure-state trajectory, deterministic in (cfg, seed).
+
+    The loop records the populations after every event (the start, each
+    kick's measurement, each jump); <n> on the N_SAMPLES-point grid then
+    follows from the last event before each sample by no-jump decay.
+    """
     rng = np.random.default_rng(seed)
-    dim = cfg.n_max + 1
-    rates = _DecayRates.build(dim, cfg.gamma_c)
-    amp = np.zeros(dim, dtype=complex)
+    n = np.arange(cfg.n_max + 1, dtype=float)
+    neg_gn = -cfg.gamma_c * n
+    sqrt_n = np.sqrt(n)
+    amp = np.zeros(n.size, dtype=complex)
     amp[0] = 1.0
     kick = KickParams(cfg.g_tau)
     c_e = math.sin(0.5 * cfg.theta)
     c_g = math.cos(0.5 * cfg.theta)
     p_scramble = 1.0 - cfg.transit_dephase
 
-    grid = np.linspace(0.0, cfg.t_end, n_samples)
-    series = np.empty(n_samples)
-    series[0] = 0.0
-    gi = 1
+    event_t = [0.0]
+    event_pops = [np.abs(amp) ** 2]
     jumps: list[float] = []
     phase = 0.0
     t = 0.0
@@ -235,7 +199,10 @@ def run_trajectory(cfg: TrajectoryConfig, seed: int, n_samples: int = 201) -> Tr
     t_arrival = next_gap()
     while True:
         target = min(t_arrival, cfg.t_end)
-        gi = _advance_decay(amp, t, target, rates, rng, grid, series, gi, jumps)
+        for t_jump in _photon_losses(amp, t, target, neg_gn, sqrt_n, rng):
+            jumps.append(t_jump)
+            event_t.append(t_jump)
+            event_pops.append(np.abs(amp) ** 2)
         t = target
         if t_arrival > cfg.t_end:
             break
@@ -248,7 +215,8 @@ def run_trajectory(cfg: TrajectoryConfig, seed: int, n_samples: int = 201) -> Tr
         joint = jc_kick_pure(PureFieldState(amp), (c_e, c_g, phi_k), kick)
         _outcome, collapsed, _prob = measure_atom(joint, rng.random())
         amp = collapsed.amp
-        top = float(abs(amp[-1]) ** 2)
+        pops = np.abs(amp) ** 2
+        top = float(pops[-1])
         if top > 1e-6:
             raise TruncationError(
                 f"trajectory reached the cutoff n_max={cfg.n_max} "
@@ -256,18 +224,19 @@ def run_trajectory(cfg: TrajectoryConfig, seed: int, n_samples: int = 201) -> Tr
             )
         max_top = max(max_top, top)
         n_atoms += 1
+        event_t.append(t)
+        event_pops.append(pops)
         t_prev_arrival = t_arrival
         t_arrival = t_arrival + next_gap()
 
-    # defensive: a zero-length time window leaves nothing to fill
-    while gi < n_samples:
-        w = np.abs(amp) ** 2
-        series[gi] = float(rates.n_vec @ w) / float(np.sum(w))
-        gi += 1
-
+    times = np.linspace(0.0, cfg.t_end, N_SAMPLES)
+    t_ev = np.array(event_t)
+    # a sample within roundoff of an event reads the state before it
+    idx = np.searchsorted(t_ev[1:] + 1e-12 * np.maximum(1.0, t_ev[1:]), times)
+    decayed = np.array(event_pops)[idx] * np.exp(np.outer(times - t_ev[idx], 2.0 * neg_gn))
     return TrajectoryResult(
-        times=grid,
-        mean_n=series,
+        times=times,
+        mean_n=decayed @ n / decayed.sum(axis=1),
         jump_times=np.array(jumps),
         n_atoms=n_atoms,
         max_top_population=max_top,
@@ -276,7 +245,7 @@ def run_trajectory(cfg: TrajectoryConfig, seed: int, n_samples: int = 201) -> Tr
     )
 
 
-def run_ensemble(cfg: TrajectoryConfig, n_samples: int = 201) -> EnsembleResult:
+def run_ensemble(cfg: TrajectoryConfig) -> EnsembleResult:
     """Average run_trajectory over seeds cfg.seed .. cfg.seed + n_trajectories - 1.
 
     The steady-state estimate time-averages each trajectory over the final
@@ -286,7 +255,7 @@ def run_ensemble(cfg: TrajectoryConfig, n_samples: int = 201) -> EnsembleResult:
     """
     if cfg.n_trajectories < 2:
         raise ValueError("ensemble statistics need at least 2 trajectories")
-    acc = np.zeros(n_samples)
+    acc = np.zeros(N_SAMPLES)
     steadies = np.empty(cfg.n_trajectories)
     rates = np.empty(cfg.n_trajectories)
     t_window = 0.75 * cfg.t_end
@@ -294,7 +263,7 @@ def run_ensemble(cfg: TrajectoryConfig, n_samples: int = 201) -> EnsembleResult:
     atoms = jumps = 0
     max_top = 0.0
     for i in range(cfg.n_trajectories):
-        res = run_trajectory(cfg, cfg.seed + i, n_samples=n_samples)
+        res = run_trajectory(cfg, cfg.seed + i)
         if times is None:
             times = res.times
         atoms += res.n_atoms

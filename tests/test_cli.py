@@ -230,6 +230,20 @@ def test_bad_config_key_is_a_clean_error(capsys, tmp_path):
     assert "flux" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("key, value", [("points", None), ("g", "abc")])
+def test_preset_override_of_the_wrong_type_is_a_clean_error(capsys, tmp_path, key, value):
+    ov = tmp_path / "ov.json"
+    ov.write_text(json.dumps({key: value}), encoding="utf-8")
+    rc, out, err = run_cli(
+        capsys, "preset", "fig3", "--config", str(ov), "--out", str(tmp_path / "out")
+    )
+    assert rc == 1
+    assert out is None
+    assert err["error"]["type"] == "ValueError"
+    assert repr(key) in err["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def preset_config(capsys, tmp_path, name):
     """Run a preset at its defaults; its sidecar's config as a CLI config file."""
     out = tmp_path / name

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -340,6 +341,17 @@ def test_evolve_reaches_steady_state():
     assert tr.mean_n()[-1] == pytest.approx(mean_photon(s), abs=1e-3)
     for state in tr.states[:: len(tr.states) // 4]:
         state.validate()
+
+
+def test_evolve_reports_a_transient_past_the_cutoff():
+    # the field heads for <n> = 47.9: 31 levels would put 0.045 on the top
+    # one and renormalize the rest into <n> = 17, 91 still 6.8e-8, 121 none
+    p = MasterParams(300.0, KickParams(0.05), HALF, 30)
+    for n_max in (30, 90):
+        with pytest.raises(TruncationError, match=f"n_max={n_max}"):
+            evolve(dataclasses.replace(p, n_max=n_max), vacuum(n_max), 8.0)
+    tr = evolve(dataclasses.replace(p, n_max=120), vacuum(120), 8.0)
+    assert tr.mean_n()[-1] == pytest.approx(47.888, rel=1e-3)
 
 
 def test_evolve_discrete_steps_land_on_injection_grid():

@@ -8,7 +8,8 @@ from cavsr.errors import TruncationError
 from cavsr.hilbert import apply_decay, mean_photon, vacuum
 from cavsr.interaction import KickParams, jc_kick
 from cavsr.steady import steady_state_auto
-from cavsr.trajectory import TrajectoryConfig, run_ensemble, run_trajectory
+from cavsr import trajectory
+from cavsr.trajectory import N_SAMPLES, TrajectoryConfig, run_ensemble, run_trajectory
 
 HALF_PULSE = math.pi / 2
 
@@ -66,7 +67,7 @@ def test_single_kick_born_statistics():
     n_seeds = 800
     hits = 0
     for seed in range(n_seeds):
-        res = run_trajectory(cfg, seed, n_samples=5)
+        res = run_trajectory(cfg, seed)
         assert res.n_atoms == 1
         n_fin = res.final.mean_photon()
         assert n_fin == pytest.approx(0.0, abs=1e-12) or n_fin == pytest.approx(1.0, abs=1e-12)
@@ -87,15 +88,46 @@ def test_deterministic_in_config_and_seed():
     assert abs(np.linalg.norm(a.final.amp) - 1.0) <= 1e-10
 
 
+def test_sample_on_an_arrival_reads_the_state_before_the_kick(monkeypatch):
+    # every third arrival of a 3/s regular beam lands on a grid point at t = k;
+    # six of the ten summed arrival times fall a few ulps short of it
+    cfg = cavity_cfg(r=3.0, g=0.3e6, injection="regular", t_end=10.0, n_max=12)
+    after_kick = []
+    measure = trajectory.measure_atom
+
+    def recording_measure(joint, u):
+        out = measure(joint, u)
+        after_kick.append(np.abs(out[1].amp) ** 2)
+        return out
+
+    monkeypatch.setattr(trajectory, "measure_atom", recording_measure)
+    res = run_trajectory(cfg, seed=3)
+    arrivals = np.cumsum(np.full(res.n_atoms, 1.0 / 3.0))
+    n = np.arange(cfg.n_max + 1)
+    checked = 0
+    for k in range(1, 11):
+        i = 3 * k - 1  # the atom arriving at t = k
+        t_prev, t_k = arrivals[i - 1], arrivals[i]
+        assert abs(res.times[20 * k] - t_k) <= 1e-14 * k
+        if np.any((res.jump_times > t_prev) & (res.jump_times <= t_k)):
+            continue  # the previous event is a jump, not the previous kick
+        pre = after_kick[i - 1] * np.exp(-2.0 * cfg.gamma_c * n * (res.times[20 * k] - t_prev))
+        post = after_kick[i] @ n / after_kick[i].sum()
+        assert res.mean_n[20 * k] == pytest.approx(pre @ n / pre.sum(), rel=1e-12)
+        assert abs(res.mean_n[20 * k] - post) > 1e-6
+        checked += 1
+    assert checked >= 5
+
+
 def test_ensemble_deterministic_in_seed():
     cfg = cavity_cfg(r=2.0, t_end=3.0, n_max=10, seed=4, n_trajectories=8)
-    a = run_ensemble(cfg, n_samples=41)
-    b = run_ensemble(cfg, n_samples=41)
+    a = run_ensemble(cfg)
+    b = run_ensemble(cfg)
     assert a.steady_mean_n == b.steady_mean_n
     assert np.array_equal(a.mean_n, b.mean_n)
     assert a.times[0] == 0.0
     assert a.times[-1] == pytest.approx(3.0)
-    assert a.times.shape == (41,)
+    assert a.times.shape == (N_SAMPLES,) == (201,)
 
 
 @pytest.fixture(scope="module")
@@ -247,8 +279,8 @@ def test_random_stream_is_pinned(label):
 
 def test_ensemble_counters_sum_the_trajectories():
     cfg = cavity_cfg(r=3.0, g=0.4e6, t_end=6.0, n_max=12, seed=9, n_trajectories=6)
-    ens = run_ensemble(cfg, n_samples=31)
-    runs = [run_trajectory(cfg, cfg.seed + i, n_samples=31) for i in range(6)]
+    ens = run_ensemble(cfg)
+    runs = [run_trajectory(cfg, cfg.seed + i) for i in range(6)]
     md = ens.metadata
     assert md["atoms"] == sum(r.n_atoms for r in runs) > 0
     assert md["jumps"] == sum(r.jump_times.size for r in runs) > 0
