@@ -138,15 +138,33 @@ def config_dict(cfg: RunConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
+def _check_kind(key: str, value, kind: str) -> None:
+    """Reject a config field or preset override not of the kind given.
+
+    kind is a RunConfig annotation or "a number".
+    """
+    if value is None and "None" in kind:
+        return
+    if kind == "str":
+        ok = isinstance(value, str)
+    else:
+        want = numbers.Integral if kind.startswith("int") else numbers.Real
+        ok = isinstance(value, want) and not isinstance(value, bool)
+    if not ok:
+        raise ValueError(f"{key!r} must be {kind}, got {value!r}")
+
+
 def load_config(path: str) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"config {path} must hold a JSON object")
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = sorted(set(raw) - known)
+    known = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    unknown = sorted(set(raw) - set(known))
     if unknown:
         raise ValueError(f"unknown config keys in {path}: {', '.join(unknown)}")
+    for key, value in raw.items():
+        _check_kind(key, value, known[key])
     try:
         return RunConfig(**raw)
     except TypeError as exc:
@@ -157,14 +175,15 @@ def load_config(path: str) -> RunConfig:
 class SweepResult:
     axis: np.ndarray
     mean_n: np.ndarray
-    collective_part: np.ndarray
     baseline: np.ndarray
     metadata: dict
+    # what the curve adds over its baseline
+    collective_part: np.ndarray = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
         axis = np.asarray(self.axis, dtype=float)
         object.__setattr__(self, "axis", axis)
-        for name in ("mean_n", "collective_part", "baseline"):
+        for name in ("mean_n", "baseline"):
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != axis.shape:
                 raise ValueError(f"{name} length {v.shape} does not match axis {axis.shape}")
@@ -173,6 +192,7 @@ class SweepResult:
             raise ValueError("sweep axis is empty")
         if axis.size > 1 and not np.all(np.diff(axis) > 0.0):
             raise ValueError("sweep axis must be strictly increasing")
+        object.__setattr__(self, "collective_part", self.mean_n - self.baseline)
 
 
 def _base_metadata(cfg: RunConfig, axis_label: str) -> dict:
@@ -261,7 +281,7 @@ def sweep_pump(cfg: RunConfig, theta_grid: np.ndarray) -> SweepResult:
     ]
     # the flux is the same at every point and is annotated once above
     mean, base = _solve_curve(cfg, points, meta, note_overlap=False)
-    return SweepResult(grid, mean, mean - base, base, meta)
+    return SweepResult(grid, mean, base, meta)
 
 
 def sweep_atoms(cfg: RunConfig, n_grid: np.ndarray) -> SweepResult:
@@ -282,7 +302,7 @@ def sweep_atoms(cfg: RunConfig, n_grid: np.ndarray) -> SweepResult:
     meta = _base_metadata(cfg, "excited-state atom number n_mean * rho_ee")
     nc_values = grid / rho_ee / (cfg.gamma_c * cfg.tau)
     mean, base = _solve_curve(cfg, _nc_points(cfg, nc_values), meta)
-    return SweepResult(grid, mean, mean - base, base, meta)
+    return SweepResult(grid, mean, base, meta)
 
 
 def fit_loglog_slope(
@@ -335,7 +355,7 @@ def read_sweep(csv_path: str) -> SweepResult:
     if os.path.exists(meta_path):
         with open(meta_path, encoding="utf-8") as fh:
             meta = json.load(fh)
-    return SweepResult(data[:, 0], data[:, 1], data[:, 2], data[:, 3], meta)
+    return SweepResult(data[:, 0], data[:, 1], data[:, 3], meta)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +407,7 @@ def steady_distribution(cfg: RunConfig) -> tuple[SweepResult, dict]:
         # state saturates far below it; report that instead of failing
         summary["fidelity_to_predicted_alpha"] = None
         summary["fidelity_note"] = f"{type(exc).__name__}: {exc}"
-    return SweepResult(np.arange(float(s.dim)), p_n, p_n - pois, pois, meta), summary
+    return SweepResult(np.arange(float(s.dim)), p_n, pois, meta), summary
 
 
 def pump_response(
@@ -434,7 +454,7 @@ def lossless_emission(cfg: RunConfig, atoms: int = 20) -> tuple[SweepResult, dic
     bunched = np.array([bunched_mean_n(j, cfg.theta, cfg.phi, k) for j in range(1, n_atoms + 1)])
     meta = _base_metadata(cfg, "atom index")
     meta["baseline"] = "same number of atoms crossing the lossless cavity together"
-    res = SweepResult(np.arange(1.0, n_atoms + 1.0), trace, trace - bunched, bunched, meta)
+    res = SweepResult(np.arange(1.0, n_atoms + 1.0), trace, bunched, meta)
     return res, {
         "atoms": n_atoms,
         "final_mean_n": float(trace[-1]),
@@ -469,7 +489,7 @@ def transient_buildup(cfg: RunConfig, mode: str = "coarse-ode") -> tuple[SweepRe
         "final_mean_n": float(mean[-1]),
         "steady_mean_n": mean_photon(s_ss),
     }
-    return SweepResult(tr.times, mean, mean - baseline, baseline, meta), summary
+    return SweepResult(tr.times, mean, baseline, meta), summary
 
 
 def trajectory_ensemble(cfg: RunConfig) -> tuple[SweepResult, dict]:
@@ -480,8 +500,7 @@ def trajectory_ensemble(cfg: RunConfig) -> tuple[SweepResult, dict]:
     meta = _base_metadata(cfg, "time [1/gamma_c]")
     meta["baseline"] = "master-equation steady state"
     meta["trajectory"] = ens.metadata
-    baseline = np.full(ens.mean_n.shape, floor)
-    res = SweepResult(ens.times * cfg.gamma_c, ens.mean_n, ens.mean_n - floor, baseline, meta)
+    res = SweepResult(ens.times * cfg.gamma_c, ens.mean_n, np.full(ens.mean_n.shape, floor), meta)
     summary = {
         "steady_mean_n": ens.steady_mean_n,
         "steady_stderr": ens.steady_stderr,
@@ -556,19 +575,6 @@ def closed_forms(cfg: RunConfig) -> dict:
 # figure presets
 
 
-def _check_override(key: str, value, kind: str) -> None:
-    """Reject a value not of the kind given: a RunConfig annotation or "a number"."""
-    if value is None and "None" in kind:
-        return
-    if kind == "str":
-        ok = isinstance(value, str)
-    else:
-        want = numbers.Integral if kind.startswith("int") else numbers.Real
-        ok = isinstance(value, want) and not isinstance(value, bool)
-    if not ok:
-        raise ValueError(f"preset override {key!r} must be {kind}, got {value!r}")
-
-
 def _apply_overrides(
     base: RunConfig, overrides: dict | None, extra_keys: set[str]
 ) -> tuple[RunConfig, dict]:
@@ -580,10 +586,10 @@ def _apply_overrides(
     cfg_kw = {}
     for key, value in overrides.items():
         if key in extra_keys:
-            _check_override(key, value, "a number")
+            _check_kind(key, value, "a number")
             extras[key] = value
         elif key in known:
-            _check_override(key, value, known[key])
+            _check_kind(key, value, known[key])
             cfg_kw[key] = value
         else:
             reads = ", ".join(sorted(extra_keys)) or "none"
@@ -664,7 +670,7 @@ def _preset_figs3(overrides: dict | None, out_dir: str) -> dict:
         means[i] = ens.steady_mean_n
         errs[i] = ens.steady_stderr
     meta["steady_stderr"] = errs.tolist()
-    res = SweepResult(grid, means, means - floor, np.full(grid.shape, floor), meta)
+    res = SweepResult(grid, means, np.full(grid.shape, floor), meta)
     csv_path, meta_path = write_sweep(res, out_dir, "figS3")
     return {"files": [csv_path, meta_path], "mean_n": means.tolist(), "stderr": errs.tolist()}
 
@@ -703,7 +709,7 @@ def _preset_figs5(overrides: dict | None, out_dir: str) -> dict:
                 f"{target:.4g}: larger fields exceed the direct-solver guard"
             )
         mean, basev = _solve_curve(cfg_i, _nc_points(cfg_i, nc_values), meta)
-        res = SweepResult(nc_values, mean, mean - basev, basev, meta)
+        res = SweepResult(nc_values, mean, basev, meta)
         stem = f"figS5_gtau_{g_tau:g}".replace(".", "p")
         csv_path, meta_path = write_sweep(res, out_dir, stem)
         out["files"] += [csv_path, meta_path]

@@ -2,6 +2,8 @@
 
 Conventions used throughout the package:
   - A mixed field state is the matrix Q with Q[n, m] = <n|rho|m>, n, m = 0..n_max.
+  - A pure field state, as the trajectory solver carries it, is a plain 1-D
+    complex array of Fock amplitudes c_n, n = 0..n_max.
   - gamma_c is the field amplitude decay rate in rad/s; photon number therefore
     decays at 2*gamma_c.
 """
@@ -19,7 +21,6 @@ from .errors import TruncationError
 
 __all__ = [
     "FieldState",
-    "PureFieldState",
     "vacuum",
     "coherent",
     "coherent_amplitudes",
@@ -70,37 +71,6 @@ class FieldState:
         w_min = float(np.linalg.eigvalsh(self.q)[0])
         if w_min < -_PSD_TOL:
             raise ValueError(f"negative eigenvalue {w_min:.3e}")
-
-
-@dataclasses.dataclass(frozen=True)
-class PureFieldState:
-    """Fock amplitudes c_n of a pure cavity state, used by the trajectory solver."""
-
-    amp: np.ndarray
-
-    def __post_init__(self) -> None:
-        amp = np.asarray(self.amp, dtype=complex)
-        if amp.ndim != 1 or amp.shape[0] < 1:
-            raise ValueError(f"amplitudes must form a nonempty vector, got shape {amp.shape}")
-        object.__setattr__(self, "amp", amp)
-
-    @property
-    def dim(self) -> int:
-        return self.amp.shape[0]
-
-    @property
-    def n_max(self) -> int:
-        return self.amp.shape[0] - 1
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amp))
-
-    def mean_photon(self) -> float:
-        w = np.abs(self.amp) ** 2
-        return float(np.arange(self.dim) @ w)
-
-    def to_density(self) -> FieldState:
-        return FieldState(np.outer(self.amp, self.amp.conj()))
 
 
 def vacuum(n_max: int) -> FieldState:

@@ -13,6 +13,10 @@ S_n = sin(sqrt(n+1)*g_tau), and the boundary values C_{-1} = 1, S_{-1} = 0:
 with ree = rho_ee, rgg = 1 - rho_ee, reg = rho_eg, rge = conj(rho_eg). The
 same seven-band stencil feeds the master-equation generator, so it lives
 here once, as coefficient arrays keyed by the index offset (dn, dm).
+
+The trajectory solver's transit works on plain amplitude arrays instead:
+jc_kick_pure maps the field amplitudes to the two atom branches (e, g),
+and measure_atom picks one by the Born rule and renormalizes it.
 """
 
 from __future__ import annotations
@@ -28,11 +32,10 @@ import scipy.linalg
 from .atom import AtomState
 from .dicke import EnsembleSpec, decompose_product_state, ensemble_rate
 from .errors import DegenerateBranchError, TruncationError
-from .hilbert import FieldState, PureFieldState, mean_photon, vacuum
+from .hilbert import FieldState, mean_photon, vacuum
 
 __all__ = [
     "KickParams",
-    "JointState",
     "jc_kick",
     "jc_kick_pure",
     "measure_atom",
@@ -131,87 +134,68 @@ def jc_kick(s: FieldState, a: AtomState, k: KickParams) -> FieldState:
     return FieldState(out)
 
 
-@dataclasses.dataclass(frozen=True)
-class JointState:
-    """Pure atom+field state: amplitudes of |e, n> and |g, n>."""
-
-    e: np.ndarray
-    g: np.ndarray
-    # unnormalized branch weights (||e||^2, ||g||^2), computed once
-    weights: tuple[float, float] = dataclasses.field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.e, dtype=complex)
-        g = np.asarray(self.g, dtype=complex)
-        if e.shape != g.shape or e.ndim != 1:
-            raise ValueError("e and g amplitude vectors must share one shape")
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "weights", (np.vdot(e, e).real, np.vdot(g, g).real))
-
-    @property
-    def dim(self) -> int:
-        return self.e.shape[0]
-
-    def norm(self) -> float:
-        w_e, w_g = self.weights
-        return math.sqrt(w_e + w_g)
-
-
 def jc_kick_pure(
-    psi: PureFieldState, a_pure: tuple[float, float, float], k: KickParams
-) -> JointState:
+    amp: np.ndarray, a_pure: tuple[float, float, float], k: KickParams
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact resonant evolution of (pure atom) x (pure field) for angle g_tau.
 
-    a_pure = (c_e, c_g, phase) describes the atom c_e|e> + c_g e^{i phase}|g>.
-    Level maps: |e,n> -> C_n|e,n> - i S_n|g,n+1> and
-    |g,n> -> C_{n-1}|g,n> - i S_{n-1}|e,n-1>.
+    amp holds the field's Fock amplitudes and a_pure = (c_e, c_g, phase)
+    the atom c_e|e> + c_g e^{i phase}|g>. Returns the unnormalized branches
+    (e, g), the amplitudes of |e, n> and |g, n>. Level maps:
+    |e,n> -> C_n|e,n> - i S_n|g,n+1> and |g,n> -> C_{n-1}|g,n> - i S_{n-1}|e,n-1>.
     """
+    amp = np.asarray(amp, dtype=complex)
+    if amp.ndim != 1 or amp.shape[0] < 1:
+        raise ValueError(f"amplitudes must form a nonempty vector, got shape {amp.shape}")
     c_e, c_g, phase = a_pure
     ce = complex(c_e)
     cg = complex(c_g) * cmath.exp(1j * phase)
     nrm = abs(ce) ** 2 + abs(cg) ** 2
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"atom amplitudes have norm {nrm:.6g}, expected 1")
-    c, s, cm, sm = rabi_tables(psi.dim, k.g_tau)
-    e0 = ce * psi.amp
-    g0 = cg * psi.amp
-    e1 = c * e0
-    e1[:-1] -= 1j * s[:-1] * g0[1:]
-    g1 = cm * g0
-    g1[1:] -= 1j * sm[1:] * e0[:-1]
-    joint = JointState(e1, g1)
-    w_e, w_g = joint.weights
-    leak = abs(nrm * np.vdot(psi.amp, psi.amp).real - (w_e + w_g))
+    c, s, cm, sm = rabi_tables(amp.shape[0], k.g_tau)
+    e0 = ce * amp
+    g0 = cg * amp
+    e = c * e0
+    e[:-1] -= 1j * s[:-1] * g0[1:]
+    g = cm * g0
+    g[1:] -= 1j * sm[1:] * e0[:-1]
+    leak = abs(nrm * np.vdot(amp, amp).real - (np.vdot(e, e).real + np.vdot(g, g).real))
     if leak > _LEAK_TOL:
         raise TruncationError(
-            f"pure kick leaks {leak:.3e} norm past n_max={psi.n_max}; enlarge the basis"
+            f"pure kick leaks {leak:.3e} norm past n_max={amp.shape[0] - 1}; enlarge the basis"
         )
-    return joint
+    return e, g
 
 
-def measure_atom(joint: JointState, u: float) -> tuple[str, PureFieldState, float]:
+def measure_atom(e: np.ndarray, g: np.ndarray, u: float) -> tuple[str, np.ndarray, float]:
     """Project the atom in the energy basis using one uniform draw u in [0,1).
 
-    Returns the outcome label, the collapsed renormalized field, and the
-    probability of the branch taken.
+    e and g are the branches jc_kick_pure returns. Returns the outcome
+    label, the collapsed renormalized field amplitudes, and the probability
+    of the branch taken.
     """
-    w_e, w_g = joint.weights
+    e = np.asarray(e, dtype=complex)
+    g = np.asarray(g, dtype=complex)
+    if e.shape != g.shape or e.ndim != 1:
+        raise ValueError("e and g amplitude vectors must share one shape")
+    w_e = np.vdot(e, e).real
+    w_g = np.vdot(g, g).real
     total = w_e + w_g
     if total <= 1e-300:
         # both branches underflowed; renormalizing would divide by zero
         raise DegenerateBranchError("joint state norm vanished before measurement")
     p_e = float(w_e / total)
     if u < p_e:
-        outcome, amp, weight, prob = "e", joint.e, w_e, p_e
+        outcome, amp, weight, prob = "e", e, w_e, p_e
     else:
-        outcome, amp, weight, prob = "g", joint.g, w_g, 1.0 - p_e
+        outcome, amp, weight, prob = "g", g, w_g, 1.0 - p_e
     nrm = math.sqrt(weight)
     if nrm <= 1e-150:
         raise DegenerateBranchError(
             f"measurement branch '{outcome}' has vanishing probability {prob:.3e}"
         )
-    return outcome, PureFieldState(amp / nrm), prob
+    return outcome, amp / nrm, prob
 
 
 def lossless_sequence(atoms: list[AtomState], k: KickParams) -> list[float]:

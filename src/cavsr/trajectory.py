@@ -1,10 +1,12 @@
 """Stochastic pure-state unraveling of the pumped lossy cavity.
 
 Physical units here (seconds, rad/s): atoms arrive at rate r, either with
-exponential gaps (poisson) or a fixed spacing 1/r (regular). Each arrival
-kicks the field via the exact single-transit map, after which the atom is
-measured in the energy basis. Between arrivals the field undergoes
-photon-loss quantum jumps, sampled from the exact no-jump survival law
+exponential gaps (poisson) or a fixed spacing 1/r (regular). The field is a
+plain array of Fock amplitudes. Each arrival kicks it via the exact
+single-transit map (interaction.jc_kick_pure), after which the atom is
+measured in the energy basis (interaction.measure_atom). Between arrivals
+the field undergoes photon-loss quantum jumps, sampled from the exact
+no-jump survival law
 
     S(s) = || exp(-gamma_c n_hat s) psi ||^2,
 
@@ -28,7 +30,6 @@ import numpy as np
 import scipy.optimize
 
 from .errors import ConvergenceError, TruncationError
-from .hilbert import PureFieldState
 from .interaction import KickParams, jc_kick_pure, measure_atom
 
 __all__ = [
@@ -104,8 +105,7 @@ class TrajectoryResult:
     jump_times: np.ndarray  # s
     n_atoms: int
     max_top_population: float  # largest |amp[n_max]|^2 after any kick: the truncation margin
-    final: PureFieldState
-    metadata: dict
+    final: np.ndarray       # Fock amplitudes at t_end, unit norm
 
 
 @dataclasses.dataclass(frozen=True)
@@ -212,9 +212,9 @@ def run_trajectory(cfg: TrajectoryConfig, seed: int) -> TrajectoryResult:
         phi_k = phase
         if p_scramble > 0.0 and rng.random() < p_scramble:
             phi_k = rng.uniform(0.0, 2.0 * math.pi)
-        joint = jc_kick_pure(PureFieldState(amp), (c_e, c_g, phi_k), kick)
-        _outcome, collapsed, _prob = measure_atom(joint, rng.random())
-        amp = collapsed.amp
+        # both looked up here as module globals: the benchmark's traced run wraps them there
+        e, g = jc_kick_pure(amp, (c_e, c_g, phi_k), kick)
+        _outcome, amp, _prob = measure_atom(e, g, rng.random())
         pops = np.abs(amp) ** 2
         top = float(pops[-1])
         if top > 1e-6:
@@ -240,8 +240,7 @@ def run_trajectory(cfg: TrajectoryConfig, seed: int) -> TrajectoryResult:
         jump_times=np.array(jumps),
         n_atoms=n_atoms,
         max_top_population=max_top,
-        final=PureFieldState(amp),
-        metadata=cfg.metadata(),
+        final=amp,
     )
 
 

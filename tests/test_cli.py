@@ -244,6 +244,25 @@ def test_preset_override_of_the_wrong_type_is_a_clean_error(capsys, tmp_path, ke
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("steady", "n_max", "abc"), ("steady", "n_max", 30.0), ("analytic", "phi", None),
+     ("trajectory", "seed", 1.0)],
+)
+def test_config_field_of_the_wrong_type_is_a_clean_error(
+    capsys, tmp_path, coherent_config, command, key, value
+):
+    cfg = json.loads(Path(coherent_config).read_text(encoding="utf-8"))
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({**cfg, key: value}), encoding="utf-8")
+    rc, out, err = run_cli(capsys, command, "--config", str(path), "--out", str(tmp_path / "out"))
+    assert rc == 1
+    assert out is None
+    assert err["error"]["type"] == "ValueError"
+    assert repr(key) in err["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def preset_config(capsys, tmp_path, name):
     """Run a preset at its defaults; its sidecar's config as a CLI config file."""
     out = tmp_path / name

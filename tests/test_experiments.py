@@ -94,11 +94,11 @@ def test_config_file_rejects_unknown_and_malformed(tmp_path):
 
 def test_sweep_result_validation():
     with pytest.raises(ValueError):
-        SweepResult(np.array([1.0, 2.0]), np.zeros(3), np.zeros(2), np.zeros(2), {})
+        SweepResult(np.array([1.0, 2.0]), np.zeros(3), np.zeros(2), {})
     with pytest.raises(ValueError):
-        SweepResult(np.array([2.0, 1.0]), np.zeros(2), np.zeros(2), np.zeros(2), {})
+        SweepResult(np.array([2.0, 1.0]), np.zeros(2), np.zeros(2), {})
     with pytest.raises(ValueError):
-        SweepResult(np.array([]), np.array([]), np.array([]), np.array([]), {})
+        SweepResult(np.array([]), np.array([]), np.array([]), {})
 
 
 def test_loglog_fit_recovers_power_laws():
@@ -201,6 +201,7 @@ def test_sweep_files_round_trip_and_reruns_identically(tmp_path):
     back = read_sweep(csv_path)
     assert np.array_equal(back.axis, res.axis)
     assert np.array_equal(back.mean_n, res.mean_n)
+    assert np.array_equal(back.collective_part, res.collective_part)
     assert back.metadata["config"] == config_dict(small_cavity())
 
 

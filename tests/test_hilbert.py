@@ -7,7 +7,6 @@ from scipy import stats
 from cavsr.errors import TruncationError
 from cavsr.hilbert import (
     FieldState,
-    PureFieldState,
     apply_decay,
     coherent,
     coherent_amplitudes,
@@ -134,14 +133,6 @@ def test_decay_rejects_negative_arguments():
         apply_decay(vacuum(3), -1.0, 0.1)
     with pytest.raises(ValueError):
         apply_decay(vacuum(3), 1.0, -0.1)
-
-
-def test_pure_state_helpers():
-    psi = PureFieldState(np.array([1.0, 1.0j]) / math.sqrt(2.0))
-    assert psi.norm() == pytest.approx(1.0)
-    assert psi.mean_photon() == pytest.approx(0.5)
-    rho = psi.to_density()
-    assert np.allclose(rho.q, np.outer(psi.amp, psi.amp.conj()))
 
 
 def test_field_state_rejects_bad_shapes():

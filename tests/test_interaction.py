@@ -12,14 +12,12 @@ from cavsr.dicke import EnsembleSpec, decompose_product_state
 from cavsr.errors import DegenerateBranchError, TruncationError
 from cavsr.hilbert import (
     FieldState,
-    PureFieldState,
     apply_decay,
     mean_photon,
     photon_distribution,
     vacuum,
 )
 from cavsr.interaction import (
-    JointState,
     KickParams,
     bunched_mean_n,
     jc_kick,
@@ -52,13 +50,14 @@ def kick_via_purification(s, a, k):
         for j in range(s.dim):
             if fw[j] < 1e-14:
                 continue
-            joint = jc_kick_pure(
-                PureFieldState(fv[:, j]), (av[0, i], av[1, i], 0.0), k
-            )
-            out += aw[i] * fw[j] * (
-                np.outer(joint.e, joint.e.conj()) + np.outer(joint.g, joint.g.conj())
-            )
+            e, g = jc_kick_pure(fv[:, j], (av[0, i], av[1, i], 0.0), k)
+            out += aw[i] * fw[j] * (np.outer(e, e.conj()) + np.outer(g, g.conj()))
     return out
+
+
+def branch_weights(e, g):
+    """Squared norms of the two atom branches of a kick."""
+    return np.vdot(e, e).real, np.vdot(g, g).real
 
 
 def test_rabi_tables_boundary():
@@ -132,27 +131,35 @@ def test_mixed_kick_matches_purified_route():
 
 def test_pure_kick_trivial_cases():
     k = KickParams(0.5)
-    out = jc_kick_pure(PureFieldState(np.array([1.0, 0.0])), (0.0, 1.0, 0.0), k)
-    assert np.allclose(out.g, [1.0, 0.0])
-    assert np.allclose(out.e, 0.0)
+    e, g = jc_kick_pure(np.array([1.0, 0.0]), (0.0, 1.0, 0.0), k)
+    assert np.allclose(g, [1.0, 0.0])
+    assert np.allclose(e, 0.0)
 
-    full = jc_kick_pure(
-        PureFieldState(np.array([1.0, 0.0])), (1.0, 0.0, 0.0), KickParams(math.pi / 2.0)
-    )
-    assert np.allclose(full.e, 0.0, atol=1e-15)
-    assert full.g[1] == pytest.approx(-1.0j)
+    e, g = jc_kick_pure(np.array([1.0, 0.0]), (1.0, 0.0, 0.0), KickParams(math.pi / 2.0))
+    assert np.allclose(e, 0.0, atol=1e-15)
+    assert g[1] == pytest.approx(-1.0j)
 
 
 def test_pure_kick_rejects_unnormalized_atom():
     with pytest.raises(ValueError):
-        jc_kick_pure(PureFieldState(np.array([1.0, 0.0])), (0.9, 0.9, 0.0), KickParams(0.1))
+        jc_kick_pure(np.array([1.0, 0.0]), (0.9, 0.9, 0.0), KickParams(0.1))
+
+
+def test_transit_entries_reject_bad_shapes():
+    k = KickParams(0.1)
+    for amp in (np.zeros(0), np.eye(2), np.complex128(1.0)):
+        with pytest.raises(ValueError, match="nonempty vector"):
+            jc_kick_pure(amp, (1.0, 0.0, 0.0), k)
+    for e, g in ((np.zeros(2), np.ones(3)), (np.eye(2), np.eye(2)), (np.ones(()), np.ones(()))):
+        with pytest.raises(ValueError, match="share one shape"):
+            measure_atom(e, g, 0.5)
 
 
 def test_pure_kick_flags_top_level_leak():
     amp = np.zeros(4)
     amp[-1] = 1.0
     with pytest.raises(TruncationError):
-        jc_kick_pure(PureFieldState(amp), (1.0, 0.0, 0.0), KickParams(0.3))
+        jc_kick_pure(amp, (1.0, 0.0, 0.0), KickParams(0.3))
 
 
 def test_mixed_kick_flags_top_level_leak():
@@ -163,25 +170,21 @@ def test_mixed_kick_flags_top_level_leak():
 
 
 def test_measurement_trivial_outcomes():
-    outcome, field, prob = measure_atom(JointState(np.zeros(3), np.array([1.0, 0.0, 0.0])), 0.5)
+    outcome, field, prob = measure_atom(np.zeros(3), np.array([1.0, 0.0, 0.0]), 0.5)
     assert outcome == "g"
     assert prob == pytest.approx(1.0)
-    assert np.allclose(field.amp, [1.0, 0.0, 0.0])
+    assert np.allclose(field, [1.0, 0.0, 0.0])
 
-    outcome, field, prob = measure_atom(
-        JointState(np.zeros(3), np.array([0.0, -1.0j, 0.0])), 0.99
-    )
+    outcome, field, prob = measure_atom(np.zeros(3), np.array([0.0, -1.0j, 0.0]), 0.99)
     assert outcome == "g"
-    assert abs(field.amp[1]) == pytest.approx(1.0)
+    assert abs(field[1]) == pytest.approx(1.0)
 
 
 def test_measurement_born_statistics():
-    joint = jc_kick_pure(
-        PureFieldState(np.array([1.0, 0.0, 0.0])), (1.0, 0.0, 0.0), KickParams(math.pi / 4.0)
-    )
+    e, g = jc_kick_pure(np.array([1.0, 0.0, 0.0]), (1.0, 0.0, 0.0), KickParams(math.pi / 4.0))
     rng = np.random.default_rng(5)
     n_draws = 100_000
-    hits = sum(1 for u in rng.random(n_draws) if measure_atom(joint, u)[0] == "e")
+    hits = sum(1 for u in rng.random(n_draws) if measure_atom(e, g, u)[0] == "e")
     p_e = hits / n_draws
     sigma = math.sqrt(0.25 / n_draws)
     assert abs(p_e - 0.5) <= 3.0 * sigma
@@ -189,10 +192,10 @@ def test_measurement_born_statistics():
 
 def test_measurement_degenerate_branch():
     with pytest.raises(DegenerateBranchError):
-        measure_atom(JointState(np.array([1e-200, 0.0]), np.zeros(2)), 0.0)
+        measure_atom(np.array([1e-200, 0.0]), np.zeros(2), 0.0)
     with pytest.raises(DegenerateBranchError):
         # u = 0 lands on the excited branch even though its weight is dust
-        measure_atom(JointState(np.array([1e-160, 0.0]), np.array([1.0, 0.0])), 0.0)
+        measure_atom(np.array([1e-160, 0.0]), np.array([1.0, 0.0]), 0.0)
 
 
 def test_ground_atoms_emit_nothing():
@@ -277,27 +280,27 @@ def fields_with_empty_top(draw):
     amp = np.append(re + 1j * im, 0.0)
     nrm = np.linalg.norm(amp)
     assume(nrm > 1e-3)
-    return PureFieldState(amp / nrm)
+    return amp / nrm
 
 
 @settings(max_examples=60, deadline=None)
 @given(fields_with_empty_top(), angles, angles, st.floats(0.0, 1.0))
 def test_pure_kick_keeps_the_norm(psi, theta, phi, g_tau):
-    joint = jc_kick_pure(psi, (math.sin(0.5 * theta), math.cos(0.5 * theta), phi), KickParams(g_tau))
-    assert joint.norm() == pytest.approx(1.0, abs=1e-12)
+    e, g = jc_kick_pure(psi, (math.sin(0.5 * theta), math.cos(0.5 * theta), phi), KickParams(g_tau))
+    assert math.sqrt(sum(branch_weights(e, g))) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(fields_with_empty_top(), angles, angles, st.floats(0.0, 1.0))
 def test_measurement_branches_are_unit_norm_and_exhaustive(psi, theta, phi, g_tau):
-    joint = jc_kick_pure(psi, (math.sin(0.5 * theta), math.cos(0.5 * theta), phi), KickParams(g_tau))
-    w_e, w_g = joint.weights
+    e, g = jc_kick_pure(psi, (math.sin(0.5 * theta), math.cos(0.5 * theta), phi), KickParams(g_tau))
+    w_e, w_g = branch_weights(e, g)
     # a branch of dust weight is refused by design; test the rest
     assume(min(w_e, w_g) == 0.0 or min(w_e, w_g) > 1e-250)
     taken = {}
     for u in (0.0, math.nextafter(1.0, 0.0)):
-        outcome, field, prob = measure_atom(joint, u)
-        assert field.norm() == pytest.approx(1.0, abs=1e-12)
+        outcome, field, prob = measure_atom(e, g, u)
+        assert np.linalg.norm(field) == pytest.approx(1.0, abs=1e-12)
         taken[outcome] = prob
     assert sum(taken.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -321,11 +324,11 @@ def test_pure_kick_accepts_complex_atom_amplitudes(psi, theta, phi, alpha, beta,
     # real-amplitude atom with phase phi + beta - alpha
     c_e, c_g = math.sin(0.5 * theta), math.cos(0.5 * theta)
     k = KickParams(g_tau)
-    joint = jc_kick_pure(psi, (c_e * cmath.exp(1j * alpha), c_g * cmath.exp(1j * beta), phi), k)
-    ref = jc_kick_pure(psi, (c_e, c_g, phi + beta - alpha), k)
+    e, g = jc_kick_pure(psi, (c_e * cmath.exp(1j * alpha), c_g * cmath.exp(1j * beta), phi), k)
+    ref_e, ref_g = jc_kick_pure(psi, (c_e, c_g, phi + beta - alpha), k)
     rot = cmath.exp(1j * alpha)
-    assert np.max(np.abs(joint.e - rot * ref.e)) <= 1e-12
-    assert np.max(np.abs(joint.g - rot * ref.g)) <= 1e-12
+    assert np.max(np.abs(e - rot * ref_e)) <= 1e-12
+    assert np.max(np.abs(g - rot * ref_g)) <= 1e-12
 
 
 @st.composite

@@ -1,5 +1,8 @@
 import ast
+import contextlib
+import importlib
 import inspect
+from pathlib import Path
 
 import cavsr
 from cavsr import (
@@ -44,3 +47,15 @@ def test_cli_imports_only_the_pipelines():
     absolute = [ast.dump(node) for node in ast.walk(tree) if isinstance(node, ast.Import)
                 or isinstance(node, ast.ImportFrom) and node.level == 0]
     assert not any("cavsr" in line for line in absolute)
+
+
+def test_benchmark_finds_every_name_it_traces(monkeypatch):
+    # the benchmark's traced run wraps each layer at the module attribute its
+    # caller looks up; a renamed one fails here instead of in a benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    with contextlib.ExitStack() as stack:
+        workloads.install_tracing(spans.Tracer(), stack)
+        assert trajectory.jc_kick_pure is not interaction.jc_kick_pure
+    assert trajectory.jc_kick_pure is interaction.jc_kick_pure
