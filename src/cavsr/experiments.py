@@ -28,9 +28,9 @@ from . import analytic, dicke, steady
 from .atom import AtomState, dephase, prepare
 from .errors import CavsrError, ResourceError
 from .hilbert import fidelity_to_coherent, mean_photon, photon_distribution, vacuum
-from .interaction import KickParams, bunched_mean_n, lossless_sequence
+from .interaction import KickParams, bunched_mean_n, kick_sequence, lossless_sequence
 from .steady import MasterParams, evolve, steady_state_auto, suggest_n_max
-from .trajectory import TrajectoryConfig, run_ensemble
+from .trajectory import INJECTIONS, TrajectoryConfig, run_ensemble
 
 __all__ = [
     "RunConfig",
@@ -69,7 +69,8 @@ class RunConfig:
     Exactly one of r (atoms/s), n_mean (mean atoms inside the cavity), or
     n_c (atoms per field decay time) fixes the beam flux; the other two
     follow from n_c = n_mean / (gamma_c * tau) = r / gamma_c. t_end is in
-    units of 1/gamma_c.
+    units of 1/gamma_c. Every range is checked here, so no command runs
+    on a value another would refuse.
     """
 
     g: float
@@ -101,6 +102,13 @@ class RunConfig:
             )
         if getattr(self, given[0]) <= 0.0:
             raise ValueError(f"{given[0]} must be positive")
+        if self.injection not in INJECTIONS:
+            raise ValueError(f"injection must be one of {INJECTIONS}, got {self.injection!r}")
+        for name, least in (("linewidth", 0), ("t_end", 0), ("n_max", 1),
+                            ("n_trajectories", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
     @property
     def g_tau(self) -> float:
@@ -465,22 +473,28 @@ def lossless_emission(cfg: RunConfig, atoms: int = 20) -> tuple[SweepResult, dic
 def transient_buildup(cfg: RunConfig, mode: str = "coarse-ode") -> tuple[SweepResult, dict]:
     """<n>(t) from the vacuum over cfg.duration (1/gamma_c).
 
-    The field basis is the steady state's cutoff. The baseline is the steady
-    <n> for "coarse-ode", and for "discrete-regular" the lossless stepwise
+    The field basis is the steady state's cutoff. "coarse-ode" integrates
+    the master equation, against the steady <n>. "discrete-regular" sends
+    atoms 1/n_c apart, one point per atom, against the lossless stepwise
     emission after the same number of atoms.
     """
+    if mode not in ("coarse-ode", "discrete-regular"):
+        raise ValueError(f"unknown mode {mode!r}")
     a, k, n_c = cfg.atom(), cfg.kick(), cfg.derived_n_c
     t_end = cfg.duration
     s_ss = steady_state_auto(n_c, a, k, n_max=cfg.n_max)
-    tr = evolve(MasterParams(n_c, k, a, s_ss.n_max), vacuum(s_ss.n_max), t_end, mode=mode)
-    mean = tr.mean_n()
+    q0 = vacuum(s_ss.n_max)
     meta = _base_metadata(cfg, "time [1/gamma_c]")
     if mode == "discrete-regular":
-        n_atoms = len(tr.times) - 1
-        lossless = lossless_sequence([a] * max(n_atoms, 1), k)
-        baseline = np.concatenate(([0.0], np.array(lossless[:n_atoms])))
+        delta = 1.0 / n_c
+        atoms = [a] * math.floor(t_end / delta + 1e-9)
+        times = np.arange(len(atoms) + 1) * delta
+        mean = np.array([0.0] + kick_sequence(q0, atoms, k, delta))
+        baseline = np.array([0.0] + lossless_sequence(atoms, k))
         meta["baseline"] = "lossless stepwise emission after the same number of atoms"
     else:
+        times, states = evolve(MasterParams(n_c, k, a, s_ss.n_max), q0, t_end)
+        mean = np.array([mean_photon(s) for s in states])
         baseline = np.full(mean.shape, mean_photon(s_ss))
         meta["baseline"] = "steady-state mean photon number"
     summary = {
@@ -489,7 +503,7 @@ def transient_buildup(cfg: RunConfig, mode: str = "coarse-ode") -> tuple[SweepRe
         "final_mean_n": float(mean[-1]),
         "steady_mean_n": mean_photon(s_ss),
     }
-    return SweepResult(tr.times, mean, baseline, meta), summary
+    return SweepResult(times, mean, baseline, meta), summary
 
 
 def trajectory_ensemble(cfg: RunConfig) -> tuple[SweepResult, dict]:

@@ -14,6 +14,8 @@ with ree = rho_ee, rgg = 1 - rho_ee, reg = rho_eg, rge = conj(rho_eg). The
 same seven-band stencil feeds the master-equation generator, so it lives
 here once, as coefficient arrays keyed by the index offset (dn, dm).
 
+kick_sequence kicks one atom after another, the field decaying for a fixed
+gap before each: a regular beam, or with no gap the lossless cavity.
 The trajectory solver's transit works on plain amplitude arrays instead:
 jc_kick_pure maps the field amplitudes to the two atom branches (e, g),
 and measure_atom picks one by the Born rule and renormalizes it.
@@ -32,13 +34,14 @@ import scipy.linalg
 from .atom import AtomState
 from .dicke import EnsembleSpec, decompose_product_state, ensemble_rate
 from .errors import DegenerateBranchError, TruncationError
-from .hilbert import FieldState, mean_photon, vacuum
+from .hilbert import FieldState, apply_decay, mean_photon, vacuum
 
 __all__ = [
     "KickParams",
     "jc_kick",
     "jc_kick_pure",
     "measure_atom",
+    "kick_sequence",
     "lossless_sequence",
     "bunched_mean_n",
     "kick_stencil",
@@ -198,21 +201,30 @@ def measure_atom(e: np.ndarray, g: np.ndarray, u: float) -> tuple[str, np.ndarra
     return outcome, amp / nrm, prob
 
 
+def kick_sequence(
+    q0: FieldState, atoms: list[AtomState], k: KickParams, gap: float = 0.0
+) -> list[float]:
+    """Mean photon number after each atom of a queue, starting from q0.
+
+    Before each kick the field decays for the time gap (units of
+    1/gamma_c), so gap = 1/n_c is a regularly spaced beam and gap = 0 the
+    lossless cavity. Any q0 is accepted.
+    """
+    state = q0
+    trace: list[float] = []
+    for a in atoms:
+        state = jc_kick(apply_decay(state, 1.0, gap), a, k)
+        trace.append(mean_photon(state))
+    return trace
+
+
 def lossless_sequence(atoms: list[AtomState], k: KickParams) -> list[float]:
     """Mean photon number after each of a sequence of kicks with no decay.
 
     Starting from vacuum, N kicks can populate at most Fock level N, so the
     cutoff n_max = N + 1 is exact and no truncation is possible.
     """
-    n = len(atoms)
-    if n == 0:
-        return []
-    state = vacuum(n + 1)
-    trace: list[float] = []
-    for a in atoms:
-        state = jc_kick(state, a, k)
-        trace.append(mean_photon(state))
-    return trace
+    return kick_sequence(vacuum(len(atoms) + 1), atoms, k)
 
 
 def _tavis_cummings_mean_n(spec: EnsembleSpec, g_tau: float) -> float:

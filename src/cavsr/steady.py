@@ -10,7 +10,8 @@ the photon-loss dissipator, D(Q)[n,m] = 2 sqrt((n+1)(m+1)) Q[n+1,m+1]
 - (n+m) Q[n,m]. Both pieces are seven-band stencils on the index lattice.
 The solvers build the real, folded matrix of the gauged stencil directly
 and check their results by applying the complex stencil matrix-free;
-build_generator assembles the complex matrix as a reference.
+build_generator assembles the complex matrix as a reference. A regular
+beam's exact decay-and-kick map is interaction.kick_sequence instead.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from .analytic import mean_n_noncollective
 from .atom import AtomState
 from .errors import ConvergenceError, DivergenceError, ResourceError, TruncationError
 from .hilbert import FieldState
-from .interaction import KickParams, apply_stencil, jc_kick, kick_stencil
-from . import hilbert
+from .interaction import KickParams, apply_stencil, kick_stencil
 
 __all__ = [
     "MasterParams",
@@ -39,7 +39,6 @@ __all__ = [
     "steady_state_auto",
     "suggest_n_max",
     "evolve",
-    "EvolveResult",
 ]
 
 # Direct sparse-LU factorization of the real dim(dim+1)/2 system is the whole
@@ -216,6 +215,8 @@ def steady_state(p: MasterParams) -> FieldState:
     lu = scipy.sparse.linalg.splu(a, permc_spec="MMD_ATA")
     x = lu.solve(b)
 
+    # built after the factorization, not shared with the fold: held across
+    # it, the stencil would raise the solve's peak memory
     wider = dataclasses.replace(p, n_lo=max(p.n_lo - 1, 0))
     pad = p.n_lo - wider.n_lo
     stencil = _generator_stencil(wider)
@@ -360,37 +361,20 @@ def steady_state_auto(
                 cur = min(2 * cur, DEFAULT_MAX_DIM - 1)
 
 
-@dataclasses.dataclass(frozen=True)
-class EvolveResult:
-    """Sampled trajectory of the field density matrix; times in 1/gamma_c."""
-
-    times: np.ndarray
-    states: list[FieldState]
-
-    def mean_n(self) -> np.ndarray:
-        return np.array([hilbert.mean_photon(s) for s in self.states])
-
-
 def evolve(
-    p: MasterParams,
-    q0: FieldState,
-    t_end: float,
-    mode: str = "coarse-ode",
-) -> EvolveResult:
-    """Transient evolution from q0 for a time t_end (units of 1/gamma_c).
+    p: MasterParams, q0: FieldState, t_end: float
+) -> tuple[np.ndarray, list[FieldState]]:
+    """Transient of the master equation from q0 for a time t_end (1/gamma_c).
 
-    "coarse-ode" integrates the generator with an adaptive high-order
-    scheme, on the same real state as steady_state: the dim(dim+1)/2
-    entries R[n, m], n <= m, of the real symmetric R with Q = u * R in the
-    gauge of _gauge. The generator preserves that form, so q0 must have it
-    too (the vacuum, any Fock mixture, a steady state of the same atoms);
-    any other q0 raises ValueError. It samples 81 evenly spaced times, each
-    state renormalized to unit trace, and raises TruncationError if any
+    Integrates the generator with an adaptive high-order scheme, on the
+    same real state as steady_state: the dim(dim+1)/2 entries R[n, m],
+    n <= m, of the real symmetric R with Q = u * R in the gauge of _gauge.
+    The generator preserves that form, so q0 must have it too (the vacuum,
+    any Fock mixture, a steady state of the same atoms); any other q0
+    raises ValueError. Returns 81 evenly spaced times and the state at
+    each, renormalized to unit trace, and raises TruncationError if any
     sample keeps more than _TAIL_TOL population on the top level, the rule
-    steady_state applies. "discrete-regular" instead alternates
-    exact decay over the spacing 1/n_c with one kick per atom, the natural
-    picture for a regularly spaced beam; it accepts any q0, and its samples
-    sit on the atom grid.
+    steady_state applies.
     """
     if p.n_lo != 0:
         raise ValueError(f"evolve runs on the full basis, got n_lo={p.n_lo}")
@@ -399,46 +383,32 @@ def evolve(
     if t_end < 0.0:
         raise ValueError(f"t_end must be non-negative, got {t_end}")
     if t_end == 0.0:
-        return EvolveResult(np.zeros(1), [q0])
-    if mode == "coarse-ode":
-        g, red = _folded_generator(p)
-        u = _gauge(p)
-        r0 = q0.q * u.conj()
-        off = max(float(np.abs(r0.imag).max()), float(np.abs(r0 - r0.T).max()))
-        if off > 1e-12 * abs(np.trace(q0.q)):
-            raise ValueError(
-                f"q0 is not real symmetric in the gauge of the generator (off by "
-                f"{off:.3e}); coarse-ode evolves only such states, discrete-regular any"
-            )
-        g = g.tocsr()
-        times = np.linspace(0.0, t_end, 81)
-        sol = scipy.integrate.solve_ivp(
-            lambda _t, y: g @ y, (0.0, t_end), r0.real[np.triu_indices(p.dim)],
-            method="DOP853", t_eval=times, rtol=1e-8, atol=1e-12,
+        return np.zeros(1), [q0]
+    g, red = _folded_generator(p)
+    u = _gauge(p)
+    r0 = q0.q * u.conj()
+    off = max(float(np.abs(r0.imag).max()), float(np.abs(r0 - r0.T).max()))
+    if off > 1e-12 * abs(np.trace(q0.q)):
+        raise ValueError(
+            f"q0 is not real symmetric in the gauge of the generator (off by "
+            f"{off:.3e}); interaction.kick_sequence takes any state"
         )
-        if not sol.success:
-            raise ConvergenceError(f"transient integration failed: {sol.message}")
-        states = []
-        for y in sol.y.T:
-            r = y[red].reshape(p.dim, p.dim)
-            states.append(FieldState(r * u / float(np.trace(r))))
-        top = max(float(s.q[-1, -1].real) for s in states)
-        if top > _TAIL_TOL:
-            raise TruncationError(
-                f"transient reaches {top:.3e} population at n_max={p.n_max}; "
-                "enlarge the basis"
-            )
-        return EvolveResult(times, states)
-    if mode == "discrete-regular":
-        delta = 1.0 / p.n_c
-        steps = int(math.floor(t_end / delta + 1e-9))
-        times = [0.0]
-        states = [q0]
-        state = q0
-        for j in range(1, steps + 1):
-            state = hilbert.apply_decay(state, 1.0, delta)
-            state = jc_kick(state, p.a, p.k)
-            times.append(j * delta)
-            states.append(state)
-        return EvolveResult(np.array(times), states)
-    raise ValueError(f"unknown mode {mode!r}")
+    g = g.tocsr()
+    times = np.linspace(0.0, t_end, 81)
+    sol = scipy.integrate.solve_ivp(
+        lambda _t, y: g @ y, (0.0, t_end), r0.real[np.triu_indices(p.dim)],
+        method="DOP853", t_eval=times, rtol=1e-8, atol=1e-12,
+    )
+    if not sol.success:
+        raise ConvergenceError(f"transient integration failed: {sol.message}")
+    states = []
+    for y in sol.y.T:
+        r = y[red].reshape(p.dim, p.dim)
+        states.append(FieldState(r * u / float(np.trace(r))))
+    top = max(float(s.q[-1, -1].real) for s in states)
+    if top > _TAIL_TOL:
+        raise TruncationError(
+            f"transient reaches {top:.3e} population at n_max={p.n_max}; "
+            "enlarge the basis"
+        )
+    return times, states

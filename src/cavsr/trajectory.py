@@ -40,7 +40,7 @@ __all__ = [
     "run_ensemble",
 ]
 
-_INJECTIONS = ("poisson", "regular")
+INJECTIONS = ("poisson", "regular")
 
 N_SAMPLES = 201  # evenly spaced <n> samples over [0, t_end], both ends included
 
@@ -64,8 +64,8 @@ class TrajectoryConfig:
         for name in ("r", "gamma_c", "g", "tau", "linewidth", "theta", "t_end"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.injection not in _INJECTIONS:
-            raise ValueError(f"injection must be one of {_INJECTIONS}, got {self.injection!r}")
+        if self.injection not in INJECTIONS:
+            raise ValueError(f"injection must be one of {INJECTIONS}, got {self.injection!r}")
         if not 0.0 <= self.transit_dephase <= 1.0:
             raise ValueError(f"transit_dephase must lie in [0, 1], got {self.transit_dephase}")
         if self.n_max < 1:

@@ -33,6 +33,19 @@ def small_config(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def scaling_config(tmp_path):
+    path = tmp_path / "scaling.json"
+    path.write_text(
+        json.dumps(
+            {"g": 2.0 * math.pi * 290e3, "gamma_c": 2.0 * math.pi * 75e3,
+             "tau": 101e-9, "theta": 0.5 * math.pi, "n_c": 1.0}
+        ),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
 def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
@@ -102,15 +115,9 @@ def test_sweep_pump_finds_peak(capsys, tmp_path, small_config):
     assert (tmp_path / "sweep_pump.csv").exists()
 
 
-def test_sweep_atoms_runs_log_grid(capsys, tmp_path):
-    cfg = {
-        "g": 2.0 * math.pi * 290e3, "gamma_c": 2.0 * math.pi * 75e3,
-        "tau": 101e-9, "theta": 0.5 * math.pi, "n_c": 1.0,
-    }
-    path = tmp_path / "scaling.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
+def test_sweep_atoms_runs_log_grid(capsys, tmp_path, scaling_config):
     rc, out, _ = run_cli(
-        capsys, "sweep-atoms", "--config", str(path), "--out", str(tmp_path),
+        capsys, "sweep-atoms", "--config", scaling_config, "--out", str(tmp_path),
         "--points", "4", "--grid-min", "0.05", "--grid-max", "1.0",
     )
     assert rc == 0
@@ -119,6 +126,17 @@ def test_sweep_atoms_runs_log_grid(capsys, tmp_path):
     data = np.loadtxt(tmp_path / "sweep_atoms.csv", delimiter=",", skiprows=1, ndmin=2)
     assert data.shape == (4, 4)
     assert data[0, 0] == pytest.approx(0.05)
+
+
+def test_sweep_atoms_runs_linear_grid(capsys, tmp_path, scaling_config):
+    rc, out, _ = run_cli(
+        capsys, "sweep-atoms", "--config", scaling_config, "--out", str(tmp_path),
+        "--points", "4", "--grid-min", "0.1", "--grid-max", "1.0", "--linear",
+    )
+    assert rc == 0
+    assert out["points"] == 4
+    data = np.loadtxt(tmp_path / "sweep_atoms.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.allclose(data[:, 0], [0.1, 0.4, 0.7, 1.0], rtol=1e-12, atol=0.0)
 
 
 def test_lossless_counts_atoms(capsys, tmp_path, small_config):
@@ -260,6 +278,24 @@ def test_config_field_of_the_wrong_type_is_a_clean_error(
     assert out is None
     assert err["error"]["type"] == "ValueError"
     assert repr(key) in err["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("injection", "regularr"), ("linewidth", -5.0), ("t_end", -1.0), ("n_max", 0),
+     ("n_trajectories", 0), ("seed", -1)],
+)
+def test_config_field_out_of_range_is_a_clean_error(capsys, tmp_path, coherent_config, key, value):
+    # the range is checked when the config is read, not only by the commands that use it
+    cfg = json.loads(Path(coherent_config).read_text(encoding="utf-8"))
+    path = tmp_path / "ranged.json"
+    path.write_text(json.dumps({**cfg, key: value}), encoding="utf-8")
+    rc, out, err = run_cli(capsys, "steady", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert rc == 1
+    assert out is None
+    assert err["error"]["type"] == "ValueError"
+    assert err["error"]["message"].startswith(key)
     assert not (tmp_path / "out").exists()
 
 

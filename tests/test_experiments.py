@@ -18,6 +18,7 @@ from cavsr.experiments import (
     sweep_atoms,
     sweep_pump,
     trajectory_config,
+    transient_buildup,
     write_sweep,
 )
 
@@ -306,3 +307,18 @@ def test_preset_buildup_transient(tmp_path):
     assert res.mean_n[0] == 0.0
     assert out["steady_mean_n"] > 0.0
     assert np.isfinite(out["lossless_at_nc_atoms"])
+
+
+def test_discrete_transient_steps_land_on_injection_grid():
+    # g_tau = 0.01 and n_c = 10 on levels 0..6: 30 atoms in 3 decay times
+    cfg = small_cavity(g=1e4, n_c=10.0, t_end=3.0, n_max=6)
+    res, summary = transient_buildup(cfg, "discrete-regular")
+    assert res.axis.shape == (31,)
+    assert np.allclose(np.diff(res.axis), 0.1)
+    assert res.mean_n[-1] == pytest.approx(2.75e-3, rel=0.2)
+    assert summary["final_mean_n"] == res.mean_n[-1]
+
+
+def test_transient_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="leapfrog"):
+        transient_buildup(small_cavity(t_end=1.0), "leapfrog")

@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cavsr.analytic import n_eff
 from cavsr.atom import AtomState, dephase, prepare
 from cavsr.dicke import EnsembleSpec, decompose_product_state
 from cavsr.errors import DegenerateBranchError, TruncationError
@@ -22,6 +23,7 @@ from cavsr.interaction import (
     bunched_mean_n,
     jc_kick,
     jc_kick_pure,
+    kick_sequence,
     lossless_sequence,
     measure_atom,
     rabi_tables,
@@ -221,6 +223,26 @@ def test_sequential_total_matches_bunched_total():
     # the closing atom of the queue emits about twice the bunched average
     last = trace[-1] - trace[-2]
     assert last == pytest.approx(2.0 * together / 20.0, rel=0.10)
+
+
+@pytest.mark.parametrize(
+    "n_c, theta, coherence", [(10.0, math.pi / 2.0, 1.0), (3.0, 1.1, 1.0), (10.0, 2.0, 0.5)]
+)
+def test_regular_beam_reaches_the_small_angle_steady_state(n_c, theta, coherence):
+    # between kicks the amplitude decays by x = exp(-1/n_c), and each kick
+    # adds the coherent amplitude -i g_tau rho_eg and the incoherent photons
+    # g_tau^2 (rho_ee - |rho_eg|^2); just after a kick in steady state
+    # <n> = g_tau^2 [|rho_eg|^2 / (1 - x)^2 + (rho_ee - |rho_eg|^2) / (1 - x^2)],
+    # where 1 / (1 - x) is one more than the regular beam's n_eff
+    g_tau = 0.002
+    a = dephase(prepare(theta), coherence)
+    x = math.exp(-1.0 / n_c)
+    coh = abs(a.rho_eg) ** 2
+    incoherent = (a.rho_ee - coh) / (1.0 - x * x)
+    expected = g_tau**2 * (coh * (n_eff("regular", n_c) + 1.0) ** 2 + incoherent)
+    # 20 decay times
+    trace = kick_sequence(vacuum(6), [a] * round(20 * n_c), KickParams(g_tau), gap=1.0 / n_c)
+    assert trace[-1] == pytest.approx(expected, rel=1e-4)
 
 
 def test_bunched_exact_matches_rate_formula_when_small():
