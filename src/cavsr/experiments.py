@@ -21,13 +21,13 @@ import numbers
 import os
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from ._version import __version__
 from . import analytic, dicke, steady
 from .atom import AtomState, dephase, prepare
 from .errors import CavsrError, ResourceError
-from .hilbert import fidelity_to_coherent, mean_photon, photon_distribution, vacuum
+from .hilbert import FieldState, fidelity_to_coherent, mean_photon, photon_distribution, vacuum
 from .interaction import KickParams, bunched_mean_n, kick_sequence, lossless_sequence
 from .steady import MasterParams, evolve, steady_state_auto, suggest_n_max
 from .trajectory import INJECTIONS, TrajectoryConfig, run_ensemble
@@ -60,6 +60,8 @@ __all__ = [
 _G0 = 2.0 * math.pi * 290e3
 _GAMMA_C0 = 2.0 * math.pi * 75e3
 _TAU0 = 101e-9
+
+_FLUX = ("r", "n_mean", "n_c")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,7 +97,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.theta < 0.0:
             raise ValueError(f"theta must be non-negative, got {self.theta}")
-        given = [n for n in ("r", "n_mean", "n_c") if getattr(self, n) is not None]
+        given = [n for n in _FLUX if getattr(self, n) is not None]
         if len(given) != 1:
             raise ValueError(
                 f"exactly one of r, n_mean, n_c must be given, got {given or 'none'}"
@@ -135,11 +137,23 @@ class RunConfig:
         """t_end, or 8 field decay times when it is unset."""
         return self.t_end if self.t_end is not None else 8.0
 
+    @property
+    def dephasing(self) -> float:
+        """Field phase-diffusion rate of a pump of FWHM linewidth Hz, in units of gamma_c."""
+        return 2.0 * math.pi * self.linewidth / self.gamma_c
+
     def atom(self) -> AtomState:
         return dephase(prepare(self.theta, self.phi), self.transit_dephase)
 
     def kick(self) -> KickParams:
         return KickParams(self.g_tau)
+
+
+def _replace(cfg: RunConfig, changes: dict) -> RunConfig:
+    """cfg with changes; a flux among them replaces, not joins, cfg's."""
+    if changes.keys() & set(_FLUX):
+        changes = {**dict.fromkeys(_FLUX), **changes}
+    return dataclasses.replace(cfg, **changes)
 
 
 def config_dict(cfg: RunConfig) -> dict:
@@ -219,12 +233,18 @@ def _base_metadata(cfg: RunConfig, axis_label: str) -> dict:
     }
 
 
-def _steady_mean(
-    n_c: float, a: AtomState, k: KickParams, n_max: int | None
-) -> tuple[float, int | None, str | None]:
+def _steady(cfg: RunConfig) -> FieldState:
+    """The config's master-equation steady state, pump phase noise included."""
+    # through this module's global, so that a wrapper set there sees every solve
+    return steady_state_auto(
+        cfg.derived_n_c, cfg.atom(), cfg.kick(), n_max=cfg.n_max, dephasing=cfg.dephasing
+    )
+
+
+def _steady_mean(cfg: RunConfig) -> tuple[float, int | None, str | None]:
     """Steady <n> for one parameter point; failures become annotations."""
     try:
-        s = steady_state_auto(n_c, a, k, n_max=n_max)
+        s = _steady(cfg)
         return mean_photon(s), s.n_max, None
     except CavsrError as exc:
         return math.nan, None, f"{type(exc).__name__}: {exc}"
@@ -232,39 +252,35 @@ def _steady_mean(
 
 def _solve_curve(
     cfg: RunConfig,
-    points: list[tuple[float, AtomState, str]],
+    name: str,
+    values: np.ndarray,
     meta: dict,
-    note_overlap: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Steady <n> plus its random-phase baseline at each (n_c, atom, label) point.
+    """Steady <n> plus its random-phase baseline with cfg's field `name` at each value.
 
-    Failures, and with note_overlap the points whose transits overlap, are
-    annotated under the point's label.
+    The baseline is the same point with transit_dephase = 0, the
+    random-phase pump. Failures, and on an n_c axis the points whose
+    transits overlap, are annotated under the point's label.
     """
-    k = cfg.kick()
     meta["baseline"] = "random-phase (rho_eg = 0) steady state at matching rho_ee"
-    mean = np.empty(len(points))
-    base = np.empty(len(points))
+    mean, base = np.empty((2, len(values)))
     used = []
-    for i, (n_c, a, label) in enumerate(points):
-        mean[i], n_used, err = _steady_mean(n_c, a, k, cfg.n_max)
-        base[i], _, err0 = _steady_mean(n_c, AtomState(a.rho_ee, 0.0), k, cfg.n_max)
+    for i, v in enumerate(values):
+        point = _replace(cfg, {name: float(v)})
+        label = f"{name}={v:.6g}"
+        mean[i], n_used, err = _steady_mean(point)
+        base[i], _, err0 = _steady_mean(dataclasses.replace(point, transit_dephase=0.0))
         used.append(n_used)
         for e in (err, err0):
             if e:
                 meta["annotations"].append(f"{label}: {e}")
-        if note_overlap and n_c * cfg.gamma_c * cfg.tau > 1.0:
+        if name == "n_c" and point.derived_n_mean > 1.0:
             meta["annotations"].append(
                 f"{label}: mean intracavity atom number "
-                f"{n_c * cfg.gamma_c * cfg.tau:.3g} exceeds 1; transits overlap"
+                f"{point.derived_n_mean:.3g} exceeds 1; transits overlap"
             )
     meta["n_max_used"] = used
     return mean, base
-
-
-def _nc_points(cfg: RunConfig, nc_values: np.ndarray) -> list[tuple[float, AtomState, str]]:
-    a = cfg.atom()
-    return [(float(n_c), a, f"n_c={n_c:.6g}") for n_c in nc_values]
 
 
 def sweep_pump(cfg: RunConfig, theta_grid: np.ndarray) -> SweepResult:
@@ -282,13 +298,8 @@ def sweep_pump(cfg: RunConfig, theta_grid: np.ndarray) -> SweepResult:
         meta["annotations"].append(
             f"mean intracavity atom number {cfg.derived_n_mean:.3g} exceeds 1"
         )
-    points = [
-        (cfg.derived_n_c, dephase(prepare(float(t), cfg.phi), cfg.transit_dephase),
-         f"theta={t:.6g}")
-        for t in grid
-    ]
     # the flux is the same at every point and is annotated once above
-    mean, base = _solve_curve(cfg, points, meta, note_overlap=False)
+    mean, base = _solve_curve(cfg, "theta", grid, meta)
     return SweepResult(grid, mean, base, meta)
 
 
@@ -309,7 +320,7 @@ def sweep_atoms(cfg: RunConfig, n_grid: np.ndarray) -> SweepResult:
         raise ValueError("excited-atom axis undefined for rho_ee = 0")
     meta = _base_metadata(cfg, "excited-state atom number n_mean * rho_ee")
     nc_values = grid / rho_ee / (cfg.gamma_c * cfg.tau)
-    mean, base = _solve_curve(cfg, _nc_points(cfg, nc_values), meta)
+    mean, base = _solve_curve(cfg, "n_c", nc_values, meta)
     return SweepResult(grid, mean, base, meta)
 
 
@@ -373,10 +384,7 @@ def read_sweep(csv_path: str) -> SweepResult:
 
 def trajectory_config(cfg: RunConfig) -> TrajectoryConfig:
     """Translate a RunConfig into trajectory units (seconds)."""
-    a = cfg.atom()
-    n_max = cfg.n_max
-    if n_max is None:
-        n_max = suggest_n_max(cfg.derived_n_c, a, cfg.g_tau)
+    n_max = cfg.n_max or suggest_n_max(cfg.derived_n_c, cfg.atom(), cfg.g_tau)
     return TrajectoryConfig(
         r=cfg.derived_r,
         gamma_c=cfg.gamma_c,
@@ -395,10 +403,11 @@ def trajectory_config(cfg: RunConfig) -> TrajectoryConfig:
 
 def steady_distribution(cfg: RunConfig) -> tuple[SweepResult, dict]:
     """Steady photon distribution p_n against the Poisson law at the predicted amplitude."""
-    s = steady_state_auto(cfg.derived_n_c, cfg.atom(), cfg.kick(), n_max=cfg.n_max)
+    s = _steady(cfg)
     alpha = predicted_alpha(cfg)
     p_n = photon_distribution(s)
-    pois = stats.poisson.pmf(np.arange(s.dim), abs(alpha) ** 2)
+    n, mu = np.arange(s.dim), abs(alpha) ** 2
+    pois = np.exp(special.xlogy(n, mu) - special.gammaln(n + 1) - mu)
     meta = _base_metadata(cfg, "photon number n")
     meta["baseline"] = "Poisson distribution at the predicted coherent amplitude"
     meta["n_max_used"] = s.n_max
@@ -476,13 +485,16 @@ def transient_buildup(cfg: RunConfig, mode: str = "coarse-ode") -> tuple[SweepRe
     The field basis is the steady state's cutoff. "coarse-ode" integrates
     the master equation, against the steady <n>. "discrete-regular" sends
     atoms 1/n_c apart, one point per atom, against the lossless stepwise
-    emission after the same number of atoms.
+    emission after the same number of atoms; that map has no pump phase
+    noise, so it refuses a linewidth.
     """
     if mode not in ("coarse-ode", "discrete-regular"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "discrete-regular" and cfg.linewidth > 0.0:
+        raise ValueError(f"linewidth must be 0 in discrete-regular mode, got {cfg.linewidth}")
     a, k, n_c = cfg.atom(), cfg.kick(), cfg.derived_n_c
     t_end = cfg.duration
-    s_ss = steady_state_auto(n_c, a, k, n_max=cfg.n_max)
+    s_ss = _steady(cfg)
     q0 = vacuum(s_ss.n_max)
     meta = _base_metadata(cfg, "time [1/gamma_c]")
     if mode == "discrete-regular":
@@ -493,7 +505,8 @@ def transient_buildup(cfg: RunConfig, mode: str = "coarse-ode") -> tuple[SweepRe
         baseline = np.array([0.0] + lossless_sequence(atoms, k))
         meta["baseline"] = "lossless stepwise emission after the same number of atoms"
     else:
-        times, states = evolve(MasterParams(n_c, k, a, s_ss.n_max), q0, t_end)
+        p = MasterParams(n_c, k, a, s_ss.n_max, dephasing=cfg.dephasing)
+        times, states = evolve(p, q0, t_end)
         mean = np.array([mean_photon(s) for s in states])
         baseline = np.full(mean.shape, mean_photon(s_ss))
         meta["baseline"] = "steady-state mean photon number"
@@ -509,8 +522,7 @@ def transient_buildup(cfg: RunConfig, mode: str = "coarse-ode") -> tuple[SweepRe
 def trajectory_ensemble(cfg: RunConfig) -> tuple[SweepResult, dict]:
     """Ensemble-mean <n>(t) of the quantum-jump engine against the master-equation floor."""
     ens = run_ensemble(trajectory_config(cfg))
-    s_ss = steady_state_auto(cfg.derived_n_c, cfg.atom(), cfg.kick(), n_max=cfg.n_max)
-    floor = mean_photon(s_ss)
+    floor = mean_photon(_steady(cfg))
     meta = _base_metadata(cfg, "time [1/gamma_c]")
     meta["baseline"] = "master-equation steady state"
     meta["trajectory"] = ens.metadata
@@ -608,12 +620,7 @@ def _apply_overrides(
         else:
             reads = ", ".join(sorted(extra_keys)) or "none"
             raise ValueError(f"unknown preset override {key!r}; this preset also reads {reads}")
-    if cfg_kw.keys() & {"r", "n_mean", "n_c"}:
-        # flux respecification replaces, not joins, the baked-in choice
-        cfg_kw.setdefault("r", None)
-        cfg_kw.setdefault("n_mean", None)
-        cfg_kw.setdefault("n_c", None)
-    return dataclasses.replace(base, **cfg_kw), extras
+    return _replace(base, cfg_kw), extras
 
 
 def _preset_fig2(overrides: dict | None, out_dir: str) -> dict:
@@ -662,31 +669,18 @@ def _preset_figs1(overrides: dict | None, out_dir: str) -> dict:
 
 
 def _preset_figs3(overrides: dict | None, out_dir: str) -> dict:
-    base = RunConfig(
-        g=_G0, gamma_c=_GAMMA_C0, tau=_TAU0, theta=0.5 * math.pi,
-        n_mean=0.57, t_end=8.0, n_trajectories=300,
-    )
+    base = RunConfig(g=_G0, gamma_c=_GAMMA_C0, tau=_TAU0, theta=0.5 * math.pi, n_mean=0.57)
     cfg, extras = _apply_overrides(base, overrides, {"points", "grid_max"})
     grid = np.array([0.0, 25e3, 50e3, 100e3, 200e3, 400e3, 800e3])
-    if "grid_max" in extras:
-        grid = grid[grid <= float(extras["grid_max"])]
-    if "points" in extras:
-        grid = grid[: int(extras["points"])]
-    a = cfg.atom()
-    base_state = steady_state_auto(cfg.derived_n_c, AtomState(a.rho_ee, 0.0), cfg.kick())
-    floor = mean_photon(base_state)
-    meta = _base_metadata(cfg, "pump RMS linewidth [Hz]")
-    meta["baseline"] = "random-phase master-equation steady state (infinite-linewidth limit)"
-    means = np.empty(grid.shape)
-    errs = np.empty(grid.shape)
-    for i, lw in enumerate(grid):
-        ens = run_ensemble(trajectory_config(dataclasses.replace(cfg, linewidth=float(lw))))
-        means[i] = ens.steady_mean_n
-        errs[i] = ens.steady_stderr
-    meta["steady_stderr"] = errs.tolist()
-    res = SweepResult(grid, means, np.full(grid.shape, floor), meta)
-    csv_path, meta_path = write_sweep(res, out_dir, "figS3")
-    return {"files": [csv_path, meta_path], "mean_n": means.tolist(), "stderr": errs.tolist()}
+    points = extras.get("points", grid.size)
+    if points < 1:
+        raise ValueError(f"'points' must be at least 1, got {points!r}")
+    grid = grid[grid <= extras.get("grid_max", math.inf)][: int(points)]
+    meta = _base_metadata(cfg, "pump FWHM linewidth [Hz]")
+    # the random-phase baseline is the infinite-linewidth limit
+    mean, base = _solve_curve(cfg, "linewidth", grid, meta)
+    res = SweepResult(grid, mean, base, meta)
+    return {"files": list(write_sweep(res, out_dir, "figS3")), "mean_n": mean.tolist()}
 
 
 def _dim_limited_nc(a: AtomState, g_tau: float, nc_target: float, dim_cap: int) -> float:
@@ -722,7 +716,7 @@ def _preset_figs5(overrides: dict | None, out_dir: str) -> dict:
                 f"curve stops at n_c={nc_hi:.4g}, short of the requested "
                 f"{target:.4g}: larger fields exceed the direct-solver guard"
             )
-        mean, basev = _solve_curve(cfg_i, _nc_points(cfg_i, nc_values), meta)
+        mean, basev = _solve_curve(cfg_i, "n_c", nc_values, meta)
         res = SweepResult(nc_values, mean, basev, meta)
         stem = f"figS5_gtau_{g_tau:g}".replace(".", "p")
         csv_path, meta_path = write_sweep(res, out_dir, stem)

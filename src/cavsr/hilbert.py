@@ -14,8 +14,7 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc
 
 from .errors import TruncationError
 
@@ -120,7 +119,7 @@ def photon_distribution(s: FieldState) -> np.ndarray:
 
 def fidelity_to_coherent(s: FieldState, alpha: complex) -> float:
     """<alpha|rho|alpha> against the exact (untruncated) coherent state."""
-    tail = float(poisson.sf(s.n_max, abs(alpha) ** 2))
+    tail = float(pdtrc(s.n_max, abs(alpha) ** 2))  # Poisson mass above n_max
     if tail > 1e-8:
         raise TruncationError(
             f"coherent target |alpha|={abs(alpha):.4g} keeps {tail:.3e} "

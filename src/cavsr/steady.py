@@ -3,15 +3,20 @@
 Time is measured in units of 1/gamma_c throughout this module. With n_c
 atoms crossing per decay time, the field obeys
 
-    dQ/dt = n_c * (kick(Q) - Q) + D(Q)
+    dQ/dt = n_c * (kick(Q) - Q) + D(Q) + P(Q)
 
-where kick is the single-transit update from the interaction module and D is
+where kick is the single-transit update from the interaction module, D is
 the photon-loss dissipator, D(Q)[n,m] = 2 sqrt((n+1)(m+1)) Q[n+1,m+1]
-- (n+m) Q[n,m]. Both pieces are seven-band stencils on the index lattice.
-The solvers build the real, folded matrix of the gauged stencil directly
-and check their results by applying the complex stencil matrix-free;
-build_generator assembles the complex matrix as a reference. A regular
-beam's exact decay-and-kick map is interaction.kick_sequence instead.
+- (n+m) Q[n,m], and P(Q)[n,m] = -(1/2) Gamma_phi (n-m)^2 Q[n,m] is the
+phase diffusion of a pump whose phase walks with variance 2 pi linewidth
+per second, Gamma_phi = 2 pi linewidth / gamma_c (Gardiner & Zoller,
+Quantum Noise). Q is the field in the frame that turns with the pump phase,
+on which p_n and <n> do not depend. All three pieces are seven-band
+stencils on the index lattice. The solvers build the real, folded matrix
+of the gauged stencil directly and check their results by applying the
+complex stencil matrix-free; build_generator assembles the complex matrix
+as a reference. A regular beam's exact decay-and-kick map is
+interaction.kick_sequence instead.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ class MasterParams:
 
     The basis is the Fock window of levels n_lo..n_max; n_lo = 0 is the full
     basis. A window above the vacuum treats every level below n_lo as empty.
+    dephasing is Gamma_phi, the pump's phase noise, in units of gamma_c.
     """
 
     n_c: float
@@ -64,6 +70,7 @@ class MasterParams:
     a: AtomState
     n_max: int
     n_lo: int = 0
+    dephasing: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_c <= 0.0:
@@ -72,6 +79,8 @@ class MasterParams:
             raise ValueError(f"n_max must be at least 1, got {self.n_max}")
         if not 0 <= self.n_lo < self.n_max:
             raise ValueError(f"n_lo must lie in 0..n_max-1, got {self.n_lo}")
+        if self.dephasing < 0.0:
+            raise ValueError(f"dephasing must be non-negative, got {self.dephasing}")
 
     @property
     def dim(self) -> int:
@@ -97,7 +106,7 @@ def _generator_stencil(p: MasterParams) -> dict[tuple[int, int], np.ndarray]:
     st = {off: p.n_c * coef for off, coef in kick_stencil(p.width, p.a, p.k, p.n_lo).items()}
     n = np.arange(p.n_lo, p.n_max + 1, dtype=float)
     nn, mm = np.meshgrid(n, n, indexing="ij")
-    st[(0, 0)] = st[(0, 0)] - p.n_c - (nn + mm)
+    st[(0, 0)] = st[(0, 0)] - p.n_c - (nn + mm) - 0.5 * p.dephasing * (nn - mm) ** 2
     st[(1, 1)] = st[(1, 1)] + 2.0 * np.sqrt((nn + 1.0) * (mm + 1.0))
     return st
 
@@ -333,6 +342,7 @@ def steady_state_auto(
     a: AtomState,
     k: KickParams,
     n_max: int | None = None,
+    dephasing: float = 0.0,
 ) -> FieldState:
     """steady_state with automatic window choice and doubling on tail failure.
 
@@ -343,7 +353,8 @@ def steady_state_auto(
     basis at the same cutoff, since either edge may have failed; on the
     full basis a truncation doubles the cutoff. Doubling is clipped to the
     largest cutoff the guard allows, n_max = DEFAULT_MAX_DIM - 1, so the
-    search gives up only once that cutoff has failed.
+    search gives up only once that cutoff has failed. dephasing is
+    MasterParams'; the window estimate does not read it.
     """
     if n_max is None:
         lo, cur = _window_edges(_predicted_mean(n_c, a, k.g_tau))
@@ -351,7 +362,7 @@ def steady_state_auto(
         lo, cur = 0, max(n_max, 2)
     while True:
         try:
-            return steady_state(MasterParams(n_c, k, a, cur, lo))
+            return steady_state(MasterParams(n_c, k, a, cur, lo, dephasing))
         except TruncationError:
             if lo > 0:
                 lo = 0

@@ -53,7 +53,7 @@ class TrajectoryConfig:
     tau: float                  # transit time, s
     theta: float                # pump pulse area, rad
     injection: str = "poisson"
-    linewidth: float = 0.0      # pump RMS linewidth, Hz; 0 = coherent pump
+    linewidth: float = 0.0      # pump FWHM linewidth, Hz; 0 = coherent pump
     transit_dephase: float = 1.0
     n_max: int = 30
     t_end: float = 0.0          # s

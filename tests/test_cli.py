@@ -173,6 +173,40 @@ def test_transient_discrete_mode_walks_the_atom_grid(capsys, tmp_path, small_con
     assert np.allclose(np.diff(data[:, 0]), 1.0 / 3.0)
 
 
+@pytest.fixture
+def noisy_config(tmp_path, small_config):
+    # small_config with a pump linewidth of 0.5 Hz: phase diffusion at pi gamma_c
+    cfg = json.loads(Path(small_config).read_text(encoding="utf-8"))
+    path = tmp_path / "noisy.json"
+    path.write_text(json.dumps({**cfg, "linewidth": 0.5}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command, key", [("steady", "mean_n"), ("transient", "steady_mean_n")])
+def test_pump_linewidth_lowers_the_steady_field(
+    capsys, tmp_path, small_config, noisy_config, command, key
+):
+    means = []
+    for config in (small_config, noisy_config):
+        rc, out, _ = run_cli(capsys, command, "--config", config, "--out", str(tmp_path))
+        assert rc == 0
+        means.append(out[key])
+    assert means[1] < means[0]
+
+
+def test_discrete_transient_rejects_a_pump_linewidth(capsys, tmp_path, noisy_config):
+    # the exact regular-beam map has no pump phase noise
+    rc, out, err = run_cli(
+        capsys, "transient", "--config", noisy_config, "--out", str(tmp_path / "out"),
+        "--mode", "discrete-regular",
+    )
+    assert rc == 1
+    assert out is None
+    assert err["error"]["type"] == "ValueError"
+    assert "linewidth" in err["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_trajectory_ensemble_summary(capsys, tmp_path, small_config):
     rc, out, _ = run_cli(
         capsys, "trajectory", "--config", small_config, "--out", str(tmp_path),

@@ -21,6 +21,8 @@ from cavsr.experiments import (
     transient_buildup,
     write_sweep,
 )
+from cavsr.hilbert import mean_photon
+from cavsr.steady import steady_state_auto
 
 HALF = 0.5 * math.pi
 
@@ -273,17 +275,27 @@ def test_preset_sequential_emission(tmp_path):
 
 
 def test_preset_phase_noise_robustness(tmp_path):
-    out = preset(
-        "figS3",
-        {"grid_max": 50e3, "n_trajectories": 40, "t_end": 4.0},
-        out_dir=str(tmp_path),
-    )
+    out = preset("figS3", {"grid_max": 200e3}, out_dir=str(tmp_path))
     res = read_sweep(str(tmp_path / "figS3.csv"))
-    assert res.axis.shape == (3,)
-    assert np.all(np.isfinite(res.mean_n))
+    assert res.axis.shape == (5,)
+    assert out["mean_n"] == res.mean_n.tolist()
+    # each mean is the master equation at the linewidth's phase-diffusion rate
+    cfg = RunConfig(**res.metadata["config"])
+    a, k = cfg.atom(), cfg.kick()
+    for lw, mean in zip(res.axis, res.mean_n):
+        rate = 2.0 * math.pi * lw / cfg.gamma_c
+        assert mean == mean_photon(steady_state_auto(cfg.derived_n_c, a, k, dephasing=rate))
+    assert np.all(np.diff(res.mean_n) < 0.0)
+    # the random-phase pump has no phase to diffuse
     assert np.all(res.baseline == res.baseline[0])
-    assert len(res.metadata["steady_stderr"]) == 3
-    assert len(out["mean_n"]) == 3
+    assert np.all(res.mean_n > res.baseline)
+
+
+def test_preset_phase_noise_rejects_a_point_count_below_one(tmp_path):
+    for points in (0, -2):
+        with pytest.raises(ValueError, match="'points'"):
+            preset("figS3", {"points": points}, out_dir=str(tmp_path))
+    assert not list(tmp_path.iterdir())
 
 
 def test_preset_saturation_curves(tmp_path):
@@ -317,6 +329,13 @@ def test_discrete_transient_steps_land_on_injection_grid():
     assert np.allclose(np.diff(res.axis), 0.1)
     assert res.mean_n[-1] == pytest.approx(2.75e-3, rel=0.2)
     assert summary["final_mean_n"] == res.mean_n[-1]
+
+
+def test_coarse_transient_relaxes_to_the_dephased_steady_state():
+    # a linewidth of 0.5 Hz diffuses the field's phase at pi gamma_c, which
+    # also speeds the coherence's relaxation
+    _, summary = transient_buildup(small_cavity(linewidth=0.5, t_end=8.0))
+    assert summary["final_mean_n"] == pytest.approx(summary["steady_mean_n"], rel=1e-4)
 
 
 def test_transient_rejects_an_unknown_mode():

@@ -30,7 +30,8 @@ from cavsr.steady import (
     suggest_n_max,
 )
 
-HALF = prepare(math.pi / 2.0)
+HALF_PULSE = math.pi / 2.0
+HALF = prepare(HALF_PULSE)
 
 
 def test_generator_reduces_to_decay_at_zero_flux():
@@ -215,6 +216,47 @@ def test_phased_solution_is_gauge_covariant_at_any_phase(theta, phi):
         _check_gauge_covariance(theta, phi, 2.0 * math.pi - theta, phi + math.pi)
     else:
         _check_gauge_covariance(theta, phi, theta, phi)
+
+
+def test_phase_diffusion_is_the_generator_diagonal():
+    # -(1/2) Gamma_phi (n - m)^2 on vec(Q), on the full basis and on a window
+    a = dephase(prepare(1.1, 0.7), 0.8)
+    for n_lo in (0, 3):
+        p = MasterParams(20.0, KickParams(0.1), a, 9, n_lo)
+        n = np.arange(n_lo, 10)
+        term = -0.5 * 2.5 * ((n[:, None] - n[None, :]) ** 2).ravel()
+        diff = build_generator(dataclasses.replace(p, dephasing=2.5)) - build_generator(p)
+        assert np.max(np.abs(diff.toarray() - np.diag(term))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n_c, theta, coherence", [(10.0, HALF_PULSE, 1.0), (3.0, 1.1, 1.0), (10.0, 2.0, 0.5)]
+)
+def test_dephased_beam_matches_the_small_angle_closed_form(n_c, theta, coherence):
+    # to lowest order in g_tau, <a> relaxes at 1 + Gamma_phi / 2 instead of 1,
+    # so only the coherent part shrinks:
+    # <n> = n_c g_tau^2 rho_ee / 2 + (n_c g_tau |rho_eg|)^2 / (1 + Gamma_phi / 2)
+    a = dephase(prepare(theta), coherence)
+    g_tau = 0.002
+    for rate in (0.0, 0.5, 2.0, 10.0):
+        s = steady_state_auto(n_c, a, KickParams(g_tau), dephasing=rate)
+        coherent = (n_c * g_tau * abs(a.rho_eg)) ** 2 / (1.0 + 0.5 * rate)
+        ref = 0.5 * n_c * g_tau**2 * a.rho_ee + coherent
+        assert mean_photon(s) == pytest.approx(ref, rel=1e-4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.floats(0.1, 300.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.005, 0.3),
+    st.floats(0.0, 100.0),
+)
+def test_dephasing_leaves_the_random_phase_state_alone(n_c, rho_ee, g_tau, rate):
+    # with rho_eg = 0 the steady state is diagonal, where (n - m)^2 vanishes
+    a, k = AtomState(rho_ee, 0.0), KickParams(g_tau)
+    s = steady_state_auto(n_c, a, k, dephasing=rate)
+    assert np.array_equal(s.q, steady_state_auto(n_c, a, k).q)
 
 
 def test_solution_matches_recursion_exactly():
@@ -411,3 +453,5 @@ def test_master_params_validation():
     for n_lo in (-1, 5):
         with pytest.raises(ValueError):
             MasterParams(1.0, KickParams(0.1), HALF, 5, n_lo=n_lo)
+    with pytest.raises(ValueError, match="dephasing"):
+        MasterParams(1.0, KickParams(0.1), HALF, 5, dephasing=-1.0)
