@@ -64,6 +64,13 @@ _TAU0 = 101e-9
 _FLUX = ("r", "n_mean", "n_c")
 
 
+def _require_finite(**values) -> None:
+    """Refuse NaN and infinities, which both JSON and argparse read as floats."""
+    for name, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """One experiment's physical parameters.
@@ -92,6 +99,7 @@ class RunConfig:
     n_trajectories: int = 500
 
     def __post_init__(self) -> None:
+        _require_finite(**dataclasses.asdict(self))
         for name in ("g", "gamma_c", "tau"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -104,6 +112,8 @@ class RunConfig:
             )
         if getattr(self, given[0]) <= 0.0:
             raise ValueError(f"{given[0]} must be positive")
+        if not 0.0 <= self.transit_dephase <= 1.0:
+            raise ValueError(f"transit_dephase must lie in [0, 1], got {self.transit_dephase}")
         if self.injection not in INJECTIONS:
             raise ValueError(f"injection must be one of {INJECTIONS}, got {self.injection!r}")
         for name, least in (("linewidth", 0), ("t_end", 0), ("n_max", 1),
@@ -431,6 +441,7 @@ def pump_response(
     cfg: RunConfig, theta_max: float = 1.25 * math.pi, points: int = 51
 ) -> tuple[SweepResult, dict]:
     """sweep_pump on `points` pulse areas from 0 to theta_max, and where <n> peaks."""
+    _require_finite(theta_max=theta_max)
     res = sweep_pump(cfg, np.linspace(0.0, float(theta_max), int(points)))
     i_peak = int(np.nanargmax(res.mean_n))
     return res, {
@@ -451,6 +462,7 @@ def atom_scaling(
 
     The grid is logarithmic unless linear is set.
     """
+    _require_finite(grid_min=grid_min, grid_max=grid_max)
     space = np.linspace if linear else np.geomspace
     res = sweep_atoms(cfg, space(float(grid_min), float(grid_max), int(points)))
     return res, {
@@ -613,6 +625,7 @@ def _apply_overrides(
     for key, value in overrides.items():
         if key in extra_keys:
             _check_kind(key, value, "a number")
+            _require_finite(**{key: value})
             extras[key] = value
         elif key in known:
             _check_kind(key, value, known[key])
@@ -653,7 +666,6 @@ def _preset_fig3(overrides: dict | None, out_dir: str) -> dict:
 
 
 def _preset_figs1(overrides: dict | None, out_dir: str) -> dict:
-    # g_tau = 0.01 keeps the second-order bunched comparator honest at N = 20
     base = RunConfig(g=_G0, gamma_c=_GAMMA_C0, tau=0.01 / _G0, theta=0.5 * math.pi, n_c=20.0)
     cfg, extras = _apply_overrides(base, overrides, {"atoms"})
     res, summary = lossless_emission(cfg, **extras)

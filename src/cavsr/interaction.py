@@ -12,7 +12,8 @@ S_n = sin(sqrt(n+1)*g_tau), and the boundary values C_{-1} = 1, S_{-1} = 0:
 
 with ree = rho_ee, rgg = 1 - rho_ee, reg = rho_eg, rge = conj(rho_eg). The
 same seven-band stencil feeds the master-equation generator, so it lives
-here once, as coefficient arrays keyed by the index offset (dn, dm).
+here once: kick_stencil takes the absolute levels (n, m) to evaluate at
+and returns coefficient arrays keyed by the index offset (dn, dm).
 
 kick_sequence kicks one atom after another, the field decaying for a fixed
 gap before each: a regular beam, or with no gap the lossless cavity.
@@ -32,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from .atom import AtomState
-from .dicke import EnsembleSpec, decompose_product_state, ensemble_rate
+from .dicke import EnsembleSpec, decompose_product_state
 from .errors import DegenerateBranchError, TruncationError
 from .hilbert import FieldState, apply_decay, mean_photon, vacuum
 
@@ -83,31 +84,29 @@ def rabi_tables(dim: int, g_tau: float) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def kick_stencil(
-    dim: int, a: AtomState, k: KickParams, n_lo: int = 0
+    a: AtomState, k: KickParams, n: np.ndarray, m: np.ndarray
 ) -> dict[tuple[int, int], np.ndarray]:
-    """Coefficient arrays of the kick map, keyed by source offset (dn, dm).
+    """Coefficients of the kick map at the levels (n, m), keyed by source offset (dn, dm).
 
-    The arrays cover the dim levels n_lo..n_lo+dim-1: entry (dn, dm) holds
-    the dim x dim coefficient multiplying Q[n+dn, m+dm] in the update of
-    Q'[n, m], local indices counted from n_lo; rows whose source index
-    leaves 0..dim-1 contribute nothing regardless of the stored
-    coefficient. The tables are slices of the full ones, so the lower edge
-    of a window above the vacuum carries C_{n_lo-1} = cos(sqrt(n_lo) g_tau),
-    and the stencil equals the full basis's restricted to the window.
+    n and m are broadcastable integer arrays of absolute Fock levels; entry
+    (dn, dm) holds the coefficient multiplying Q[n+dn, m+dm] in the update of
+    Q'[n, m]. Sources outside the caller's lattice contribute nothing whatever
+    the stored coefficient. A window above the vacuum gets the full basis's
+    coefficients: its lower edge n_lo carries C_{n_lo-1} = cos(sqrt(n_lo) g_tau).
     """
-    c, s, cm, sm = (t[n_lo:] for t in rabi_tables(n_lo + dim, k.g_tau))
+    c, s, cm, sm = rabi_tables(int(max(np.max(n), np.max(m))) + 1, k.g_tau)
     ree = a.rho_ee
     rgg = a.rho_gg
     reg = a.rho_eg
     rge = a.rho_ge
     return {
-        (0, 0): (ree * np.outer(c, c) + rgg * np.outer(cm, cm)).astype(complex),
-        (1, 1): (rgg * np.outer(s, s)).astype(complex),
-        (-1, -1): (ree * np.outer(sm, sm)).astype(complex),
-        (0, 1): 1j * reg * np.outer(c, s),
-        (1, 0): -1j * rge * np.outer(s, c),
-        (0, -1): 1j * rge * np.outer(cm, sm),
-        (-1, 0): -1j * reg * np.outer(sm, cm),
+        (0, 0): (ree * (c[n] * c[m]) + rgg * (cm[n] * cm[m])).astype(complex),
+        (1, 1): (rgg * (s[n] * s[m])).astype(complex),
+        (-1, -1): (ree * (sm[n] * sm[m])).astype(complex),
+        (0, 1): 1j * reg * (c[n] * s[m]),
+        (1, 0): -1j * rge * (s[n] * c[m]),
+        (0, -1): 1j * rge * (cm[n] * sm[m]),
+        (-1, 0): -1j * reg * (sm[n] * cm[m]),
     }
 
 
@@ -128,7 +127,7 @@ def jc_kick(s: FieldState, a: AtomState, k: KickParams) -> FieldState:
     on the truncated space that shows up as a trace deficit, because the
     branch |e, n_max> -> |g, n_max + 1> has nowhere to land.
     """
-    out = apply_stencil(s.q, kick_stencil(s.dim, a, k))
+    out = apply_stencil(s.q, kick_stencil(a, k, *np.ogrid[: s.dim, : s.dim]))
     leak = abs(float(np.real(np.trace(s.q) - np.trace(out))))
     if leak > _LEAK_TOL:
         raise TruncationError(
@@ -138,7 +137,7 @@ def jc_kick(s: FieldState, a: AtomState, k: KickParams) -> FieldState:
 
 
 def jc_kick_pure(
-    amp: np.ndarray, a_pure: tuple[float, float, float], k: KickParams
+    amp: np.ndarray, a_pure: tuple[complex, complex, float], k: KickParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact resonant evolution of (pure atom) x (pure field) for angle g_tau.
 
@@ -257,12 +256,7 @@ def _tavis_cummings_mean_n(spec: EnsembleSpec, g_tau: float) -> float:
 def bunched_mean_n(n_atoms: int, theta: float, phi: float, k: KickParams) -> float:
     """<n> emitted when n_atoms cross the lossless cavity simultaneously.
 
-    Exact joint evolution up to 6 atoms; beyond that the collective
-    second-order emission (g_tau)^2 times the collective rate of
-    dicke.ensemble_rate, which is what the exact result reduces to for small
-    g_tau*sqrt(N).
+    Exact joint evolution in the Tavis-Cummings blocks, up to
+    decompose_product_state's atom limit.
     """
-    spec = EnsembleSpec.from_pulse(n_atoms, theta, phi)
-    if n_atoms <= 6:
-        return _tavis_cummings_mean_n(spec, k.g_tau)
-    return k.g_tau**2 * ensemble_rate(n_atoms, spec.atom_state())
+    return _tavis_cummings_mean_n(EnsembleSpec.from_pulse(n_atoms, theta, phi), k.g_tau)

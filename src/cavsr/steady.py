@@ -12,10 +12,11 @@ phase diffusion of a pump whose phase walks with variance 2 pi linewidth
 per second, Gamma_phi = 2 pi linewidth / gamma_c (Gardiner & Zoller,
 Quantum Noise). Q is the field in the frame that turns with the pump phase,
 on which p_n and <n> do not depend. All three pieces are seven-band
-stencils on the index lattice. The solvers build the real, folded matrix
-of the gauged stencil directly and check their results by applying the
-complex stencil matrix-free; build_generator assembles the complex matrix
-as a reference. A regular beam's exact decay-and-kick map is
+stencils, one function of the absolute levels (n, m) that each consumer
+evaluates where it reads it: the solvers fold the gauged stencil's rows
+n <= m into a real matrix and check their results by applying the complex
+stencil matrix-free; build_generator assembles the complex matrix on all
+rows as a reference. A regular beam's exact decay-and-kick map is
 interaction.kick_sequence instead.
 """
 
@@ -93,36 +94,34 @@ class MasterParams:
         return self.n_max - self.n_lo + 1
 
 
-def _generator_stencil(p: MasterParams) -> dict[tuple[int, int], np.ndarray]:
-    """The one description of L on the window, laid out as kick_stencil.
-
-    The guard is checked here, before anything sized by the window exists.
-    """
+def _check_guard(p: MasterParams) -> None:
+    """Refuse a basis past DEFAULT_MAX_DIM, before anything sized by the window exists."""
     if p.dim > DEFAULT_MAX_DIM:
         raise ResourceError(
             f"generator dimension {p.dim}^2 exceeds the solver guard ({DEFAULT_MAX_DIM}^2); "
             "the direct factorization would not fit"
         )
-    st = {off: p.n_c * coef for off, coef in kick_stencil(p.width, p.a, p.k, p.n_lo).items()}
-    n = np.arange(p.n_lo, p.n_max + 1, dtype=float)
-    nn, mm = np.meshgrid(n, n, indexing="ij")
-    st[(0, 0)] = st[(0, 0)] - p.n_c - (nn + mm) - 0.5 * p.dephasing * (nn - mm) ** 2
-    st[(1, 1)] = st[(1, 1)] + 2.0 * np.sqrt((nn + 1.0) * (mm + 1.0))
+
+
+def _generator_stencil(p: MasterParams, n: np.ndarray, m: np.ndarray) -> dict:
+    """The one description of L, at the absolute levels (n, m) as in kick_stencil."""
+    st = {off: p.n_c * coef for off, coef in kick_stencil(p.a, p.k, n, m).items()}
+    st[(0, 0)] = st[(0, 0)] - p.n_c - (n + m) - 0.5 * p.dephasing * (n - m) ** 2
+    st[(1, 1)] = st[(1, 1)] + 2.0 * np.sqrt((n + 1.0) * (m + 1.0))
     return st
 
 
-def _triplets(stencil: dict, dim: int, rows: np.ndarray, col: np.ndarray) -> list[np.ndarray]:
+def _triplets(coefs: dict, dim: int, n: np.ndarray, m: np.ndarray, col: np.ndarray) -> list:
     """COO (row, column, value) arrays of a stencil on the dim x dim lattice.
 
-    rows holds the row-major indices n * dim + m of the rows to build, and
-    row i of the result is rows[i]; col maps each row-major index to its
-    column. Sources outside the lattice contribute nothing.
+    Row i of the result is the local entry (n[i], m[i]), coefs holds the
+    coefficients at those rows, and col maps each row-major index n * dim + m
+    to its column. Sources outside the lattice contribute nothing.
     """
-    n, m = np.divmod(rows, dim)
     parts = []
-    for (dn, dm), coef in stencil.items():
+    for (dn, dm), coef in coefs.items():
         ok = (n + dn >= 0) & (n + dn < dim) & (m + dm >= 0) & (m + dm < dim)
-        parts.append((np.flatnonzero(ok), col[rows[ok] + dn * dim + dm], coef.ravel()[rows[ok]]))
+        parts.append((np.flatnonzero(ok), col[(n[ok] + dn) * dim + m[ok] + dm], coef[ok]))
     return [np.concatenate(x) for x in zip(*parts)]
 
 
@@ -136,8 +135,11 @@ def build_generator(p: MasterParams) -> scipy.sparse.csc_matrix:
     and the loss terms cancel in pairs. The solvers never assemble L; it is
     the reference their results are checked against.
     """
+    _check_guard(p)
     size = p.width * p.width
-    rows, cols, vals = _triplets(_generator_stencil(p), p.width, np.arange(size), np.arange(size))
+    n, m = np.divmod(np.arange(size), p.width)
+    coefs = _generator_stencil(p, n + p.n_lo, m + p.n_lo)
+    rows, cols, vals = _triplets(coefs, p.width, n, m, np.arange(size))
     return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsc()
 
 
@@ -170,20 +172,21 @@ def _folded_generator(p: MasterParams) -> tuple[scipy.sparse.coo_matrix, np.ndar
     and the columns of (n, m) and (m, n) fold into one: two COO entries that
     a conversion sums.
     """
+    _check_guard(p)
     beta = _gauge_angle(p.a)
+    dim = p.width
+    upper_n, upper_m = np.triu_indices(dim)
     # imaginary parts are roundoff in the right gauge; steady_state's residual
     # on the ungauged stencil would show a wrong one
     st = {
         (dn, dm): (coef * np.exp(1j * beta * (dn - dm))).real
-        for (dn, dm), coef in _generator_stencil(p).items()
+        for (dn, dm), coef in _generator_stencil(p, upper_n + p.n_lo, upper_m + p.n_lo).items()
     }
-    dim = p.width
-    upper_n, upper_m = np.triu_indices(dim)
     red = np.empty((dim, dim), dtype=np.int64)
     red[upper_n, upper_m] = np.arange(upper_n.size)
     red[upper_m, upper_n] = red[upper_n, upper_m]
     red = red.ravel()
-    rows, cols, vals = _triplets(st, dim, upper_n * dim + upper_m, red)
+    rows, cols, vals = _triplets(st, dim, upper_n, upper_m, red)
     return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(upper_n.size,) * 2), red
 
 
@@ -224,13 +227,11 @@ def steady_state(p: MasterParams) -> FieldState:
     lu = scipy.sparse.linalg.splu(a, permc_spec="MMD_ATA")
     x = lu.solve(b)
 
-    # built after the factorization, not shared with the fold: held across
-    # it, the stencil would raise the solve's peak memory
-    wider = dataclasses.replace(p, n_lo=max(p.n_lo - 1, 0))
-    pad = p.n_lo - wider.n_lo
-    stencil = _generator_stencil(wider)
+    lo = max(p.n_lo - 1, 0)  # the checks read the window padded one level below
+    pad = p.n_lo - lo
+    stencil = _generator_stencil(p, *np.ogrid[lo : p.n_max + 1, lo : p.n_max + 1])
     u = _gauge(p)
-    padded = np.zeros((wider.width, wider.width), dtype=complex)
+    padded = np.zeros((dim + pad, dim + pad), dtype=complex)
 
     def flow(sol: np.ndarray) -> tuple[np.ndarray, float]:
         padded[pad:, pad:] = sol[red].reshape(dim, dim) * u
@@ -391,8 +392,8 @@ def evolve(
         raise ValueError(f"evolve runs on the full basis, got n_lo={p.n_lo}")
     if q0.dim != p.dim:
         raise ValueError(f"q0 has dim {q0.dim}, params expect {p.dim}")
-    if t_end < 0.0:
-        raise ValueError(f"t_end must be non-negative, got {t_end}")
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
     if t_end == 0.0:
         return np.zeros(1), [q0]
     g, red = _folded_generator(p)

@@ -29,6 +29,7 @@ from collections.abc import Iterator
 import numpy as np
 import scipy.optimize
 
+from .dicke import EnsembleSpec
 from .errors import ConvergenceError, TruncationError
 from .interaction import KickParams, jc_kick_pure, measure_atom
 
@@ -62,8 +63,10 @@ class TrajectoryConfig:
 
     def __post_init__(self) -> None:
         for name in ("r", "gamma_c", "g", "tau", "linewidth", "theta", "t_end"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            # a NaN or infinite t_end or r would keep the event loop from ending
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.injection not in INJECTIONS:
             raise ValueError(f"injection must be one of {INJECTIONS}, got {self.injection!r}")
         if not 0.0 <= self.transit_dephase <= 1.0:
@@ -176,8 +179,7 @@ def run_trajectory(cfg: TrajectoryConfig, seed: int) -> TrajectoryResult:
     amp = np.zeros(n.size, dtype=complex)
     amp[0] = 1.0
     kick = KickParams(cfg.g_tau)
-    c_e = math.sin(0.5 * cfg.theta)
-    c_g = math.cos(0.5 * cfg.theta)
+    atom = EnsembleSpec.from_pulse(1, cfg.theta)
     p_scramble = 1.0 - cfg.transit_dephase
 
     event_t = [0.0]
@@ -213,7 +215,7 @@ def run_trajectory(cfg: TrajectoryConfig, seed: int) -> TrajectoryResult:
         if p_scramble > 0.0 and rng.random() < p_scramble:
             phi_k = rng.uniform(0.0, 2.0 * math.pi)
         # both looked up here as module globals: the benchmark's traced run wraps them there
-        e, g = jc_kick_pure(amp, (c_e, c_g, phi_k), kick)
+        e, g = jc_kick_pure(amp, (atom.c_e, atom.c_g, phi_k), kick)
         _outcome, amp, _prob = measure_atom(e, g, rng.random())
         pops = np.abs(amp) ** 2
         top = float(pops[-1])

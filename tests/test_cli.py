@@ -318,7 +318,10 @@ def test_config_field_of_the_wrong_type_is_a_clean_error(
 @pytest.mark.parametrize(
     "key, value",
     [("injection", "regularr"), ("linewidth", -5.0), ("t_end", -1.0), ("n_max", 0),
-     ("n_trajectories", 0), ("seed", -1)],
+     ("n_trajectories", 0), ("seed", -1), ("transit_dephase", 1.5),
+     # JSON reads NaN and Infinity as floats
+     ("n_c", math.nan), ("g", math.nan), ("t_end", math.nan), ("tau", math.inf),
+     ("phi", -math.inf)],
 )
 def test_config_field_out_of_range_is_a_clean_error(capsys, tmp_path, coherent_config, key, value):
     # the range is checked when the config is read, not only by the commands that use it
@@ -329,6 +332,35 @@ def test_config_field_out_of_range_is_a_clean_error(capsys, tmp_path, coherent_c
     assert rc == 1
     assert out is None
     assert err["error"]["type"] == "ValueError"
+    assert err["error"]["message"].startswith(key)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [(["sweep-atoms", "--grid-min", "nan"], "grid_min"),
+     (["sweep-atoms", "--grid-max", "inf"], "grid_max"),
+     (["sweep-pump", "--theta-max", "nan"], "theta_max")],
+)
+def test_non_finite_flag_is_a_clean_error(capsys, tmp_path, small_config, argv, key):
+    # refused while the run is set up, before any solve starts
+    rc, out, err = run_cli(capsys, *argv, "--config", small_config, "--out", str(tmp_path / "out"))
+    assert rc == 1
+    assert out is None
+    assert err["error"]["type"] == "ValueError"
+    assert err["error"]["message"].startswith(key)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, key", [("fig3", "grid_min"), ("figS3", "grid_max")])
+def test_non_finite_preset_grid_is_a_clean_error(capsys, tmp_path, name, key):
+    ov = tmp_path / "ov.json"
+    ov.write_text(json.dumps({key: math.nan}), encoding="utf-8")
+    rc, out, err = run_cli(
+        capsys, "preset", name, "--config", str(ov), "--out", str(tmp_path / "out")
+    )
+    assert rc == 1
+    assert out is None
     assert err["error"]["message"].startswith(key)
     assert not (tmp_path / "out").exists()
 

@@ -57,6 +57,10 @@ def test_config_rejects_bad_scales():
         small_cavity(tau=-1e-6)
     with pytest.raises(ValueError):
         small_cavity(theta=-0.1)
+    # a --t-end flag replaces the field after the file is read; a NaN duration
+    # must stop here, since the transient integrator would never return on it
+    with pytest.raises(ValueError, match="^t_end must be finite"):
+        dataclasses.replace(small_cavity(), t_end=math.nan)
 
 
 def test_derived_flux_quantities_are_consistent():

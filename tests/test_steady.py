@@ -103,9 +103,35 @@ def test_window_generator_is_the_restricted_full_one(n_lo, width, theta, phi, co
     levels = np.arange(n_lo, n_max + 1)
     idx = (levels[:, None] * (n_max + 1) + levels[None, :]).ravel()
     assert np.max(np.abs(window - full[np.ix_(idx, idx)])) <= 1e-15
-    full_kick = kick_stencil(n_max + 1, a, k)
-    for off, coef in kick_stencil(width + 1, a, k, n_lo).items():
+    full_levels = np.arange(n_max + 1)
+    full_kick = kick_stencil(a, k, full_levels[:, None], full_levels[None, :])
+    for off, coef in kick_stencil(a, k, levels[:, None], levels[None, :]).items():
         assert np.max(np.abs(coef - full_kick[off][n_lo:, n_lo:])) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 30),
+    st.integers(1, 12),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(-math.pi, math.pi),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 5.0),
+)
+def test_stencil_on_paired_levels_is_its_broadcast_evaluation(
+    n_lo, width, theta, phi, coherence, rate
+):
+    # the fold evaluates the one description on paired 1-D level arrays, the
+    # checks on a broadcast 2-D lattice: the same entries must come out
+    a = dephase(prepare(theta, phi), coherence)
+    p = MasterParams(40.0, KickParams(0.3), a, n_lo + width, n_lo, rate)
+    levels = np.arange(n_lo, p.n_max + 1)
+    lattice = steady._generator_stencil(p, levels[:, None], levels[None, :])
+    upper_n, upper_m = np.triu_indices(p.width)
+    paired = steady._generator_stencil(p, upper_n + n_lo, upper_m + n_lo)
+    assert paired.keys() == lattice.keys()
+    for off, coef in paired.items():
+        assert np.array_equal(coef, lattice[off][upper_n, upper_m])
 
 
 @settings(max_examples=40, deadline=None)
@@ -441,6 +467,10 @@ def test_evolve_input_validation():
         evolve(p, vacuum(5), 1.0)
     with pytest.raises(ValueError):
         evolve(p, vacuum(8), -1.0)
+    # a NaN duration takes the same check; it is left out here because an
+    # unchecked one would keep the integrator from ever returning
+    with pytest.raises(ValueError, match="finite"):
+        evolve(p, vacuum(8), math.inf)
     with pytest.raises(ValueError, match="full basis"):
         evolve(MasterParams(5.0, KickParams(0.05), HALF, 8, n_lo=2), vacuum(8), 1.0)
 

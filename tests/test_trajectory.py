@@ -222,6 +222,10 @@ def test_cutoff_overflow_is_reported():
 def test_config_validation():
     with pytest.raises(ValueError):
         cavity_cfg(r=-1.0)
+    # constructed only: run, an unchecked NaN duration never returns
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^t_end must be finite"):
+            cavity_cfg(t_end=value)
     with pytest.raises(ValueError):
         cavity_cfg(injection="burst")
     with pytest.raises(ValueError):
