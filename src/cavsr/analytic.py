@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .atom import AtomState
-from .errors import DivergenceError, TruncationError
+from .errors import DivergenceError, TruncationError, check_range
 
 __all__ = [
     "pn_random_phase",
@@ -40,10 +40,10 @@ def pn_random_phase(n_c: float, rho_ee: float, g_tau: float, n_max: int) -> np.n
     never touches the generator matrix, so it doubles as an independent
     oracle for the steady-state solver.
     """
-    if not 0.0 <= rho_ee <= 1.0:
-        raise ValueError(f"rho_ee must lie in [0, 1], got {rho_ee}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    check_range("n_c", n_c)
+    check_range("rho_ee", rho_ee, 0.0, 1.0)
+    check_range("g_tau", g_tau)
+    check_range("n_max", n_max, 1)
 
     def ratio(k: np.ndarray) -> np.ndarray:
         s2 = np.sin(np.sqrt(k) * g_tau) ** 2
@@ -56,12 +56,12 @@ def pn_random_phase(n_c: float, rho_ee: float, g_tau: float, n_max: int) -> np.n
     p = w / np.sum(w)
     # estimate the mass the cutoff cannot hold: continue the recursion one step
     r_next = float(ratio(np.array([n_max + 1.0]))[0])
-    if r_next >= 1.0:
+    if not r_next < 1.0:
         raise TruncationError(
             f"distribution still growing at n_max={n_max} (ratio {r_next:.3f})"
         )
     tail = p[-1] * r_next / (1.0 - r_next)
-    if tail > 1e-8:
+    if not tail <= 1e-8:
         raise TruncationError(
             f"approximately {tail:.3e} probability lies beyond n_max={n_max}"
         )
@@ -76,8 +76,10 @@ def mean_n_noncollective(p: float, rho_ee: float) -> float:
     lasing divergence of the linearized theory, reported as an error rather
     than a number.
     """
+    check_range("p", p)
+    check_range("rho_ee", rho_ee)
     den = 1.0 + 0.5 * (1.0 - 2.0 * rho_ee) * p
-    if den <= 0.0:
+    if not den > 0.0:
         raise DivergenceError(
             f"no finite small-angle steady state at p={p}, rho_ee={rho_ee}"
         )
@@ -103,8 +105,7 @@ def n_eff(injection: str, n_c: float) -> float:
     gives 1/(exp(1/n_c) - 1), slightly smaller because the nearest
     predecessors are held at full spacing instead of clustering.
     """
-    if n_c <= 0.0:
-        raise ValueError(f"n_c must be positive, got {n_c}")
+    check_range("n_c", n_c, 0.0, open_lo=True)
     if injection == "poisson":
         return n_c
     if injection == "regular":
@@ -117,8 +118,8 @@ def n_eff(injection: str, n_c: float) -> float:
 
 def emission_rate_per_atom(n_eff_value: float, a: AtomState, g: float, tau: float) -> float:
     """Per-atom photon emission rate rho_ee g^2 tau + 2 n_eff |rho_eg|^2 g^2 tau."""
-    if n_eff_value < 0.0 or g < 0.0 or tau < 0.0:
-        raise ValueError("n_eff, g, and tau must all be non-negative")
+    for name, value in (("n_eff", n_eff_value), ("g", g), ("tau", tau)):
+        check_range(name, value, 0.0)
     g2t = g * g * tau
     return a.rho_ee * g2t + 2.0 * n_eff_value * abs(a.rho_eg) ** 2 * g2t
 
@@ -144,12 +145,12 @@ def saturation_nc(g_tau: float, theta: float) -> float:
     where the semiclassical balance still gives a log-log slope of 1.29;
     the slope falls below 0.3 only past n_c ~ 14.1 (g_tau)^-2.
     """
-    if g_tau <= 0.0:
-        raise ValueError(f"g_tau must be positive, got {g_tau}")
+    check_range("g_tau", g_tau, 0.0, open_lo=True)
+    check_range("theta", theta)
     s = math.sin(theta)
     # rounding leaves sin(pi) at ~1e-16, which would turn the divergence at
     # theta = pi into a garbage 1e20; treat near-zero as zero
-    if abs(s) < 1e-12:
+    if not abs(s) >= 1e-12:
         raise ValueError(f"saturation scale undefined at sin(theta)=0 (theta={theta})")
     return theta / s / g_tau**2
 
@@ -159,7 +160,7 @@ def beta_factors(n_c: float, a: AtomState, g_tau: float) -> tuple[float, float]:
 
     beta = (g_tau)^2; beta_coll = 2 n_c (|rho_eg|^2 / rho_ee) (g_tau)^2.
     """
-    if a.rho_ee <= 0.0:
+    if not a.rho_ee > 0.0:
         raise ValueError("beta_coll undefined for rho_ee = 0")
     beta = g_tau * g_tau
     return beta, 2.0 * n_c * abs(a.rho_eg) ** 2 / a.rho_ee * beta

@@ -11,6 +11,8 @@ import cmath
 import dataclasses
 import math
 
+from .errors import check_range
+
 __all__ = ["AtomState", "prepare", "dephase", "pair_correlation"]
 
 # slack on the positivity bound |rho_eg|^2 <= rho_ee*(1 - rho_ee)
@@ -23,10 +25,10 @@ class AtomState:
     rho_eg: complex
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rho_ee <= 1.0:
-            raise ValueError(f"rho_ee must lie in [0, 1], got {self.rho_ee}")
+        check_range("rho_ee", self.rho_ee, 0.0, 1.0)
+        check_range("rho_eg", abs(self.rho_eg))
         bound = math.sqrt(self.rho_ee * (1.0 - self.rho_ee))
-        if abs(self.rho_eg) > bound + _POSITIVITY_TOL:
+        if not abs(self.rho_eg) <= bound + _POSITIVITY_TOL:
             raise ValueError(
                 f"|rho_eg|={abs(self.rho_eg):.6g} exceeds the positivity bound "
                 f"{bound:.6g} for rho_ee={self.rho_ee}"
@@ -50,8 +52,8 @@ def prepare(theta: float, phi: float = 0.0) -> AtomState:
     this sign convention a phased ensemble drives the cavity toward the
     coherent amplitude -i * n_c * rho_eg * g_tau.
     """
-    if theta < 0.0:
-        raise ValueError(f"pulse area must be non-negative, got {theta}")
+    check_range("theta", theta, 0.0)
+    check_range("phi", phi)
     rho_ee = math.sin(0.5 * theta) ** 2
     rho_eg = 0.5 * math.sin(theta) * cmath.exp(-1j * phi)
     # sin(theta) can land a hair outside the positivity bound at roundoff level
@@ -63,8 +65,7 @@ def prepare(theta: float, phi: float = 0.0) -> AtomState:
 
 def dephase(a: AtomState, factor: float) -> AtomState:
     """Shrink the coherence by a factor in [0, 1], leaving populations alone."""
-    if not 0.0 <= factor <= 1.0:
-        raise ValueError(f"dephasing factor must lie in [0, 1], got {factor}")
+    check_range("factor", factor, 0.0, 1.0)
     return AtomState(a.rho_ee, a.rho_eg * factor)
 
 

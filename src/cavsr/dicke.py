@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .atom import AtomState
-from .errors import ResourceError
+from .errors import ResourceError, check_range
 
 __all__ = [
     "EnsembleSpec",
@@ -38,10 +38,9 @@ class EnsembleSpec:
     c_g: complex
 
     def __post_init__(self) -> None:
-        if self.n_atoms < 1:
-            raise ValueError(f"n_atoms must be at least 1, got {self.n_atoms}")
+        check_range("n_atoms", self.n_atoms, 1)
         nrm = abs(self.c_e) ** 2 + abs(self.c_g) ** 2
-        if abs(nrm - 1.0) > 1e-10:
+        if not abs(nrm - 1.0) <= 1e-10:
             raise ValueError(f"atom amplitudes have norm {nrm!r}, expected 1")
         object.__setattr__(self, "c_e", complex(self.c_e))
         object.__setattr__(self, "c_g", complex(self.c_g))
@@ -49,6 +48,8 @@ class EnsembleSpec:
     @classmethod
     def from_pulse(cls, n_atoms: int, theta: float, phi: float = 0.0) -> EnsembleSpec:
         """N atoms after a pump pulse of area theta and phase phi, as in atom.prepare."""
+        check_range("theta", theta)
+        check_range("phi", phi)
         c_g = math.cos(0.5 * theta) * complex(math.cos(phi), math.sin(phi))
         return cls(n_atoms, math.sin(0.5 * theta), c_g)
 
@@ -59,7 +60,7 @@ class EnsembleSpec:
 def dicke_rate(n_atoms: int, m: float) -> float:
     """Emission rate (J + M)(J - M + 1) of the symmetric state |J = N/2, M>."""
     j = 0.5 * n_atoms
-    if abs(m) > j + 1e-12 or abs((j - m) - round(j - m)) > 1e-9:
+    if not (abs(m) <= j + 1e-12 and abs((j - m) - round(j - m)) <= 1e-9):
         raise ValueError(f"M={m} is not a level of the N={n_atoms} symmetric ladder")
     return (j + m) * (j - m + 1.0)
 
@@ -74,7 +75,7 @@ def decompose_product_state(spec: EnsembleSpec) -> np.ndarray:
     guard.
     """
     n = spec.n_atoms
-    if n > _MAX_SYMMETRIC_ATOMS:
+    if not n <= _MAX_SYMMETRIC_ATOMS:
         raise ResourceError(
             f"symmetric decomposition limited to {_MAX_SYMMETRIC_ATOMS} atoms, got {n}"
         )
@@ -86,8 +87,7 @@ def decompose_product_state(spec: EnsembleSpec) -> np.ndarray:
 
 def ensemble_rate(n_atoms: int, a: AtomState) -> float:
     """Collective emission rate N(N-1)|rho_eg|^2 + N rho_ee of N product atoms."""
-    if n_atoms < 1:
-        raise ValueError(f"n_atoms must be at least 1, got {n_atoms}")
+    check_range("n_atoms", n_atoms, 1)
     return n_atoms * (n_atoms - 1) * abs(a.rho_eg) ** 2 + n_atoms * a.rho_ee
 
 
@@ -99,7 +99,7 @@ def brute_force_rate(spec: EnsembleSpec) -> float:
     basis state b is the sum of psi over all single-bit raisings of b.
     """
     n = spec.n_atoms
-    if n > MAX_BRUTE_FORCE_ATOMS:
+    if not n <= MAX_BRUTE_FORCE_ATOMS:
         raise ResourceError(
             f"brute-force rate limited to {MAX_BRUTE_FORCE_ATOMS} atoms, got {n}"
         )

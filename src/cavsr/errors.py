@@ -3,7 +3,10 @@
 Plain invalid arguments raise ValueError; the classes here mark failure
 modes a caller may want to catch and handle differently (enlarge the
 basis, change solver, accept a diverging analytic branch, ...).
+check_range is the package's one rule for a scalar input's range.
 """
+
+import math
 
 __all__ = [
     "CavsrError",
@@ -37,3 +40,23 @@ class DivergenceError(CavsrError):
 
 class DegenerateBranchError(CavsrError):
     """A conditional state has (numerically) zero probability."""
+
+
+def check_range(
+    name: str, value: float, lo: float = -math.inf, hi: float = math.inf, open_lo: bool = False
+) -> None:
+    """Raise ValueError unless value is finite and in [lo, hi], or in (lo, hi] with open_lo.
+
+    Each test states the condition it accepts, so NaN, which fails every
+    comparison, is refused. The message starts with the parameter's name.
+    """
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+    if not (lo < value <= hi if open_lo else lo <= value <= hi):
+        if hi < math.inf:
+            want = f"lie in {'(' if open_lo else '['}{lo:g}, {hi:g}]"
+        elif lo == 0:
+            want = "be positive" if open_lo else "be non-negative"
+        else:
+            want = f"exceed {lo:g}" if open_lo else f"be at least {lo:g}"
+        raise ValueError(f"{name} must {want}, got {value}")

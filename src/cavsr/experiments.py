@@ -26,7 +26,7 @@ from scipy import special
 from ._version import __version__
 from . import analytic, dicke, steady
 from .atom import AtomState, dephase, prepare
-from .errors import CavsrError, ResourceError
+from .errors import CavsrError, ResourceError, check_range
 from .hilbert import FieldState, fidelity_to_coherent, mean_photon, photon_distribution, vacuum
 from .interaction import KickParams, bunched_mean_n, kick_sequence, lossless_sequence
 from .steady import MasterParams, evolve, steady_state_auto, suggest_n_max
@@ -64,13 +64,6 @@ _TAU0 = 101e-9
 _FLUX = ("r", "n_mean", "n_c")
 
 
-def _require_finite(**values) -> None:
-    """Refuse NaN and infinities, which both JSON and argparse read as floats."""
-    for name, value in values.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """One experiment's physical parameters.
@@ -99,28 +92,22 @@ class RunConfig:
     n_trajectories: int = 500
 
     def __post_init__(self) -> None:
-        _require_finite(**dataclasses.asdict(self))
-        for name in ("g", "gamma_c", "tau"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.theta < 0.0:
-            raise ValueError(f"theta must be non-negative, got {self.theta}")
         given = [n for n in _FLUX if getattr(self, n) is not None]
         if len(given) != 1:
             raise ValueError(
                 f"exactly one of r, n_mean, n_c must be given, got {given or 'none'}"
             )
-        if getattr(self, given[0]) <= 0.0:
-            raise ValueError(f"{given[0]} must be positive")
-        if not 0.0 <= self.transit_dephase <= 1.0:
-            raise ValueError(f"transit_dephase must lie in [0, 1], got {self.transit_dephase}")
+        # JSON and argparse both read NaN and infinities as floats
+        for name in ("g", "gamma_c", "tau", given[0]):
+            check_range(name, getattr(self, name), 0.0, open_lo=True)
+        check_range("transit_dephase", self.transit_dephase, 0.0, 1.0)
         if self.injection not in INJECTIONS:
             raise ValueError(f"injection must be one of {INJECTIONS}, got {self.injection!r}")
-        for name, least in (("linewidth", 0), ("t_end", 0), ("n_max", 1),
-                            ("n_trajectories", 1), ("seed", 0)):
+        for name, least in (("theta", 0), ("phi", -math.inf), ("linewidth", 0), ("t_end", 0),
+                            ("n_max", 1), ("n_trajectories", 1), ("seed", 0)):
             value = getattr(self, name)
-            if value is not None and value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
+            if value is not None:
+                check_range(name, value, least)
 
     @property
     def g_tau(self) -> float:
@@ -222,7 +209,7 @@ class SweepResult:
             object.__setattr__(self, name, v)
         if axis.size == 0:
             raise ValueError("sweep axis is empty")
-        if axis.size > 1 and not np.all(np.diff(axis) > 0.0):
+        if not np.all(np.diff(axis) > 0.0):
             raise ValueError("sweep axis must be strictly increasing")
         object.__setattr__(self, "collective_part", self.mean_n - self.baseline)
 
@@ -323,10 +310,10 @@ def sweep_atoms(cfg: RunConfig, n_grid: np.ndarray) -> SweepResult:
     grid = np.asarray(n_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("atom-number grid is empty")
-    if np.any(grid <= 0.0):
+    if not np.all(grid > 0.0):
         raise ValueError("atom-number grid must be positive")
     rho_ee = cfg.atom().rho_ee
-    if rho_ee <= 0.0:
+    if not rho_ee > 0.0:
         raise ValueError("excited-atom axis undefined for rho_ee = 0")
     meta = _base_metadata(cfg, "excited-state atom number n_mean * rho_ee")
     nc_values = grid / rho_ee / (cfg.gamma_c * cfg.tau)
@@ -342,15 +329,15 @@ def fit_loglog_slope(
         window = slice(*window)
     xs = np.asarray(x, dtype=float)[window]
     ys = np.asarray(y, dtype=float)[window]
-    if xs.size < 3:
+    if not xs.size >= 3:
         raise ValueError(f"need at least 3 points in the window, got {xs.size}")
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
+    if not (np.all(xs > 0.0) and np.all(ys > 0.0)):
         raise ValueError("log-log fit needs strictly positive data in the window")
     lx = np.log(xs)
     ly = np.log(ys)
     lx_c = lx - np.mean(lx)
     sxx = float(lx_c @ lx_c)
-    if sxx == 0.0:
+    if not sxx > 0.0:
         raise ValueError("window has no x spread")
     slope = float(lx_c @ (ly - np.mean(ly))) / sxx
     resid = ly - np.mean(ly) - slope * lx_c
@@ -441,7 +428,7 @@ def pump_response(
     cfg: RunConfig, theta_max: float = 1.25 * math.pi, points: int = 51
 ) -> tuple[SweepResult, dict]:
     """sweep_pump on `points` pulse areas from 0 to theta_max, and where <n> peaks."""
-    _require_finite(theta_max=theta_max)
+    check_range("theta_max", theta_max)
     res = sweep_pump(cfg, np.linspace(0.0, float(theta_max), int(points)))
     i_peak = int(np.nanargmax(res.mean_n))
     return res, {
@@ -462,7 +449,8 @@ def atom_scaling(
 
     The grid is logarithmic unless linear is set.
     """
-    _require_finite(grid_min=grid_min, grid_max=grid_max)
+    check_range("grid_min", grid_min)
+    check_range("grid_max", grid_max)
     space = np.linspace if linear else np.geomspace
     res = sweep_atoms(cfg, space(float(grid_min), float(grid_max), int(points)))
     return res, {
@@ -502,7 +490,7 @@ def transient_buildup(cfg: RunConfig, mode: str = "coarse-ode") -> tuple[SweepRe
     """
     if mode not in ("coarse-ode", "discrete-regular"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "discrete-regular" and cfg.linewidth > 0.0:
+    if mode == "discrete-regular" and cfg.linewidth != 0.0:
         raise ValueError(f"linewidth must be 0 in discrete-regular mode, got {cfg.linewidth}")
     a, k, n_c = cfg.atom(), cfg.kick(), cfg.derived_n_c
     t_end = cfg.duration
@@ -625,7 +613,7 @@ def _apply_overrides(
     for key, value in overrides.items():
         if key in extra_keys:
             _check_kind(key, value, "a number")
-            _require_finite(**{key: value})
+            check_range(key, value)
             extras[key] = value
         elif key in known:
             _check_kind(key, value, known[key])
@@ -685,8 +673,7 @@ def _preset_figs3(overrides: dict | None, out_dir: str) -> dict:
     cfg, extras = _apply_overrides(base, overrides, {"points", "grid_max"})
     grid = np.array([0.0, 25e3, 50e3, 100e3, 200e3, 400e3, 800e3])
     points = extras.get("points", grid.size)
-    if points < 1:
-        raise ValueError(f"'points' must be at least 1, got {points!r}")
+    check_range(repr("points"), points, 1)
     grid = grid[grid <= extras.get("grid_max", math.inf)][: int(points)]
     meta = _base_metadata(cfg, "pump FWHM linewidth [Hz]")
     # the random-phase baseline is the infinite-linewidth limit

@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy.special import gammaln, pdtrc
 
-from .errors import TruncationError
+from .errors import TruncationError, check_range
 
 __all__ = [
     "FieldState",
@@ -47,7 +47,7 @@ class FieldState:
 
     def __post_init__(self) -> None:
         q = np.asarray(self.q, dtype=complex)
-        if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 1:
+        if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
             raise ValueError(f"field state needs a square matrix, got shape {q.shape}")
         object.__setattr__(self, "q", q)
 
@@ -62,19 +62,18 @@ class FieldState:
     def validate(self) -> None:
         """Check Hermiticity, unit trace, and positivity; raise ValueError if violated."""
         herm = np.max(np.abs(self.q - self.q.conj().T))
-        if herm > _HERM_TOL:
+        if not herm <= _HERM_TOL:
             raise ValueError(f"not Hermitian: max asymmetry {herm:.3e}")
         tr = float(np.real(np.trace(self.q)))
-        if abs(tr - 1.0) > _TRACE_TOL:
+        if not abs(tr - 1.0) <= _TRACE_TOL:
             raise ValueError(f"trace {tr!r} differs from 1")
         w_min = float(np.linalg.eigvalsh(self.q)[0])
-        if w_min < -_PSD_TOL:
+        if not w_min >= -_PSD_TOL:
             raise ValueError(f"negative eigenvalue {w_min:.3e}")
 
 
 def vacuum(n_max: int) -> FieldState:
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    check_range("n_max", n_max, 1)
     q = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     q[0, 0] = 1.0
     return FieldState(q)
@@ -98,7 +97,8 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
 def coherent(alpha: complex, n_max: int) -> FieldState:
     """Coherent state truncated to n_max and renormalized to unit trace."""
     a = abs(alpha)
-    if a * a + 10.0 * a + 10.0 > n_max:
+    check_range("alpha", a)
+    if not a * a + 10.0 * a + 10.0 <= n_max:
         raise TruncationError(
             f"cutoff n_max={n_max} too small for |alpha|={a:.4g}; "
             f"need at least {math.ceil(a * a + 10.0 * a + 10.0)}"
@@ -120,7 +120,7 @@ def photon_distribution(s: FieldState) -> np.ndarray:
 def fidelity_to_coherent(s: FieldState, alpha: complex) -> float:
     """<alpha|rho|alpha> against the exact (untruncated) coherent state."""
     tail = float(pdtrc(s.n_max, abs(alpha) ** 2))  # Poisson mass above n_max
-    if tail > 1e-8:
+    if not tail <= 1e-8:
         raise TruncationError(
             f"coherent target |alpha|={abs(alpha):.4g} keeps {tail:.3e} "
             f"probability beyond n_max={s.n_max}"
@@ -141,9 +141,10 @@ def apply_decay(s: FieldState, gamma_c: float, dt: float) -> FieldState:
     The k-th term factorizes as c_k[n] * c_k[m] * Q[n+k, m+k], which keeps the
     update at one rank-1 style product per lost-photon count k.
     """
-    if gamma_c < 0.0 or dt < 0.0:
-        raise ValueError(f"gamma_c and dt must be non-negative, got {gamma_c}, {dt}")
-    eta = math.exp(-2.0 * gamma_c * dt)
+    check_range("gamma_c", gamma_c, 0.0)
+    if dt != math.inf:  # an infinite dt decays the field to the vacuum
+        check_range("dt", dt, 0.0)
+    eta = math.exp(-2.0 * gamma_c * dt) if gamma_c > 0.0 else 1.0
     if eta == 1.0:
         # no decay, or less than double precision resolves (log(1 - eta) fails)
         return s

@@ -34,7 +34,7 @@ import scipy.linalg
 
 from .atom import AtomState
 from .dicke import EnsembleSpec, decompose_product_state
-from .errors import DegenerateBranchError, TruncationError
+from .errors import DegenerateBranchError, TruncationError, check_range
 from .hilbert import FieldState, apply_decay, mean_photon, vacuum
 
 __all__ = [
@@ -60,8 +60,7 @@ class KickParams:
     g_tau: float
 
     def __post_init__(self) -> None:
-        if self.g_tau < 0.0:
-            raise ValueError(f"g_tau must be non-negative, got {self.g_tau}")
+        check_range("g_tau", self.g_tau, 0.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -129,7 +128,7 @@ def jc_kick(s: FieldState, a: AtomState, k: KickParams) -> FieldState:
     """
     out = apply_stencil(s.q, kick_stencil(a, k, *np.ogrid[: s.dim, : s.dim]))
     leak = abs(float(np.real(np.trace(s.q) - np.trace(out))))
-    if leak > _LEAK_TOL:
+    if not leak <= _LEAK_TOL:
         raise TruncationError(
             f"kick leaks {leak:.3e} trace past n_max={s.n_max}; enlarge the basis"
         )
@@ -147,13 +146,13 @@ def jc_kick_pure(
     |e,n> -> C_n|e,n> - i S_n|g,n+1> and |g,n> -> C_{n-1}|g,n> - i S_{n-1}|e,n-1>.
     """
     amp = np.asarray(amp, dtype=complex)
-    if amp.ndim != 1 or amp.shape[0] < 1:
+    if amp.ndim != 1 or amp.size == 0:
         raise ValueError(f"amplitudes must form a nonempty vector, got shape {amp.shape}")
     c_e, c_g, phase = a_pure
     ce = complex(c_e)
     cg = complex(c_g) * cmath.exp(1j * phase)
     nrm = abs(ce) ** 2 + abs(cg) ** 2
-    if abs(nrm - 1.0) > 1e-8:
+    if not abs(nrm - 1.0) <= 1e-8:
         raise ValueError(f"atom amplitudes have norm {nrm:.6g}, expected 1")
     c, s, cm, sm = rabi_tables(amp.shape[0], k.g_tau)
     e0 = ce * amp
@@ -163,7 +162,7 @@ def jc_kick_pure(
     g = cm * g0
     g[1:] -= 1j * sm[1:] * e0[:-1]
     leak = abs(nrm * np.vdot(amp, amp).real - (np.vdot(e, e).real + np.vdot(g, g).real))
-    if leak > _LEAK_TOL:
+    if not leak <= _LEAK_TOL:
         raise TruncationError(
             f"pure kick leaks {leak:.3e} norm past n_max={amp.shape[0] - 1}; enlarge the basis"
         )
@@ -184,7 +183,7 @@ def measure_atom(e: np.ndarray, g: np.ndarray, u: float) -> tuple[str, np.ndarra
     w_e = np.vdot(e, e).real
     w_g = np.vdot(g, g).real
     total = w_e + w_g
-    if total <= 1e-300:
+    if not total > 1e-300:
         # both branches underflowed; renormalizing would divide by zero
         raise DegenerateBranchError("joint state norm vanished before measurement")
     p_e = float(w_e / total)
@@ -193,7 +192,7 @@ def measure_atom(e: np.ndarray, g: np.ndarray, u: float) -> tuple[str, np.ndarra
     else:
         outcome, amp, weight, prob = "g", g, w_g, 1.0 - p_e
     nrm = math.sqrt(weight)
-    if nrm <= 1e-150:
+    if not nrm > 1e-150:
         raise DegenerateBranchError(
             f"measurement branch '{outcome}' has vanishing probability {prob:.3e}"
         )

@@ -34,7 +34,7 @@ import scipy.sparse.linalg
 
 from .analytic import mean_n_noncollective
 from .atom import AtomState
-from .errors import ConvergenceError, DivergenceError, ResourceError, TruncationError
+from .errors import ConvergenceError, DivergenceError, ResourceError, TruncationError, check_range
 from .hilbert import FieldState
 from .interaction import KickParams, apply_stencil, kick_stencil
 
@@ -74,14 +74,10 @@ class MasterParams:
     dephasing: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_c <= 0.0:
-            raise ValueError(f"n_c must be positive, got {self.n_c}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
-        if not 0 <= self.n_lo < self.n_max:
-            raise ValueError(f"n_lo must lie in 0..n_max-1, got {self.n_lo}")
-        if self.dephasing < 0.0:
-            raise ValueError(f"dephasing must be non-negative, got {self.dephasing}")
+        check_range("n_c", self.n_c, 0.0, open_lo=True)
+        check_range("n_max", self.n_max, 1)
+        check_range("n_lo", self.n_lo, 0, self.n_max - 1)
+        check_range("dephasing", self.dephasing, 0.0)
 
     @property
     def dim(self) -> int:
@@ -96,7 +92,7 @@ class MasterParams:
 
 def _check_guard(p: MasterParams) -> None:
     """Refuse a basis past DEFAULT_MAX_DIM, before anything sized by the window exists."""
-    if p.dim > DEFAULT_MAX_DIM:
+    if not p.dim <= DEFAULT_MAX_DIM:
         raise ResourceError(
             f"generator dimension {p.dim}^2 exceeds the solver guard ({DEFAULT_MAX_DIM}^2); "
             "the direct factorization would not fit"
@@ -245,32 +241,32 @@ def steady_state(p: MasterParams) -> FieldState:
             break
         x_new = x + lu.solve(b - a @ x)
         f_new, best_new = flow(x_new)
-        if best_new >= best:
+        if not best_new < best:
             break
         x, f, best = x_new, f_new, best_new
-    if best > _RESIDUAL_TOL:
+    if not best <= _RESIDUAL_TOL:
         # a residual confined to the replaced trace row is the rate at which
         # probability escapes past the window's edges: a basis problem, not a
         # solver one, so report it as such and let callers enlarge the basis
-        if float(np.abs(f[pad:, pad:]).ravel()[1:].max()) <= _RESIDUAL_TOL:
-            raise TruncationError(
-                f"trace leaks out of levels {p.n_lo}..{p.n_max} at rate {best:.3e}; "
-                "enlarge the basis"
+        if not float(np.abs(f[pad:, pad:]).ravel()[1:].max()) <= _RESIDUAL_TOL:
+            raise ConvergenceError(
+                f"steady-state residual {best:.3e} above {_RESIDUAL_TOL:.0e}"
             )
-        raise ConvergenceError(
-            f"steady-state residual {best:.3e} above {_RESIDUAL_TOL:.0e}"
+        raise TruncationError(
+            f"trace leaks out of levels {p.n_lo}..{p.n_max} at rate {best:.3e}; "
+            "enlarge the basis"
         )
     r = x[red].reshape(dim, dim)
     q = np.zeros((p.dim, p.dim), dtype=complex)
     q[p.n_lo :, p.n_lo :] = r * u / float(np.trace(r))
     tail = float(q[p.n_max, p.n_max].real)
-    if tail > _TAIL_TOL:
+    if not tail <= _TAIL_TOL:
         raise TruncationError(
             f"steady state keeps {tail:.3e} population at n_max={p.n_max}; "
             "enlarge the basis"
         )
     edge = max(np.abs(f[:pad]).max(initial=0.0), np.abs(f[:, :pad]).max(initial=0.0))
-    if edge > _RESIDUAL_TOL:
+    if not edge <= _RESIDUAL_TOL:
         raise TruncationError(
             f"steady state flows out of level n_lo={p.n_lo} at rate {edge:.3e}; "
             "lower the window's edge"
@@ -316,8 +312,8 @@ def _predicted_mean(n_c: float, a: AtomState, g_tau: float) -> float:
     what caps the field in the saturated and lasing regimes where the
     small-angle formula blows up.
     """
-    if g_tau <= 0.0:
-        raise ValueError(f"g_tau must be positive, got {g_tau}")
+    check_range("n_c", n_c)
+    check_range("g_tau", g_tau, 0.0, open_lo=True)
     chi = _balance_angle(n_c, a, g_tau)
     est = (0.5 * chi / g_tau) ** 2
     try:
@@ -367,10 +363,10 @@ def steady_state_auto(
         except TruncationError:
             if lo > 0:
                 lo = 0
-            elif cur >= DEFAULT_MAX_DIM - 1:
-                raise
-            else:
+            elif cur < DEFAULT_MAX_DIM - 1:
                 cur = min(2 * cur, DEFAULT_MAX_DIM - 1)
+            else:
+                raise
 
 
 def evolve(
@@ -392,15 +388,14 @@ def evolve(
         raise ValueError(f"evolve runs on the full basis, got n_lo={p.n_lo}")
     if q0.dim != p.dim:
         raise ValueError(f"q0 has dim {q0.dim}, params expect {p.dim}")
-    if not (math.isfinite(t_end) and t_end >= 0.0):
-        raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
+    check_range("t_end", t_end, 0.0)
     if t_end == 0.0:
         return np.zeros(1), [q0]
     g, red = _folded_generator(p)
     u = _gauge(p)
     r0 = q0.q * u.conj()
     off = max(float(np.abs(r0.imag).max()), float(np.abs(r0 - r0.T).max()))
-    if off > 1e-12 * abs(np.trace(q0.q)):
+    if not off <= 1e-12 * abs(np.trace(q0.q)):
         raise ValueError(
             f"q0 is not real symmetric in the gauge of the generator (off by "
             f"{off:.3e}); interaction.kick_sequence takes any state"
@@ -418,7 +413,7 @@ def evolve(
         r = y[red].reshape(p.dim, p.dim)
         states.append(FieldState(r * u / float(np.trace(r))))
     top = max(float(s.q[-1, -1].real) for s in states)
-    if top > _TAIL_TOL:
+    if not top <= _TAIL_TOL:
         raise TruncationError(
             f"transient reaches {top:.3e} population at n_max={p.n_max}; "
             "enlarge the basis"

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.optimize
 
 from .dicke import EnsembleSpec
-from .errors import ConvergenceError, TruncationError
+from .errors import ConvergenceError, TruncationError, check_range
 from .interaction import KickParams, jc_kick_pure, measure_atom
 
 __all__ = [
@@ -62,19 +62,14 @@ class TrajectoryConfig:
     n_trajectories: int = 1
 
     def __post_init__(self) -> None:
+        # a NaN or infinite t_end or r would keep the event loop from ending
         for name in ("r", "gamma_c", "g", "tau", "linewidth", "theta", "t_end"):
-            value = getattr(self, name)
-            # a NaN or infinite t_end or r would keep the event loop from ending
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+            check_range(name, getattr(self, name), 0.0)
         if self.injection not in INJECTIONS:
             raise ValueError(f"injection must be one of {INJECTIONS}, got {self.injection!r}")
-        if not 0.0 <= self.transit_dephase <= 1.0:
-            raise ValueError(f"transit_dephase must lie in [0, 1], got {self.transit_dephase}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
-        if self.n_trajectories < 1:
-            raise ValueError(f"n_trajectories must be at least 1, got {self.n_trajectories}")
+        check_range("transit_dephase", self.transit_dephase, 0.0, 1.0)
+        check_range("n_max", self.n_max, 1)
+        check_range("n_trajectories", self.n_trajectories, 1)
 
     @property
     def g_tau(self) -> float:
@@ -158,7 +153,7 @@ def _photon_losses(
         amp[:-1] = sqrt_n[1:] * amp[1:]
         amp[-1] = 0.0
         norm2 = np.vdot(amp, amp).real
-        if norm2 == 0.0:
+        if not norm2 > 0.0:
             raise ConvergenceError("field amplitudes underflowed during decay")
         amp /= math.sqrt(norm2)
         t += s_jump
@@ -219,7 +214,7 @@ def run_trajectory(cfg: TrajectoryConfig, seed: int) -> TrajectoryResult:
         _outcome, amp, _prob = measure_atom(e, g, rng.random())
         pops = np.abs(amp) ** 2
         top = float(pops[-1])
-        if top > 1e-6:
+        if not top <= 1e-6:
             raise TruncationError(
                 f"trajectory reached the cutoff n_max={cfg.n_max} "
                 f"(top amplitude {top:.2e}); enlarge the basis"
@@ -254,7 +249,7 @@ def run_ensemble(cfg: TrajectoryConfig) -> EnsembleResult:
     error, which is the honest error bar when samples along one trajectory
     are correlated.
     """
-    if cfg.n_trajectories < 2:
+    if not cfg.n_trajectories >= 2:
         raise ValueError("ensemble statistics need at least 2 trajectories")
     acc = np.zeros(N_SAMPLES)
     steadies = np.empty(cfg.n_trajectories)

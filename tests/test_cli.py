@@ -68,6 +68,25 @@ def test_steady_reports_coherent_field(capsys, tmp_path, coherent_config):
     assert np.sum(dist[:, 1]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_steady_reports_an_unreachable_coherent_target(capsys, tmp_path):
+    # at n_c 300 the linear prediction |alpha| = 15 needs ~225 photons, but
+    # the field saturates at <n> = 74 on a 172-level basis: the fidelity has
+    # no value there, and the command says why instead of failing
+    path = tmp_path / "saturated.json"
+    path.write_text(
+        json.dumps({"g": 1e5, "gamma_c": 1.0, "tau": 1e-6, "theta": 0.5 * math.pi, "n_c": 300}),
+        encoding="utf-8",
+    )
+    rc, out, _ = run_cli(capsys, "steady", "--config", str(path), "--out", str(tmp_path))
+    assert rc == 0
+    assert out["predicted_alpha"] == pytest.approx([0.0, -15.0])
+    assert out["n_max_used"] == 172
+    assert out["mean_n"] == pytest.approx(74.02, rel=1e-3)
+    assert out["fidelity_to_predicted_alpha"] is None
+    assert out["fidelity_note"].startswith("TruncationError: coherent target |alpha|=15")
+    assert (tmp_path / "steady_pn.csv").exists()
+
+
 def test_steady_honours_cutoff_override(capsys, tmp_path, coherent_config):
     rc, out, _ = run_cli(
         capsys, "steady", "--config", coherent_config, "--out", str(tmp_path),

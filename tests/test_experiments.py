@@ -21,8 +21,10 @@ from cavsr.experiments import (
     transient_buildup,
     write_sweep,
 )
+from cavsr import steady
+from cavsr.atom import prepare
 from cavsr.hilbert import mean_photon
-from cavsr.steady import steady_state_auto
+from cavsr.steady import steady_state_auto, suggest_n_max
 
 HALF = 0.5 * math.pi
 
@@ -312,6 +314,28 @@ def test_preset_saturation_curves(tmp_path):
         # the requested range fits the solver, so no range-shortening note
         assert not any("solver guard" in a for a in res.metadata["annotations"])
     assert out["curves"]["0.01"]["nc_max"] == pytest.approx(50.0)
+
+
+def test_preset_saturation_curves_stop_at_the_solver_guard(tmp_path, monkeypatch):
+    # a guard of 60 levels caps every curve well short of its 3.3/(g_tau)^2
+    # target; each stops where the suggested cutoff first fits 30 levels
+    monkeypatch.setattr(steady, "DEFAULT_MAX_DIM", 60)
+    out = preset("figS5", {"points": 3}, out_dir=str(tmp_path))
+    for g_tau, label in ((0.01, "0p01"), (0.03, "0p03"), (0.1, "0p1")):
+        nc_max = out["curves"][f"{g_tau:g}"]["nc_max"]
+        assert nc_max < 3.3 / g_tau**2
+        assert suggest_n_max(nc_max, prepare(HALF), g_tau) <= steady.DEFAULT_MAX_DIM - 30
+        # within the bisection's 2% of the largest n_c that fits
+        assert suggest_n_max(1.02 * nc_max, prepare(HALF), g_tau) > steady.DEFAULT_MAX_DIM - 30
+        res = read_sweep(str(tmp_path / f"figS5_gtau_{label}.csv"))
+        assert res.axis[-1] == pytest.approx(nc_max)
+        assert np.all(np.isfinite(res.mean_n)) and np.all(np.isfinite(res.baseline))
+        assert max(res.metadata["n_max_used"]) <= steady.DEFAULT_MAX_DIM - 30
+        assert any(
+            a.startswith(f"curve stops at n_c={nc_max:.4g}, short of the requested")
+            and a.endswith("exceed the direct-solver guard")
+            for a in res.metadata["annotations"]
+        )
 
 
 def test_preset_buildup_transient(tmp_path):

@@ -334,6 +334,24 @@ def test_auto_clips_growth_to_ceiling(monkeypatch):
     assert float(np.real(s.q[-1, -1])) <= 1e-8
 
 
+def test_upper_tail_is_caught_and_the_search_doubles_past_it(monkeypatch):
+    # at n_c 0.01, g_tau 0.3 the 3-level basis solves to a residual within
+    # tolerance, trace row included, but keeps 4.7e-8 on its top level
+    k = KickParams(0.3)
+    with pytest.raises(TruncationError, match=r"keeps 4\.706e-08 population at n_max=2"):
+        steady_state(MasterParams(0.01, k, HALF, 2))
+    tried = []
+
+    def record(p):
+        tried.append(p.n_max)
+        return steady_state(p)
+
+    monkeypatch.setattr(steady, "steady_state", record)
+    s = steady_state_auto(0.01, HALF, k, n_max=2)
+    assert tried == [2, 4]
+    assert float(np.real(s.q[-1, -1])) < 1e-14
+
+
 def test_window_edge_flux_is_caught():
     # at n_lo = 140 the trace row leaks only 1.6e-11 and the edge holds
     # 3.8e-14, yet the coherences Q[140, m] flow out of the window through
