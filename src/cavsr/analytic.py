@@ -40,7 +40,7 @@ def pn_random_phase(n_c: float, rho_ee: float, g_tau: float, n_max: int) -> np.n
     never touches the generator matrix, so it doubles as an independent
     oracle for the steady-state solver.
     """
-    check_range("n_c", n_c)
+    check_range("n_c", n_c, 0.0)
     check_range("rho_ee", rho_ee, 0.0, 1.0)
     check_range("g_tau", g_tau)
     check_range("n_max", n_max, 1)

@@ -84,8 +84,10 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
 
     Computed in the log domain so large |alpha| does not overflow n! factors.
     """
-    n = np.arange(n_max + 1)
     a = abs(alpha)
+    check_range("alpha", a)
+    check_range("n_max", n_max, 0)
+    n = np.arange(n_max + 1)
     if a == 0.0:
         c = np.zeros(n_max + 1, dtype=complex)
         c[0] = 1.0
@@ -96,14 +98,13 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
 
 def coherent(alpha: complex, n_max: int) -> FieldState:
     """Coherent state truncated to n_max and renormalized to unit trace."""
+    c = coherent_amplitudes(alpha, n_max)
     a = abs(alpha)
-    check_range("alpha", a)
     if not a * a + 10.0 * a + 10.0 <= n_max:
         raise TruncationError(
             f"cutoff n_max={n_max} too small for |alpha|={a:.4g}; "
             f"need at least {math.ceil(a * a + 10.0 * a + 10.0)}"
         )
-    c = coherent_amplitudes(alpha, n_max)
     c = c / np.linalg.norm(c)
     return FieldState(np.outer(c, c.conj()))
 
@@ -119,13 +120,13 @@ def photon_distribution(s: FieldState) -> np.ndarray:
 
 def fidelity_to_coherent(s: FieldState, alpha: complex) -> float:
     """<alpha|rho|alpha> against the exact (untruncated) coherent state."""
+    c = coherent_amplitudes(alpha, s.n_max)
     tail = float(pdtrc(s.n_max, abs(alpha) ** 2))  # Poisson mass above n_max
     if not tail <= 1e-8:
         raise TruncationError(
             f"coherent target |alpha|={abs(alpha):.4g} keeps {tail:.3e} "
             f"probability beyond n_max={s.n_max}"
         )
-    c = coherent_amplitudes(alpha, s.n_max)
     f = float(np.real(c.conj() @ s.q @ c))
     return max(f, 0.0)
 

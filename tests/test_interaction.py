@@ -171,6 +171,26 @@ def test_mixed_kick_flags_top_level_leak():
         jc_kick(FieldState(q), prepare(math.pi), KickParams(0.3))
 
 
+@pytest.mark.parametrize("kick", ["pure", "mixed"])
+def test_kicks_flag_a_leak_just_past_the_tolerance(kick):
+    # an excited atom takes |e, 3> to |g, 4> with probability sin^2(2 g_tau),
+    # so the population of level 3 sets the leak out of 0..3: 1e-7 is
+    # refused, 1e-10 passes and shows as the trace deficit
+    k = KickParams(0.3)
+
+    def kept(leak: float) -> float:
+        top = leak / math.sin(2.0 * k.g_tau) ** 2
+        amp = np.array([math.sqrt(1.0 - top), 0.0, 0.0, math.sqrt(top)])
+        if kick == "pure":
+            e, g = jc_kick_pure(amp, (1.0, 0.0, 0.0), k)
+            return np.vdot(e, e).real + np.vdot(g, g).real
+        return np.trace(jc_kick(FieldState(np.diag(amp**2)), prepare(math.pi), k).q).real
+
+    assert kept(1e-10) == pytest.approx(1.0 - 1e-10, abs=1e-14)
+    with pytest.raises(TruncationError, match=r"leaks 1\.000e-07 "):
+        kept(1e-7)
+
+
 def test_measurement_trivial_outcomes():
     outcome, field, prob = measure_atom(np.zeros(3), np.array([1.0, 0.0, 0.0]), 0.5)
     assert outcome == "g"

@@ -15,7 +15,7 @@ from cavsr.analytic import mean_n_noncollective, n_eff, pn_random_phase
 from cavsr.atom import AtomState, prepare
 from cavsr.dicke import EnsembleSpec
 from cavsr.experiments import RunConfig
-from cavsr.hilbert import apply_decay, coherent, vacuum
+from cavsr.hilbert import apply_decay, coherent, coherent_amplitudes, fidelity_to_coherent, vacuum
 from cavsr.interaction import KickParams, bunched_mean_n, jc_kick, lossless_sequence
 from cavsr.steady import MasterParams, evolve, steady_state, steady_state_auto, suggest_n_max
 from cavsr.trajectory import TrajectoryConfig
@@ -47,6 +47,8 @@ CASES = [
     ("lossless_sequence", "g_tau", lambda v: lossless_sequence([HALF] * 3, KickParams(v))),
     ("bunched_mean_n", "theta", lambda v: bunched_mean_n(3, v, 0.0, K)),
     ("coherent", "alpha", lambda v: coherent(v, 10)),
+    ("coherent_amplitudes", "alpha", lambda v: coherent_amplitudes(v, 5)),
+    ("fidelity_to_coherent", "alpha", lambda v: fidelity_to_coherent(vacuum(5), v)),
     ("mean_n_noncollective", "p", lambda v: mean_n_noncollective(v, 0.5)),
     ("n_eff", "n_c", lambda v: n_eff("poisson", v)),
 ]
@@ -105,7 +107,12 @@ def test_apply_decay_takes_an_infinite_interval():
      (lambda: MasterParams(0.0, K, HALF, 5), "n_c must be positive, got 0.0"),
      (lambda: MasterParams(1.0, K, HALF, 5, n_lo=5), "n_lo must lie in [0, 4], got 5"),
      (lambda: vacuum(0), "n_max must be at least 1, got 0"),
-     (lambda: AtomState(1.5, 0.0), "rho_ee must lie in [0, 1], got 1.5")],
+     (lambda: AtomState(1.5, 0.0), "rho_ee must lie in [0, 1], got 1.5"),
+     (lambda: steady_state_auto(-5.0, HALF, K), "n_c must be non-negative, got -5.0"),
+     (lambda: suggest_n_max(-5.0, HALF, 0.05), "n_c must be non-negative, got -5.0"),
+     # refused before the log of a negative ratio warns (every warning fails the suite)
+     (lambda: pn_random_phase(-1.0, 0.5, 0.05, 10), "n_c must be non-negative, got -1.0"),
+     (lambda: coherent_amplitudes(0.5, -1), "n_max must be non-negative, got -1")],
 )
 def test_out_of_range_message_names_the_parameter_and_the_range(call, message):
     with pytest.raises(ValueError) as info:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cavsr.analytic import pn_random_phase
 from cavsr.atom import AtomState, dephase, prepare
-from cavsr.errors import ResourceError, TruncationError
+from cavsr.errors import ConvergenceError, ResourceError, TruncationError
 from cavsr.hilbert import (
     FieldState,
     coherent,
@@ -350,6 +350,40 @@ def test_upper_tail_is_caught_and_the_search_doubles_past_it(monkeypatch):
     s = steady_state_auto(0.01, HALF, k, n_max=2)
     assert tried == [2, 4]
     assert float(np.real(s.q[-1, -1])) < 1e-14
+
+
+def test_an_attempt_factors_once_and_solves_once(monkeypatch):
+    # at n_c 1e7 the quarter-excited beam keeps only 1.6e-9 on level 18, but
+    # the pump lifts that level out at a rate above the residual rule: a
+    # trace leak, found from the first and only solve
+    splu = scipy.sparse.linalg.splu
+    calls = []
+
+    class CountingLU:
+        def __init__(self, *args, **kwargs):
+            calls.append("factor")
+            self.lu = splu(*args, **kwargs)
+
+        def solve(self, b):
+            calls.append("solve")
+            return self.lu.solve(b)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", CountingLU)
+    p = MasterParams(1e7, KickParams(0.01), AtomState(0.25, 0.0), 18)
+    with pytest.raises(
+        TruncationError, match=r"^trace leaks out of levels 0\.\.18 at rate 5\.055e-06; "
+    ):
+        steady_state(p)
+    assert calls == ["factor", "solve"]
+
+
+def test_a_wrong_gauge_shows_as_a_residual(monkeypatch):
+    # the fold keeps its own gauge angle, so only the unfolded state the
+    # ungauged check reads is wrong, and that shows off the trace row
+    gauge = steady._gauge
+    monkeypatch.setattr(steady, "_gauge", lambda p: gauge(p).conj())
+    with pytest.raises(ConvergenceError, match=r"^steady-state residual 3\.647e-01 above 1e-09$"):
+        steady_state(MasterParams(20.0, KickParams(0.05), prepare(math.pi / 2, 1.0), 40))
 
 
 def test_window_edge_flux_is_caught():
