@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .atom import AtomState
-from .errors import DivergenceError, TruncationError, check_range
+from .errors import DivergenceError, TruncationError, check_range, check_tail
 
 __all__ = [
     "pn_random_phase",
@@ -60,11 +60,7 @@ def pn_random_phase(n_c: float, rho_ee: float, g_tau: float, n_max: int) -> np.n
         raise TruncationError(
             f"distribution still growing at n_max={n_max} (ratio {r_next:.3f})"
         )
-    tail = p[-1] * r_next / (1.0 - r_next)
-    if not tail <= 1e-8:
-        raise TruncationError(
-            f"approximately {tail:.3e} probability lies beyond n_max={n_max}"
-        )
+    check_tail("random-phase recursion puts about", p[-1] * r_next / (1.0 - r_next), n_max)
     return p
 
 

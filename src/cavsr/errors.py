@@ -3,7 +3,8 @@
 Plain invalid arguments raise ValueError; the classes here mark failure
 modes a caller may want to catch and handle differently (enlarge the
 basis, change solver, accept a diverging analytic branch, ...).
-check_range is the package's one rule for a scalar input's range.
+check_range is the package's one rule for a scalar input's range, and
+check_tail its one rule for whether a Fock cutoff holds a state.
 """
 
 import math
@@ -16,6 +17,9 @@ __all__ = [
     "DivergenceError",
     "DegenerateBranchError",
 ]
+
+# largest population a Fock cutoff may lose at its top level or past it
+TAIL_TOL = 1e-8
 
 
 class CavsrError(Exception):
@@ -60,3 +64,15 @@ def check_range(
         else:
             want = f"exceed {lo:g}" if open_lo else f"be at least {lo:g}"
         raise ValueError(f"{name} must {want}, got {value}")
+
+
+def check_tail(what: str, mass: float, n_max: int) -> None:
+    """Raise TruncationError unless mass, the population at n_max or past it, is within TAIL_TOL.
+
+    The test states what it accepts, so a NaN mass is refused. The message
+    starts with what, which names the state and the verb before the mass.
+    """
+    if not mass <= TAIL_TOL:
+        raise TruncationError(
+            f"{what} {mass:.3e} population at n_max={n_max} or past it; enlarge the basis"
+        )

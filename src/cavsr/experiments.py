@@ -21,13 +21,13 @@ import numbers
 import os
 
 import numpy as np
-from scipy import special
 
 from ._version import __version__
 from . import analytic, dicke, steady
 from .atom import AtomState, dephase, prepare
 from .errors import CavsrError, ResourceError, check_range
-from .hilbert import FieldState, fidelity_to_coherent, mean_photon, photon_distribution, vacuum
+from .hilbert import FieldState, coherent_amplitudes, fidelity_to_coherent, mean_photon
+from .hilbert import photon_distribution, vacuum
 from .interaction import KickParams, bunched_mean_n, kick_sequence, lossless_sequence
 from .steady import MasterParams, evolve, steady_state_auto, suggest_n_max
 from .trajectory import INJECTIONS, TrajectoryConfig, run_ensemble
@@ -248,18 +248,22 @@ def _steady_mean(cfg: RunConfig) -> tuple[float, int | None, str | None]:
 
 
 def _solve_curve(
-    cfg: RunConfig,
-    name: str,
-    values: np.ndarray,
-    meta: dict,
-) -> tuple[np.ndarray, np.ndarray]:
+    cfg: RunConfig, axis_label: str, name: str, values: np.ndarray, axis: np.ndarray | None = None
+) -> SweepResult:
     """Steady <n> plus its random-phase baseline with cfg's field `name` at each value.
 
+    The curve is plotted against axis, the values themselves unless given.
     The baseline is the same point with transit_dephase = 0, the
-    random-phase pump. Failures, and on an n_c axis the points whose
-    transits overlap, are annotated under the point's label.
+    random-phase pump. Failures are annotated under the point's label.
+    Overlapping transits (mean intracavity atom number above 1) are noted
+    at each such point when `name` sets the flux, and once otherwise.
     """
+    meta = _base_metadata(cfg, axis_label)
     meta["baseline"] = "random-phase (rho_eg = 0) steady state at matching rho_ee"
+    if name not in _FLUX and cfg.derived_n_mean > 1.0:
+        meta["annotations"].append(
+            f"mean intracavity atom number {cfg.derived_n_mean:.3g} exceeds 1"
+        )
     mean, base = np.empty((2, len(values)))
     used = []
     for i, v in enumerate(values):
@@ -271,13 +275,13 @@ def _solve_curve(
         for e in (err, err0):
             if e:
                 meta["annotations"].append(f"{label}: {e}")
-        if name == "n_c" and point.derived_n_mean > 1.0:
+        if name in _FLUX and point.derived_n_mean > 1.0:
             meta["annotations"].append(
                 f"{label}: mean intracavity atom number "
                 f"{point.derived_n_mean:.3g} exceeds 1; transits overlap"
             )
     meta["n_max_used"] = used
-    return mean, base
+    return SweepResult(values if axis is None else axis, mean, base, meta)
 
 
 def sweep_pump(cfg: RunConfig, theta_grid: np.ndarray) -> SweepResult:
@@ -287,17 +291,7 @@ def sweep_pump(cfg: RunConfig, theta_grid: np.ndarray) -> SweepResult:
     at matching excited population, so collective_part isolates what atomic
     phase alignment adds.
     """
-    grid = np.asarray(theta_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("theta grid is empty")
-    meta = _base_metadata(cfg, "pump pulse area theta [rad]")
-    if cfg.derived_n_mean > 1.0:
-        meta["annotations"].append(
-            f"mean intracavity atom number {cfg.derived_n_mean:.3g} exceeds 1"
-        )
-    # the flux is the same at every point and is annotated once above
-    mean, base = _solve_curve(cfg, "theta", grid, meta)
-    return SweepResult(grid, mean, base, meta)
+    return _solve_curve(cfg, "pump pulse area theta [rad]", "theta", np.asarray(theta_grid, float))
 
 
 def sweep_atoms(cfg: RunConfig, n_grid: np.ndarray) -> SweepResult:
@@ -308,17 +302,13 @@ def sweep_atoms(cfg: RunConfig, n_grid: np.ndarray) -> SweepResult:
     random-phase baseline, the quantity whose growth turns quadratic.
     """
     grid = np.asarray(n_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("atom-number grid is empty")
     if not np.all(grid > 0.0):
         raise ValueError("atom-number grid must be positive")
     rho_ee = cfg.atom().rho_ee
     if not rho_ee > 0.0:
         raise ValueError("excited-atom axis undefined for rho_ee = 0")
-    meta = _base_metadata(cfg, "excited-state atom number n_mean * rho_ee")
     nc_values = grid / rho_ee / (cfg.gamma_c * cfg.tau)
-    mean, base = _solve_curve(cfg, "n_c", nc_values, meta)
-    return SweepResult(grid, mean, base, meta)
+    return _solve_curve(cfg, "excited-state atom number n_mean * rho_ee", "n_c", nc_values, grid)
 
 
 def fit_loglog_slope(
@@ -403,8 +393,7 @@ def steady_distribution(cfg: RunConfig) -> tuple[SweepResult, dict]:
     s = _steady(cfg)
     alpha = predicted_alpha(cfg)
     p_n = photon_distribution(s)
-    n, mu = np.arange(s.dim), abs(alpha) ** 2
-    pois = np.exp(special.xlogy(n, mu) - special.gammaln(n + 1) - mu)
+    pois = np.abs(coherent_amplitudes(alpha, s.n_max)) ** 2
     meta = _base_metadata(cfg, "photon number n")
     meta["baseline"] = "Poisson distribution at the predicted coherent amplitude"
     meta["n_max_used"] = s.n_max
@@ -467,8 +456,9 @@ def lossless_emission(cfg: RunConfig, atoms: int = 20) -> tuple[SweepResult, dic
     """
     n_atoms = int(atoms)
     k = cfg.kick()
-    trace = np.array(lossless_sequence([cfg.atom()] * n_atoms, k))
+    # the bunched baseline refuses too many atoms before the queue runs
     bunched = np.array([bunched_mean_n(j, cfg.theta, cfg.phi, k) for j in range(1, n_atoms + 1)])
+    trace = np.array(lossless_sequence([cfg.atom()] * n_atoms, k))
     meta = _base_metadata(cfg, "atom index")
     meta["baseline"] = "same number of atoms crossing the lossless cavity together"
     res = SweepResult(np.arange(1.0, n_atoms + 1.0), trace, bunched, meta)
@@ -675,11 +665,9 @@ def _preset_figs3(overrides: dict | None, out_dir: str) -> dict:
     points = extras.get("points", grid.size)
     check_range(repr("points"), points, 1)
     grid = grid[grid <= extras.get("grid_max", math.inf)][: int(points)]
-    meta = _base_metadata(cfg, "pump FWHM linewidth [Hz]")
     # the random-phase baseline is the infinite-linewidth limit
-    mean, base = _solve_curve(cfg, "linewidth", grid, meta)
-    res = SweepResult(grid, mean, base, meta)
-    return {"files": list(write_sweep(res, out_dir, "figS3")), "mean_n": mean.tolist()}
+    res = _solve_curve(cfg, "pump FWHM linewidth [Hz]", "linewidth", grid)
+    return {"files": list(write_sweep(res, out_dir, "figS3")), "mean_n": res.mean_n.tolist()}
 
 
 def _dim_limited_nc(a: AtomState, g_tau: float, nc_target: float, dim_cap: int) -> float:
@@ -709,14 +697,13 @@ def _preset_figs5(overrides: dict | None, out_dir: str) -> dict:
         target = float(extras.get("grid_max", sat))
         nc_hi = _dim_limited_nc(a, g_tau, target, dim_cap=steady.DEFAULT_MAX_DIM - 30)
         nc_values = np.geomspace(nc_min, nc_hi, points)
-        meta = _base_metadata(cfg_i, "atoms per cavity decay time n_c")
+        res = _solve_curve(cfg_i, "atoms per cavity decay time n_c", "n_c", nc_values)
         if nc_hi < target:
-            meta["annotations"].append(
+            res.metadata["annotations"].insert(
+                0,
                 f"curve stops at n_c={nc_hi:.4g}, short of the requested "
-                f"{target:.4g}: larger fields exceed the direct-solver guard"
+                f"{target:.4g}: larger fields exceed the direct-solver guard",
             )
-        mean, basev = _solve_curve(cfg_i, "n_c", nc_values, meta)
-        res = SweepResult(nc_values, mean, basev, meta)
         stem = f"figS5_gtau_{g_tau:g}".replace(".", "p")
         csv_path, meta_path = write_sweep(res, out_dir, stem)
         out["files"] += [csv_path, meta_path]

@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy.special import gammaln, pdtrc
 
-from .errors import TruncationError, check_range
+from .errors import check_range, check_tail
 
 __all__ = [
     "FieldState",
@@ -97,14 +97,14 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
 
 
 def coherent(alpha: complex, n_max: int) -> FieldState:
-    """Coherent state truncated to n_max and renormalized to unit trace."""
+    """Coherent state truncated to n_max and renormalized to unit trace.
+
+    Raises TruncationError when the Poisson mass above n_max fails
+    errors.check_tail.
+    """
     c = coherent_amplitudes(alpha, n_max)
-    a = abs(alpha)
-    if not a * a + 10.0 * a + 10.0 <= n_max:
-        raise TruncationError(
-            f"cutoff n_max={n_max} too small for |alpha|={a:.4g}; "
-            f"need at least {math.ceil(a * a + 10.0 * a + 10.0)}"
-        )
+    tail = float(pdtrc(n_max, abs(alpha) ** 2))  # Poisson mass above n_max
+    check_tail(f"coherent state |alpha|={abs(alpha):.4g} keeps", tail, n_max)
     c = c / np.linalg.norm(c)
     return FieldState(np.outer(c, c.conj()))
 
@@ -122,11 +122,7 @@ def fidelity_to_coherent(s: FieldState, alpha: complex) -> float:
     """<alpha|rho|alpha> against the exact (untruncated) coherent state."""
     c = coherent_amplitudes(alpha, s.n_max)
     tail = float(pdtrc(s.n_max, abs(alpha) ** 2))  # Poisson mass above n_max
-    if not tail <= 1e-8:
-        raise TruncationError(
-            f"coherent target |alpha|={abs(alpha):.4g} keeps {tail:.3e} "
-            f"probability beyond n_max={s.n_max}"
-        )
+    check_tail(f"coherent target |alpha|={abs(alpha):.4g} keeps", tail, s.n_max)
     f = float(np.real(c.conj() @ s.q @ c))
     return max(f, 0.0)
 

@@ -34,7 +34,7 @@ import scipy.linalg
 
 from .atom import AtomState
 from .dicke import EnsembleSpec, decompose_product_state
-from .errors import DegenerateBranchError, TruncationError, check_range
+from .errors import TAIL_TOL, DegenerateBranchError, TruncationError, check_range, check_tail
 from .hilbert import FieldState, apply_decay, mean_photon, vacuum
 
 __all__ = [
@@ -48,9 +48,6 @@ __all__ = [
     "kick_stencil",
     "rabi_tables",
 ]
-
-# trace loss tolerated before the cutoff is declared too small
-_LEAK_TOL = 1e-8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,11 +124,7 @@ def jc_kick(s: FieldState, a: AtomState, k: KickParams) -> FieldState:
     branch |e, n_max> -> |g, n_max + 1> has nowhere to land.
     """
     out = apply_stencil(s.q, kick_stencil(a, k, *np.ogrid[: s.dim, : s.dim]))
-    leak = abs(float(np.real(np.trace(s.q) - np.trace(out))))
-    if not leak <= _LEAK_TOL:
-        raise TruncationError(
-            f"kick leaks {leak:.3e} trace past n_max={s.n_max}; enlarge the basis"
-        )
+    check_tail("kick leaks", abs(float(np.real(np.trace(s.q) - np.trace(out)))), s.n_max)
     return FieldState(out)
 
 
@@ -162,7 +155,7 @@ def jc_kick_pure(
     g = cm * g0
     g[1:] -= 1j * sm[1:] * e0[:-1]
     leak = abs(nrm * np.vdot(amp, amp).real - (np.vdot(e, e).real + np.vdot(g, g).real))
-    if not leak <= _LEAK_TOL:
+    if not leak <= TAIL_TOL:  # errors.check_tail's rule, inline on this hot path
         raise TruncationError(
             f"pure kick leaks {leak:.3e} norm past n_max={amp.shape[0] - 1}; enlarge the basis"
         )

@@ -34,7 +34,8 @@ import scipy.sparse.linalg
 
 from .analytic import mean_n_noncollective
 from .atom import AtomState
-from .errors import ConvergenceError, DivergenceError, ResourceError, TruncationError, check_range
+from .errors import ConvergenceError, DivergenceError, ResourceError, TruncationError
+from .errors import check_range, check_tail
 from .hilbert import FieldState
 from .interaction import KickParams, apply_stencil, kick_stencil
 
@@ -53,7 +54,6 @@ __all__ = [
 # Every solver reads the guard when called, so raising it here raises it for all.
 DEFAULT_MAX_DIM = 1100
 
-_TAIL_TOL = 1e-8
 _RESIDUAL_TOL = 1e-9
 
 
@@ -197,8 +197,8 @@ def steady_state(p: MasterParams) -> FieldState:
     flow is the residual of the one LU solve; its entry (n_lo, n_lo), the
     traded row, is the rate at which probability leaks out. Row and column
     n_lo - 1 are the flow out of the lower edge through loss and absorption,
-    which the trace row sees only in part. The upper edge holds at most
-    _TAIL_TOL population. The result is padded with zeros to levels
+    which the trace row sees only in part. The upper edge must pass
+    errors.check_tail. The result is padded with zeros to levels
     0..n_max. The checks raise in this order: a residual off the trace row
     (ConvergenceError), a trace leak, the upper tail, the lower edge (each
     TruncationError).
@@ -246,12 +246,7 @@ def steady_state(p: MasterParams) -> FieldState:
             "enlarge the basis"
         )
     q[p.n_lo :, p.n_lo :] /= float(np.trace(r))
-    tail = float(q[p.n_max, p.n_max].real)
-    if not tail <= _TAIL_TOL:
-        raise TruncationError(
-            f"steady state keeps {tail:.3e} population at n_max={p.n_max}; "
-            "enlarge the basis"
-        )
+    check_tail("steady state keeps", float(q[p.n_max, p.n_max].real), p.n_max)
     edge = max(np.abs(f[:pad]).max(initial=0.0), np.abs(f[:, :pad]).max(initial=0.0))
     if not edge <= _RESIDUAL_TOL:
         raise TruncationError(
@@ -368,8 +363,7 @@ def evolve(
     any Fock mixture, a steady state of the same atoms); any other q0
     raises ValueError. Returns 81 evenly spaced times and the state at
     each, renormalized to unit trace, and raises TruncationError if any
-    sample keeps more than _TAIL_TOL population on the top level, the rule
-    steady_state applies.
+    sample's top level fails errors.check_tail, the rule steady_state applies.
     """
     if p.n_lo != 0:
         raise ValueError(f"evolve runs on the full basis, got n_lo={p.n_lo}")
@@ -399,10 +393,5 @@ def evolve(
     for y in sol.y.T:
         r = y[red].reshape(p.dim, p.dim)
         states.append(FieldState(r * u / float(np.trace(r))))
-    top = max(float(s.q[-1, -1].real) for s in states)
-    if not top <= _TAIL_TOL:
-        raise TruncationError(
-            f"transient reaches {top:.3e} population at n_max={p.n_max}; "
-            "enlarge the basis"
-        )
+    check_tail("transient reaches", max(float(s.q[-1, -1].real) for s in states), p.n_max)
     return times, states

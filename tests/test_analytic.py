@@ -53,6 +53,13 @@ def test_pn_reports_unconfined_growth():
         pn_random_phase(1e7, 1.0, 0.001, 50)
 
 
+def test_pn_reports_a_tail_just_past_the_tolerance():
+    # one more step of the recursion puts 1.09e-8 above 5 levels
+    with pytest.raises(TruncationError, match=r"1\.090e-08 population at n_max=5 "):
+        pn_random_phase(20.0, 0.5, 0.1, 5)
+    assert pn_random_phase(20.0, 0.5, 0.1, 6).shape == (7,)
+
+
 def test_noncollective_closed_form():
     assert mean_n_noncollective(1.0, 0.5) == pytest.approx(0.25)
     assert mean_n_noncollective(1e7, 0.25) == pytest.approx(0.5, rel=1e-5)

@@ -12,6 +12,7 @@ from cavsr.experiments import (
     config_dict,
     fit_loglog_slope,
     load_config,
+    lossless_emission,
     predicted_alpha,
     preset,
     read_sweep,
@@ -21,7 +22,8 @@ from cavsr.experiments import (
     transient_buildup,
     write_sweep,
 )
-from cavsr import steady
+from cavsr import experiments, steady
+from cavsr.errors import ResourceError
 from cavsr.atom import prepare
 from cavsr.hilbert import mean_photon
 from cavsr.steady import steady_state_auto, suggest_n_max
@@ -297,6 +299,13 @@ def test_preset_phase_noise_robustness(tmp_path):
     assert np.all(res.mean_n > res.baseline)
 
 
+def test_preset_phase_noise_notes_overlapping_transits_once(tmp_path):
+    # the linewidth leaves the flux alone, so the curve carries one note
+    preset("figS3", {"n_mean": 2.0, "points": 2}, out_dir=str(tmp_path))
+    res = read_sweep(str(tmp_path / "figS3.csv"))
+    assert res.metadata["annotations"] == ["mean intracavity atom number 2 exceeds 1"]
+
+
 def test_preset_phase_noise_rejects_a_point_count_below_one(tmp_path):
     for points in (0, -2):
         with pytest.raises(ValueError, match="'points'"):
@@ -336,6 +345,14 @@ def test_preset_saturation_curves_stop_at_the_solver_guard(tmp_path, monkeypatch
             and a.endswith("exceed the direct-solver guard")
             for a in res.metadata["annotations"]
         )
+
+
+def test_lossless_refuses_too_many_atoms_before_the_queue_runs(monkeypatch):
+    queued = []
+    monkeypatch.setattr(experiments, "lossless_sequence", lambda *args: queued.append(args))
+    with pytest.raises(ResourceError):
+        lossless_emission(small_cavity(), atoms=65)
+    assert queued == []
 
 
 def test_preset_buildup_transient(tmp_path):
