@@ -34,7 +34,7 @@ import scipy.linalg
 
 from .atom import AtomState
 from .dicke import EnsembleSpec, decompose_product_state
-from .errors import TAIL_TOL, DegenerateBranchError, TruncationError, check_range, check_tail
+from .errors import DegenerateBranchError, check_range, check_tail
 from .hilbert import FieldState, apply_decay, mean_photon, vacuum
 
 __all__ = [
@@ -155,10 +155,7 @@ def jc_kick_pure(
     g = cm * g0
     g[1:] -= 1j * sm[1:] * e0[:-1]
     leak = abs(nrm * np.vdot(amp, amp).real - (np.vdot(e, e).real + np.vdot(g, g).real))
-    if not leak <= TAIL_TOL:  # errors.check_tail's rule, inline on this hot path
-        raise TruncationError(
-            f"pure kick leaks {leak:.3e} norm past n_max={amp.shape[0] - 1}; enlarge the basis"
-        )
+    check_tail("pure kick leaks", leak, amp.shape[0] - 1)
     return e, g
 
 

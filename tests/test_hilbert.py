@@ -61,7 +61,7 @@ def test_coherent_needs_room():
     with pytest.raises(TruncationError):
         coherent(6.0, 10)
     # the Poisson mass above 29 levels is 2.77e-8, above 30 only 7.9e-9
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match=r"keeps 2\.765e-08 population at n_max=29 "):
         coherent(3.0, 29)
     assert coherent(3.0, 30).n_max == 30
     assert coherent(1.0, 20).n_max == 20
@@ -104,7 +104,7 @@ def test_fidelity_rejects_target_outside_basis():
     with pytest.raises(TruncationError):
         fidelity_to_coherent(vacuum(5), 4.0)
     # the same Poisson tail as coherent's: 2.77e-8 above 29 levels, 7.9e-9 above 30
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match=r"keeps 2\.765e-08 population at n_max=29 "):
         fidelity_to_coherent(vacuum(29), 3.0)
     assert fidelity_to_coherent(vacuum(30), 3.0) == pytest.approx(math.exp(-9.0))
 

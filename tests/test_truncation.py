@@ -6,11 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from cavsr.analytic import pn_random_phase
 from cavsr.atom import prepare
 from cavsr.errors import TAIL_TOL, TruncationError, check_tail
-from cavsr.hilbert import FieldState, coherent, fidelity_to_coherent, vacuum
-from cavsr.interaction import KickParams, jc_kick
+from cavsr.hilbert import FieldState, vacuum
+from cavsr.interaction import KickParams, jc_kick, jc_kick_pure
 from cavsr.steady import MasterParams, evolve, steady_state
 
 HALF = prepare(0.5 * math.pi)
@@ -30,15 +29,15 @@ def test_the_tolerance_itself_passes_and_anything_more_is_refused():
             check_tail("state keeps", mass, 4)
 
 
-# (site, n_max, call): each site's failing case from its own tests
+# (site, n_max, call) for the sites whose own tests leave the message shape
+# open; pn_random_phase, coherent and fidelity_to_coherent pin it where they
+# test their tolerance
 SITES = [
     ("steady_state", 2, lambda: steady_state(MasterParams(0.01, KickParams(0.3), HALF, 2))),
-    ("evolve", 30,
-     lambda: evolve(MasterParams(300.0, KickParams(0.05), HALF, 30), vacuum(30), 8.0)),
+    ("evolve", 4, lambda: evolve(MasterParams(300.0, KickParams(0.05), HALF, 4), vacuum(4), 1.0)),
     ("jc_kick", 3, lambda: jc_kick(_top_level(4), prepare(math.pi), KickParams(0.3))),
-    ("pn_random_phase", 5, lambda: pn_random_phase(20.0, 0.5, 0.1, 5)),
-    ("fidelity_to_coherent", 29, lambda: fidelity_to_coherent(vacuum(29), 3.0)),
-    ("coherent", 29, lambda: coherent(3.0, 29)),
+    ("jc_kick_pure", 3,
+     lambda: jc_kick_pure(np.eye(4)[-1], (1.0, 0.0, 0.0), KickParams(0.3))),
 ]
 
 
