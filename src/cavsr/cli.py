@@ -66,9 +66,16 @@ def _given(args, *names: str) -> dict:
     return {k: v for k in names if (v := getattr(args, k, None)) is not None}
 
 
+# --mode names the beam a transient runs: a Poisson beam's master equation or a regular beam's map
+_INJECTION_OF_MODE = {"coarse-ode": "poisson", "discrete-regular": "regular"}
+
+
 def _flag_overrides(args) -> dict:
     """The config fields set on the command line."""
-    return _given(args, "seed", "n_max", "t_end", "n_trajectories")
+    given = _given(args, "seed", "n_max", "t_end", "n_trajectories")
+    if mode := getattr(args, "mode", None):
+        given["injection"] = _INJECTION_OF_MODE[mode]
+    return given
 
 
 def _require_config(args) -> RunConfig:
@@ -77,35 +84,17 @@ def _require_config(args) -> RunConfig:
     return dataclasses.replace(load_config(args.config), **_flag_overrides(args))
 
 
-def _cmd_steady(args) -> None:
-    res, summary = steady_distribution(_require_config(args))
-    _emit({**summary, "files": write_sweep(res, args.out, "steady_pn")})
+def _curve(pipeline, stem: str, *grid: str):
+    """The subcommand that runs pipeline on the config and the named grid flags.
 
+    It writes stem.csv and its sidecar and prints the summary with both paths.
+    """
+    def run(args) -> None:
+        res, summary = pipeline(_require_config(args), **_given(args, *grid))
+        # a global at call time: perfbench's traced run wraps cli.write_sweep
+        _emit({**summary, "files": write_sweep(res, args.out, stem)})
 
-def _cmd_sweep_pump(args) -> None:
-    res, summary = pump_response(_require_config(args), **_given(args, "theta_max", "points"))
-    _emit({**summary, "files": write_sweep(res, args.out, "sweep_pump")})
-
-
-def _cmd_sweep_atoms(args) -> None:
-    grid = _given(args, "grid_min", "grid_max", "points")
-    res, summary = atom_scaling(_require_config(args), **grid, linear=args.linear)
-    _emit({**summary, "files": write_sweep(res, args.out, "sweep_atoms")})
-
-
-def _cmd_lossless(args) -> None:
-    res, summary = lossless_emission(_require_config(args), **_given(args, "atoms"))
-    _emit({**summary, "files": write_sweep(res, args.out, "lossless")})
-
-
-def _cmd_transient(args) -> None:
-    res, summary = transient_buildup(_require_config(args), args.mode)
-    _emit({**summary, "files": write_sweep(res, args.out, "transient")})
-
-
-def _cmd_trajectory(args) -> None:
-    res, summary = trajectory_ensemble(_require_config(args))
-    _emit({**summary, "files": write_sweep(res, args.out, "trajectory")})
+    return run
 
 
 def _cmd_dicke(args) -> None:
@@ -142,35 +131,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("steady", parents=[common], help="steady-state photon statistics")
-    p.set_defaults(func=_cmd_steady)
+    p.set_defaults(func=_curve(steady_distribution, "steady_pn"))
 
     p = sub.add_parser("sweep-pump", parents=[common], help="mean n versus pump pulse area")
     p.add_argument("--theta-max", type=float, default=None)
     p.add_argument("--points", type=int, default=None)
-    p.set_defaults(func=_cmd_sweep_pump)
+    p.set_defaults(func=_curve(pump_response, "sweep_pump", "theta_max", "points"))
 
     p = sub.add_parser("sweep-atoms", parents=[common], help="mean n versus excited atom number")
     p.add_argument("--grid-min", type=float, default=None)
     p.add_argument("--grid-max", type=float, default=None)
     p.add_argument("--points", type=int, default=None)
     p.add_argument("--linear", action="store_true", help="linear instead of log grid")
-    p.set_defaults(func=_cmd_sweep_atoms)
+    p.set_defaults(
+        func=_curve(atom_scaling, "sweep_atoms", "grid_min", "grid_max", "points", "linear")
+    )
 
     p = sub.add_parser("lossless", parents=[common], help="sequential emission, no cavity loss")
     p.add_argument("--atoms", type=int, default=None)
-    p.set_defaults(func=_cmd_lossless)
+    p.set_defaults(func=_curve(lossless_emission, "lossless", "atoms"))
 
     p = sub.add_parser("transient", parents=[common], help="buildup from vacuum")
     p.add_argument("--t-end", type=float, default=None, help="duration in units of 1/gamma_c")
     p.add_argument(
-        "--mode", choices=("discrete-regular", "coarse-ode"), default="coarse-ode"
+        "--mode", choices=tuple(_INJECTION_OF_MODE), default=None,
+        help="override injection: coarse-ode for poisson, discrete-regular for regular",
     )
-    p.set_defaults(func=_cmd_transient)
+    p.set_defaults(func=_curve(transient_buildup, "transient"))
 
     p = sub.add_parser("trajectory", parents=[common], help="stochastic trajectory ensemble")
     p.add_argument("--t-end", type=float, default=None, help="duration in units of 1/gamma_c")
     p.add_argument("--trajectories", dest="n_trajectories", type=int, default=None)
-    p.set_defaults(func=_cmd_trajectory)
+    p.set_defaults(func=_curve(trajectory_ensemble, "trajectory"))
 
     p = sub.add_parser("dicke", parents=[common], help="collective emission rates")
     p.add_argument("--atoms", type=int, required=True)

@@ -214,7 +214,16 @@ class SweepResult:
         object.__setattr__(self, "collective_part", self.mean_n - self.baseline)
 
 
-def _base_metadata(cfg: RunConfig, axis_label: str) -> dict:
+def _base_metadata(cfg: RunConfig, axis_label: str, swept: str | None = None) -> dict:
+    """One curve's provenance.
+
+    Overlapping transits (mean intracavity atom number above 1) are noted
+    once, unless the swept field sets the flux: then the sweep notes each
+    such point.
+    """
+    notes = []
+    if swept not in _FLUX and cfg.derived_n_mean > 1.0:
+        notes.append(f"mean intracavity atom number {cfg.derived_n_mean:.3g} exceeds 1")
     return {
         "axis": axis_label,
         "code_version": __version__,
@@ -226,7 +235,7 @@ def _base_metadata(cfg: RunConfig, axis_label: str) -> dict:
             "r": cfg.derived_r,
         },
         "seed": cfg.seed,
-        "annotations": [],
+        "annotations": notes,
     }
 
 
@@ -255,15 +264,9 @@ def _solve_curve(
     The curve is plotted against axis, the values themselves unless given.
     The baseline is the same point with transit_dephase = 0, the
     random-phase pump. Failures are annotated under the point's label.
-    Overlapping transits (mean intracavity atom number above 1) are noted
-    at each such point when `name` sets the flux, and once otherwise.
     """
-    meta = _base_metadata(cfg, axis_label)
+    meta = _base_metadata(cfg, axis_label, swept=name)
     meta["baseline"] = "random-phase (rho_eg = 0) steady state at matching rho_ee"
-    if name not in _FLUX and cfg.derived_n_mean > 1.0:
-        meta["annotations"].append(
-            f"mean intracavity atom number {cfg.derived_n_mean:.3g} exceeds 1"
-        )
     mean, base = np.empty((2, len(values)))
     used = []
     for i, v in enumerate(values):
@@ -469,43 +472,48 @@ def lossless_emission(cfg: RunConfig, atoms: int = 20) -> tuple[SweepResult, dic
     }
 
 
-def transient_buildup(cfg: RunConfig, mode: str = "coarse-ode") -> tuple[SweepResult, dict]:
-    """<n>(t) from the vacuum over cfg.duration (1/gamma_c).
+def transient_buildup(cfg: RunConfig) -> tuple[SweepResult, dict]:
+    """<n>(t) from the vacuum over cfg.duration (1/gamma_c), for cfg's injection.
 
-    The field basis is the steady state's cutoff. "coarse-ode" integrates
-    the master equation, against the steady <n>. "discrete-regular" sends
-    atoms 1/n_c apart, one point per atom, against the lossless stepwise
-    emission after the same number of atoms; that map has no pump phase
-    noise, so it refuses a linewidth.
+    A Poisson beam integrates the master equation, against the steady <n>.
+    A regular beam sends atoms 1/n_c apart through the exact map, one point
+    per atom, against the lossless stepwise emission after the same number
+    of atoms; that map has no pump phase noise, so it refuses a linewidth,
+    and it has no steady state of its own to report.
     """
-    if mode not in ("coarse-ode", "discrete-regular"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "discrete-regular" and cfg.linewidth != 0.0:
-        raise ValueError(f"linewidth must be 0 in discrete-regular mode, got {cfg.linewidth}")
     a, k, n_c = cfg.atom(), cfg.kick(), cfg.derived_n_c
     t_end = cfg.duration
-    s_ss = _steady(cfg)
-    q0 = vacuum(s_ss.n_max)
     meta = _base_metadata(cfg, "time [1/gamma_c]")
-    if mode == "discrete-regular":
+    if cfg.injection == "regular":
+        if cfg.linewidth != 0.0:
+            raise ValueError(f"linewidth must be 0 for a regular beam, got {cfg.linewidth}")
         delta = 1.0 / n_c
         atoms = [a] * math.floor(t_end / delta + 1e-9)
+        # the lossless baseline's basis holds levels 0..N+1; read the guard
+        # at call time, so that a caller's change to it holds
+        if not len(atoms) + 2 <= steady.DEFAULT_MAX_DIM:
+            raise ResourceError(
+                f"{len(atoms)} atoms need a {len(atoms) + 2}-level lossless baseline, "
+                f"past the solver guard ({steady.DEFAULT_MAX_DIM})"
+            )
+        # the Poisson beam's cutoff, not suggest_n_max's: the search can
+        # double past the suggestion, and the regular beam's <n> stays below
+        # the Poisson beam's, so this basis holds it where the suggestion may not
+        q0 = vacuum(_steady(cfg).n_max)
         times = np.arange(len(atoms) + 1) * delta
         mean = np.array([0.0] + kick_sequence(q0, atoms, k, delta))
         baseline = np.array([0.0] + lossless_sequence(atoms, k))
         meta["baseline"] = "lossless stepwise emission after the same number of atoms"
+        summary = {"mode": "discrete-regular"}
     else:
+        s_ss = _steady(cfg)
         p = MasterParams(n_c, k, a, s_ss.n_max, dephasing=cfg.dephasing)
-        times, states = evolve(p, q0, t_end)
+        times, states = evolve(p, vacuum(s_ss.n_max), t_end)
         mean = np.array([mean_photon(s) for s in states])
         baseline = np.full(mean.shape, mean_photon(s_ss))
         meta["baseline"] = "steady-state mean photon number"
-    summary = {
-        "mode": mode,
-        "t_end": t_end,
-        "final_mean_n": float(mean[-1]),
-        "steady_mean_n": mean_photon(s_ss),
-    }
+        summary = {"mode": "coarse-ode", "steady_mean_n": mean_photon(s_ss)}
+    summary |= {"t_end": t_end, "final_mean_n": float(mean[-1])}
     return SweepResult(times, mean, baseline, meta), summary
 
 
@@ -714,10 +722,10 @@ def _preset_figs5(overrides: dict | None, out_dir: str) -> dict:
 def _preset_figs6(overrides: dict | None, out_dir: str) -> dict:
     base = RunConfig(
         g=_G0, gamma_c=_GAMMA_C0, tau=0.01 / _G0, theta=0.5 * math.pi,
-        n_c=10.0, t_end=6.0,
+        n_c=10.0, injection="regular", t_end=6.0,
     )
     cfg, _ = _apply_overrides(base, overrides, set())
-    res, _ = transient_buildup(cfg, mode="discrete-regular")
+    res, _ = transient_buildup(cfg)
     # baseline[j] is the lossless <n> after j atoms
     k_ref = max(int(round(cfg.derived_n_c)), 1)
     tail = res.mean_n[int(0.75 * res.mean_n.size) :]

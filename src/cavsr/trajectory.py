@@ -80,21 +80,6 @@ class TrajectoryConfig:
         """Atoms per cavity decay time; None for a lossless cavity."""
         return self.r / self.gamma_c if self.gamma_c > 0.0 else None
 
-    def metadata(self) -> dict:
-        n_in_cavity = self.r * self.tau
-        notes = []
-        if n_in_cavity > 1.0:
-            notes.append(
-                "mean intracavity atom number exceeds 1; transits overlap and the "
-                "one-at-a-time interaction model is strained"
-            )
-        return {
-            "n_c": self.n_c,
-            "g_tau": self.g_tau,
-            "n_in_cavity": n_in_cavity,
-            "annotations": notes,
-        }
-
 
 @dataclasses.dataclass(frozen=True)
 class TrajectoryResult:
@@ -286,8 +271,7 @@ def run_ensemble(cfg: TrajectoryConfig) -> EnsembleResult:
         per_traj_steady=steadies,
         jump_rate=float(np.mean(rates)),
         jump_rate_stderr=float(np.std(rates, ddof=1) / math.sqrt(n)),
-        metadata=cfg.metadata()
-        | {
+        metadata={
             "n_trajectories": n,
             "seed": cfg.seed,
             "atoms": atoms,

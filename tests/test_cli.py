@@ -193,6 +193,45 @@ def test_transient_discrete_mode_walks_the_atom_grid(capsys, tmp_path, small_con
 
 
 @pytest.fixture
+def regular_config(tmp_path, small_config):
+    # small_config's beam with regular injection
+    cfg = json.loads(Path(small_config).read_text(encoding="utf-8"))
+    path = tmp_path / "regular.json"
+    path.write_text(json.dumps({**cfg, "injection": "regular"}), encoding="utf-8")
+    return str(path)
+
+
+def test_transient_of_a_regular_config_runs_the_map(
+    capsys, tmp_path, small_config, regular_config
+):
+    runs = {}
+    for label, argv in (
+        ("config", ["--config", regular_config]),
+        ("flag", ["--config", small_config, "--mode", "discrete-regular"]),
+    ):
+        rc, out, _ = run_cli(
+            capsys, "transient", *argv, "--out", str(tmp_path / label), "--t-end", "2.0"
+        )
+        assert rc == 0
+        runs[label] = out, (tmp_path / label / "transient.csv").read_text(encoding="utf-8")
+    out, text = runs["config"]
+    assert out["mode"] == "discrete-regular"
+    assert "steady_mean_n" not in out
+    assert text == runs["flag"][1]
+
+
+def test_mode_flag_overrides_the_config_injection(capsys, tmp_path, regular_config):
+    rc, out, _ = run_cli(
+        capsys, "transient", "--config", regular_config, "--out", str(tmp_path),
+        "--t-end", "2.0", "--mode", "coarse-ode",
+    )
+    assert rc == 0
+    assert out["mode"] == "coarse-ode"
+    assert out["steady_mean_n"] > 0.0
+    meta = json.loads((tmp_path / "transient.meta.json").read_text(encoding="utf-8"))
+    assert meta["config"]["injection"] == "poisson"
+
+@pytest.fixture
 def noisy_config(tmp_path, small_config):
     # small_config with a pump linewidth of 0.5 Hz: phase diffusion at pi gamma_c
     cfg = json.loads(Path(small_config).read_text(encoding="utf-8"))

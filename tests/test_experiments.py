@@ -368,8 +368,8 @@ def test_preset_buildup_transient(tmp_path):
 
 def test_discrete_transient_steps_land_on_injection_grid():
     # g_tau = 0.01 and n_c = 10 on levels 0..6: 30 atoms in 3 decay times
-    cfg = small_cavity(g=1e4, n_c=10.0, t_end=3.0, n_max=6)
-    res, summary = transient_buildup(cfg, "discrete-regular")
+    cfg = small_cavity(g=1e4, n_c=10.0, t_end=3.0, n_max=6, injection="regular")
+    res, summary = transient_buildup(cfg)
     assert res.axis.shape == (31,)
     assert np.allclose(np.diff(res.axis), 0.1)
     assert res.mean_n[-1] == pytest.approx(2.75e-3, rel=0.2)
@@ -383,6 +383,12 @@ def test_coarse_transient_relaxes_to_the_dephased_steady_state():
     assert summary["final_mean_n"] == pytest.approx(summary["steady_mean_n"], rel=1e-4)
 
 
-def test_transient_rejects_an_unknown_mode():
-    with pytest.raises(ValueError, match="leapfrog"):
-        transient_buildup(small_cavity(t_end=1.0), "leapfrog")
+def test_regular_transient_refuses_a_baseline_past_the_guard_before_solving(monkeypatch):
+    # 30 atoms need a 32-level lossless baseline, past a guard of 20 levels
+    monkeypatch.setattr(steady, "DEFAULT_MAX_DIM", 20)
+    called = []
+    for name in ("kick_sequence", "lossless_sequence", "steady_state_auto"):
+        monkeypatch.setattr(experiments, name, lambda *a, name=name, **kw: called.append(name))
+    with pytest.raises(ResourceError, match="solver guard"):
+        transient_buildup(small_cavity(g=1e4, n_c=10.0, t_end=3.0, injection="regular"))
+    assert called == []

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from cavsr.atom import dephase, prepare
 from cavsr.errors import TruncationError
+from cavsr.experiments import RunConfig, trajectory_ensemble, write_sweep
 from cavsr.hilbert import apply_decay, mean_photon, vacuum
 from cavsr.interaction import KickParams, jc_kick
 from cavsr.steady import steady_state_auto
@@ -238,13 +240,18 @@ def test_config_validation():
         run_ensemble(cavity_cfg(t_end=1.0, n_trajectories=1))
 
 
-def test_metadata_flags_overlapping_transits():
-    cfg = cavity_cfg(r=2e6, gamma_c=7.5e5)
-    md = cfg.metadata()
-    assert md["n_in_cavity"] == pytest.approx(2.0)
-    assert md["annotations"]
-    quiet = cavity_cfg(r=3.0).metadata()
-    assert quiet["annotations"] == []
+def test_metadata_flags_overlapping_transits(tmp_path):
+    # r tau = 2 atoms in the cavity at once, then 0.2; g_tau = 0.01 keeps the field small
+    notes = {}
+    for n_mean in (2.0, 0.2):
+        cfg = RunConfig(g=0.1, gamma_c=1.0, tau=0.1, theta=HALF_PULSE, n_mean=n_mean,
+                        n_max=6, t_end=1.0, n_trajectories=2)
+        res, _ = trajectory_ensemble(cfg)
+        _, meta_path = write_sweep(res, str(tmp_path), f"trajectory_{n_mean:g}")
+        with open(meta_path, encoding="utf-8") as fh:
+            notes[n_mean] = json.load(fh)["annotations"]
+    assert notes[2.0] == ["mean intracavity atom number 2 exceeds 1"]
+    assert notes[0.2] == []
     assert cavity_cfg(gamma_c=0.0).n_c is None
 
 
