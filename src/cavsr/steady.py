@@ -49,12 +49,17 @@ __all__ = [
 ]
 
 # Direct sparse-LU factorization of the real dim(dim+1)/2 system is the whole
-# strategy; fill-in grows fast, and at dim 1040 it peaks at about 1.6 GB and
-# takes about 18 s on 2 cores. Past the guard we refuse rather than thrash.
+# strategy; fill-in grows fast, and a full-basis solve at dim 1040 peaks at
+# about 1.0 GB in a fresh process and takes about 4 s on 2 cores. Past the
+# guard we refuse rather than thrash.
 # Every solver reads the guard when called, so raising it here raises it for all.
 DEFAULT_MAX_DIM = 1100
 
 _RESIDUAL_TOL = 1e-9
+
+# Leaves of the nested-dissection order hold at most this many unknowns:
+# smaller leaves cost more Python per solve, larger ones more LU fill.
+_DISSECTION_LEAF = 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -186,14 +191,75 @@ def _folded_generator(p: MasterParams) -> tuple[scipy.sparse.coo_matrix, np.ndar
     return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(upper_n.size,) * 2), red
 
 
+def _box_unknowns(width: int, box: tuple[int, int, int, int]) -> list[int]:
+    """Triu indices of the unknowns R[n, m], n <= m, with n0 <= n <= n1 and m0 <= m <= m1."""
+    n0, n1, m0, m1 = box
+    out = []
+    for n in range(n0, min(n1, m1) + 1):
+        row = n * width - n * (n + 1) // 2  # the index of (n, m) is row + m
+        out.extend(range(row + max(m0, n), row + m1 + 1))
+    return out
+
+
+def _halves(box: tuple[int, int, int, int]) -> tuple[tuple, tuple, tuple] | None:
+    """Nested-dissection split of a box of unknowns: (first half, second half, separator).
+
+    The box holds the R[n, m] with n0 <= n <= n1, m0 <= m <= m1 and n <= m.
+    A line of unknowns across the middle of its longer side separates the
+    two halves, because the stencil only reaches levels one step away, and
+    folding (m, n) onto (n, m) keeps that true. Returns None for a leaf, a box
+    of at most _DISSECTION_LEAF unknowns.
+    """
+    n0, n1, m0, m1 = box
+    n1, m0 = min(n1, m1), max(m0, n0)
+    # rows n <= m0 hold all of m0..m1; each row past m0 starts on the diagonal, one shorter
+    full, cut = max(0, min(n1, m0) - n0 + 1), max(0, n1 - m0)
+    if full * (m1 - m0 + 1) + cut * (2 * m1 - m0 - n1 + 1) // 2 <= _DISSECTION_LEAF:
+        return None
+    if n1 - n0 >= m1 - m0:
+        mid = (n0 + n1 + 1) // 2
+        return (n0, mid - 1, m0, m1), (mid + 1, n1, m0, m1), (mid, mid, m0, m1)
+    mid = (m0 + m1 + 1) // 2
+    return (n0, n1, m0, mid - 1), (n0, n1, mid + 1, m1), (n0, n1, mid, mid)
+
+
+def _dissection_rank(width: int) -> np.ndarray:
+    """Elimination rank of each folded unknown, in triu order, by nested dissection.
+
+    The triangle n <= m of a window width levels wide is bisected
+    recursively by _halves; each box ranks its two halves first and its
+    separator after them (A. George, SIAM J. Numer. Anal. 10, 345 (1973)).
+    Unknown 0, R[n_lo, n_lo], whose row steady_state trades for the dense
+    trace row, ranks last.
+    """
+    order = []
+
+    def visit(box):
+        split = _halves(box)
+        if split is None:
+            order.extend(_box_unknowns(width, box))
+            return
+        visit(split[0])
+        visit(split[1])
+        order.extend(_box_unknowns(width, split[2]))
+
+    visit((0, width - 1, 0, width - 1))
+    order.remove(0)
+    order.append(0)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank
+
+
 def steady_state(p: MasterParams) -> FieldState:
     """Unique steady state of the generator on the window n_lo..n_max.
 
     Solves L vec(Q) = 0 in the real gauge of _gauge, on the dim(dim+1)/2
     unknowns of the symmetric R (dim the window's width), with one row
-    traded for the trace constraint, via sparse LU. Every check applies the
-    ungauged complex stencil, matrix-free, to the state padded with zeros
-    one level below n_lo > 0, so a wrong gauge shows. In the window this
+    traded for the trace constraint, via sparse LU in the nested-dissection
+    order of _dissection_rank. Every check applies the ungauged complex
+    stencil, matrix-free, to the state padded with zeros one level below
+    n_lo > 0, so a wrong gauge shows. In the window this
     flow is the residual of the one LU solve; its entry (n_lo, n_lo), the
     traded row, is the rate at which probability leaks out. Row and column
     n_lo - 1 are the flow out of the lower edge through loss and absorption,
@@ -207,24 +273,24 @@ def steady_state(p: MasterParams) -> FieldState:
     dim = p.width
     # row (0, 0) is redundant because the generator annihilates the trace
     # (up to the edge leaks a window must keep small anyway); trade it for
-    # the trace constraint
+    # the trace constraint. Unknowns and rows are relabelled by their
+    # nested-dissection rank, and SuperLU factors in that column order.
+    rank = _dissection_rank(dim)
     keep = g.row != 0
     a = scipy.sparse.coo_matrix(
         (
             np.concatenate((g.data[keep], np.ones(dim))),
-            (np.concatenate((g.row[keep], np.zeros(dim, dtype=np.int64))),
-             np.concatenate((g.col[keep], red[np.arange(dim) * (dim + 1)]))),
+            (rank[np.concatenate((g.row[keep], np.zeros(dim, dtype=np.int64)))],
+             rank[np.concatenate((g.col[keep], red[np.arange(dim) * (dim + 1)]))]),
         ),
         shape=g.shape,
     ).tocsc()
     del g  # the factorization below sets the peak memory; free the fold first
     b = np.zeros(a.shape[0])
-    b[0] = 1.0
-    # of SuperLU's orderings, minimum degree on A^T A factors this lattice
-    # fastest (at 420 levels 1.1 s against 1.45 s for COLAMD, with 20% less fill)
-    x = scipy.sparse.linalg.splu(a, permc_spec="MMD_ATA").solve(b)
+    b[rank[0]] = 1.0
+    x = scipy.sparse.linalg.splu(a, permc_spec="NATURAL").solve(b)
 
-    r = x[red].reshape(dim, dim)
+    r = x[rank[red]].reshape(dim, dim)
     q = np.zeros((p.dim, p.dim), dtype=complex)
     q[p.n_lo :, p.n_lo :] = r * _gauge(p)
     lo = max(p.n_lo - 1, 0)  # the checks read the window padded one level below
