@@ -263,7 +263,9 @@ def _solve_curve(
 
     The curve is plotted against axis, the values themselves unless given.
     The baseline is the same point with transit_dephase = 0, the
-    random-phase pump. Failures are annotated under the point's label.
+    random-phase pump, whose diagonal steady state steady_state_auto takes
+    from the detailed-balance recursion. Failures are annotated under the
+    point's label.
     """
     meta = _base_metadata(cfg, axis_label, swept=name)
     meta["baseline"] = "random-phase (rho_eg = 0) steady state at matching rho_ee"
@@ -290,9 +292,10 @@ def _solve_curve(
 def sweep_pump(cfg: RunConfig, theta_grid: np.ndarray) -> SweepResult:
     """Steady <n> versus pump pulse area, with the random-phase baseline.
 
-    The baseline solves the same master equation with the coherence zeroed
-    at matching excited population, so collective_part isolates what atomic
-    phase alignment adds.
+    The baseline is the same master equation's steady state with the
+    coherence zeroed at matching excited population, exact by detailed
+    balance (analytic.pn_random_phase), so collective_part isolates what
+    atomic phase alignment adds.
     """
     return _solve_curve(cfg, "pump pulse area theta [rad]", "theta", np.asarray(theta_grid, float))
 

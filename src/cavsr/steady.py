@@ -16,8 +16,10 @@ stencils, one function of the absolute levels (n, m) that each consumer
 evaluates where it reads it: the solvers fold the gauged stencil's rows
 n <= m into a real matrix and check their results by applying the complex
 stencil matrix-free; build_generator assembles the complex matrix on all
-rows as a reference. A regular beam's exact decay-and-kick map is
-interaction.kick_sequence instead.
+rows as a reference. A phase-averaged atom (rho_eg = 0) keeps Q diagonal,
+and steady_state_auto takes its steady state from the exact detailed-balance
+recursion, analytic.pn_random_phase, instead of the LU. A regular beam's
+exact decay-and-kick map is interaction.kick_sequence instead.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .analytic import mean_n_noncollective
+from .analytic import mean_n_noncollective, pn_random_phase
 from .atom import AtomState
 from .errors import ConvergenceError, DivergenceError, ResourceError, TruncationError
 from .errors import check_range, check_tail
@@ -191,16 +193,6 @@ def _folded_generator(p: MasterParams) -> tuple[scipy.sparse.coo_matrix, np.ndar
     return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(upper_n.size,) * 2), red
 
 
-def _box_unknowns(width: int, box: tuple[int, int, int, int]) -> list[int]:
-    """Triu indices of the unknowns R[n, m], n <= m, with n0 <= n <= n1 and m0 <= m <= m1."""
-    n0, n1, m0, m1 = box
-    out = []
-    for n in range(n0, min(n1, m1) + 1):
-        row = n * width - n * (n + 1) // 2  # the index of (n, m) is row + m
-        out.extend(range(row + max(m0, n), row + m1 + 1))
-    return out
-
-
 def _halves(box: tuple[int, int, int, int]) -> tuple[tuple, tuple, tuple] | None:
     """Nested-dissection split of a box of unknowns: (first half, second half, separator).
 
@@ -229,25 +221,31 @@ def _dissection_rank(width: int) -> np.ndarray:
     The triangle n <= m of a window width levels wide is bisected
     recursively by _halves; each box ranks its two halves first and its
     separator after them (A. George, SIAM J. Numer. Anal. 10, 345 (1973)).
-    Unknown 0, R[n_lo, n_lo], whose row steady_state trades for the dense
-    trace row, ranks last.
+    Each leaf and separator paints its rectangle of a width x width key
+    with its visit number; the rectangles do not overlap, so a stable sort
+    of the triangle's keys ranks the unknowns box by box, each box's in
+    triu order. Unknown 0, R[n_lo, n_lo], whose row steady_state trades for
+    the dense trace row, ranks last.
     """
-    order = []
+    boxes = []
 
     def visit(box):
         split = _halves(box)
         if split is None:
-            order.extend(_box_unknowns(width, box))
+            boxes.append(box)
             return
         visit(split[0])
         visit(split[1])
-        order.extend(_box_unknowns(width, split[2]))
+        boxes.append(split[2])
 
     visit((0, width - 1, 0, width - 1))
-    order.remove(0)
-    order.append(0)
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
+    key = np.empty((width, width), dtype=np.int64)
+    for i, (n0, n1, m0, m1) in enumerate(boxes):
+        key[n0 : n1 + 1, m0 : m1 + 1] = i
+    key[0, 0] = len(boxes)
+    order = np.argsort(key[np.triu_indices(width)], kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
     return rank
 
 
@@ -389,25 +387,37 @@ def steady_state_auto(
     n_max: int | None = None,
     dephasing: float = 0.0,
 ) -> FieldState:
-    """steady_state with automatic window choice and doubling on tail failure.
+    """Steady state with automatic window choice and doubling on tail failure.
 
-    Without n_max, the window runs from ten sigma and ten below the
-    predicted mean (or from the vacuum, when that reaches it) up to
-    suggest_n_max's cutoff; a given n_max is solved on the full basis. A
-    truncation on a window above the vacuum re-solves once on the full
-    basis at the same cutoff, since either edge may have failed; on the
-    full basis a truncation doubles the cutoff. Doubling is clipped to the
-    largest cutoff the guard allows, n_max = DEFAULT_MAX_DIM - 1, so the
-    search gives up only once that cutoff has failed. dephasing is
-    MasterParams'; the window estimate does not read it.
+    A phase-averaged atom (rho_eg = 0) leaves the steady state diagonal,
+    where detailed balance gives it exactly: each attempt is
+    analytic.pn_random_phase on the full basis, and dephasing has no
+    effect, since (n - m)^2 vanishes on the diagonal. Any other atom is
+    solved by steady_state's LU. Without n_max, the window runs from ten
+    sigma and ten below the predicted mean (or from the vacuum, when that
+    reaches it, and always for rho_eg = 0) up to suggest_n_max's cutoff; a
+    given n_max is solved on the full basis. A truncation on a window
+    above the vacuum re-solves once on the full basis at the same cutoff,
+    since either edge may have failed; on the full basis a truncation
+    doubles the cutoff. Doubling is clipped to the largest cutoff the
+    guard allows, n_max = DEFAULT_MAX_DIM - 1, so the search gives up only
+    once that cutoff has failed. dephasing is MasterParams'; the window
+    estimate does not read it.
     """
     if n_max is None:
         lo, cur = _window_edges(_predicted_mean(n_c, a, k.g_tau))
     else:
         lo, cur = 0, max(n_max, 2)
+    diagonal = a.rho_eg == 0
+    if diagonal:
+        lo = 0  # the recursion runs up from the vacuum
     while True:
         try:
-            return steady_state(MasterParams(n_c, k, a, cur, lo, dephasing))
+            p = MasterParams(n_c, k, a, cur, lo, dephasing)
+            if not diagonal:
+                return steady_state(p)
+            _check_guard(p)
+            return FieldState(np.diag(pn_random_phase(n_c, a.rho_ee, k.g_tau, cur)))
         except TruncationError:
             if lo > 0:
                 lo = 0

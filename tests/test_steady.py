@@ -285,6 +285,51 @@ def test_dephasing_leaves_the_random_phase_state_alone(n_c, rho_ee, g_tau, rate)
     assert np.array_equal(s.q, steady_state_auto(n_c, a, k).q)
 
 
+@pytest.mark.parametrize(
+    "n_c, rho_ee, g_tau, n_max, rate",
+    [
+        # steady-large's random-phase point, at the cutoff its search once accepted
+        (1500.0, 0.75, 0.05, 320, 0.0),
+        # test_02's p = 20 point
+        (2e5, 0.25, 0.01, 34, 0.0),
+        # test_01's five points
+        (1.0, 0.25, 0.01, 11, 0.0),
+        (100.0, 0.5, 0.01, 11, 0.0),
+        (1.0, 1.0, 0.1, 11, 0.0),
+        (100.0, 0.5, 0.1, 16, 0.0),
+        (100.0, 1.0, 0.01, 11, 0.0),
+        # fig3's baselines at 0.224 and 2.5 excited atoms
+        (9.396205193626102, 0.5, 0.1840344976472901, 13, 0.0),
+        (105.05276771742268, 0.5, 0.1840344976472901, 42, 0.0),
+        # phase noise leaves the diagonal state alone
+        (100.0, 0.5, 0.1, 16, 1.0),
+    ],
+)
+def test_lu_matches_the_random_phase_recursion(n_c, rho_ee, g_tau, n_max, rate):
+    # steady_state_auto takes these states from the recursion itself, so
+    # the LU is held to it here, on its own
+    s = steady_state(MasterParams(n_c, KickParams(g_tau), AtomState(rho_ee, 0.0), n_max,
+                                  dephasing=rate))
+    ref = pn_random_phase(n_c, rho_ee, g_tau, n_max)
+    assert np.max(np.abs(np.real(np.diag(s.q)) - ref)) <= 1e-8
+
+
+def test_auto_takes_a_phase_averaged_atom_from_the_recursion(monkeypatch):
+    splu = scipy.sparse.linalg.splu
+    factored = []
+
+    def counting_splu(*args, **kwargs):
+        factored.append(args)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    for n_max, rate in ((None, 0.0), (40, 1.0)):
+        s = steady_state_auto(1500.0, AtomState(0.75, 0.0), KickParams(0.05), n_max, rate)
+        assert np.array_equal(s.q, np.diag(np.diag(s.q)))
+        assert mean_photon(s) == pytest.approx(16.019248887, rel=1e-9)
+    assert factored == []
+
+
 def test_solution_matches_recursion_exactly():
     s = steady_state_auto(10.0, AtomState(1.0, 0.0), KickParams(0.05))
     p_rec = pn_random_phase(10.0, 1.0, 0.05, s.n_max)
@@ -317,10 +362,12 @@ def test_auto_growth_from_tight_start():
 
 def test_auto_stops_doubling_at_ceiling(monkeypatch):
     monkeypatch.setattr(steady, "DEFAULT_MAX_DIM", 9)
-    with pytest.raises(TruncationError):
-        steady_state_auto(50.0, HALF, KickParams(0.05), n_max=4)
-    with pytest.raises(ResourceError):
-        steady_state_auto(50.0, HALF, KickParams(0.05), n_max=20)
+    # the random-phase atom takes the recursion, not the LU, through the same guard
+    for atom, k in ((HALF, KickParams(0.05)), (AtomState(1.0, 0.0), KickParams(0.1))):
+        with pytest.raises(TruncationError):
+            steady_state_auto(50.0, atom, k, n_max=4)
+        with pytest.raises(ResourceError):
+            steady_state_auto(50.0, atom, k, n_max=20)
 
 
 def test_auto_clips_growth_to_ceiling(monkeypatch):
@@ -377,6 +424,13 @@ def test_an_attempt_factors_once_and_solves_once(monkeypatch):
     assert calls == ["factor", "solve"]
 
 
+def _box_unknowns(width, box):
+    """Triu indices of the unknowns R[n, m], n <= m, with n0 <= n <= n1 and m0 <= m <= m1."""
+    n0, n1, m0, m1 = box
+    n, m = np.triu_indices(width)
+    return np.flatnonzero((n0 <= n) & (n <= n1) & (m0 <= m) & (m <= m1))
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 17, 200])
 def test_dissection_orders_each_half_before_its_separator(width):
     size = width * (width + 1) // 2
@@ -392,16 +446,14 @@ def test_dissection_orders_each_half_before_its_separator(width):
     boxes = [(0, width - 1, 0, width - 1)]
     while boxes:
         box = boxes.pop()
-        inside = np.array(steady._box_unknowns(width, box), dtype=np.int64)
+        inside = _box_unknowns(width, box)
         ranks = np.sort(rank[inside[inside != 0]])
         assert ranks.size == 0 or ranks[-1] - ranks[0] == ranks.size - 1
         split = steady._halves(box)
         if split is None:
             assert inside.size <= steady._DISSECTION_LEAF
             continue
-        first, second, sep = (
-            np.array(steady._box_unknowns(width, b), dtype=np.int64) for b in split
-        )
+        first, second, sep = (_box_unknowns(width, b) for b in split)
         assert np.array_equal(np.sort(np.concatenate((first, second, sep))), inside)
         side = np.zeros(size, dtype=np.int64)
         side[second] = 1
