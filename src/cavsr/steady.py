@@ -391,8 +391,10 @@ def steady_state_auto(
 
     A phase-averaged atom (rho_eg = 0) leaves the steady state diagonal,
     where detailed balance gives it exactly: each attempt is
-    analytic.pn_random_phase on the full basis, and dephasing has no
-    effect, since (n - m)^2 vanishes on the diagonal. Any other atom is
+    analytic.pn_random_phase on the full basis, and it must pass both that
+    recursion's estimate of the mass past the cutoff and steady_state's
+    rule on the top level. dephasing has no effect, since (n - m)^2
+    vanishes on the diagonal. Any other atom is
     solved by steady_state's LU. Without n_max, the window runs from ten
     sigma and ten below the predicted mean (or from the vacuum, when that
     reaches it, and always for rho_eg = 0) up to suggest_n_max's cutoff; a
@@ -417,7 +419,9 @@ def steady_state_auto(
             if not diagonal:
                 return steady_state(p)
             _check_guard(p)
-            return FieldState(np.diag(pn_random_phase(n_c, a.rho_ee, k.g_tau, cur)))
+            pn = pn_random_phase(n_c, a.rho_ee, k.g_tau, cur)
+            check_tail("steady state keeps", float(pn[-1]), cur)
+            return FieldState(np.diag(pn))
         except TruncationError:
             if lo > 0:
                 lo = 0
