@@ -25,7 +25,7 @@ import numpy as np
 from ._version import __version__
 from . import analytic, dicke, steady
 from .atom import AtomState, dephase, prepare
-from .errors import CavsrError, ResourceError, check_range
+from .errors import CavsrError, ResourceError, TruncationError, check_range
 from .hilbert import FieldState, coherent_amplitudes, fidelity_to_coherent, mean_photon
 from .hilbert import photon_distribution, vacuum
 from .interaction import KickParams, bunched_mean_n, kick_sequence, lossless_sequence
@@ -511,10 +511,19 @@ def transient_buildup(cfg: RunConfig) -> tuple[SweepResult, dict]:
     else:
         s_ss = _steady(cfg)
         p = MasterParams(n_c, k, a, s_ss.n_max, dephasing=cfg.dephasing)
-        times, states = evolve(p, vacuum(s_ss.n_max), t_end)
+        # the levels that hold the steady state, and once more on the steady
+        # cutoff if the transient overshoots them on its way up
+        for n_max in (steady._held_cutoff(p, s_ss), s_ss.n_max):
+            try:
+                times, states = evolve(dataclasses.replace(p, n_max=n_max), vacuum(n_max), t_end)
+                break
+            except TruncationError:
+                if n_max == s_ss.n_max:
+                    raise
         mean = np.array([mean_photon(s) for s in states])
         baseline = np.full(mean.shape, mean_photon(s_ss))
         meta["baseline"] = "steady-state mean photon number"
+        meta["n_max_used"] = n_max
         summary = {"mode": "coarse-ode", "steady_mean_n": mean_photon(s_ss)}
     summary |= {"t_end": t_end, "final_mean_n": float(mean[-1])}
     return SweepResult(times, mean, baseline, meta), summary

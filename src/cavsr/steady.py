@@ -37,8 +37,8 @@ import scipy.sparse.linalg
 from .analytic import mean_n_noncollective, pn_random_phase
 from .atom import AtomState
 from .errors import ConvergenceError, DivergenceError, ResourceError, TruncationError
-from .errors import check_range, check_tail
-from .hilbert import FieldState
+from .errors import TAIL_TOL, check_range, check_tail
+from .hilbert import FieldState, photon_distribution
 from .interaction import KickParams, apply_stencil, kick_stencil
 
 __all__ = [
@@ -429,6 +429,22 @@ def steady_state_auto(
                 cur = min(2 * cur, DEFAULT_MAX_DIM - 1)
             else:
                 raise
+
+
+def _held_cutoff(p: MasterParams, s: FieldState) -> int:
+    """Smallest cutoff whose levels up to s's hold s by steady_state's upper-edge rules.
+
+    Returns the least L such that every level l from L to s.n_max keeps
+    the steady population s[l, l] within errors.TAIL_TOL and its trace-leak
+    rate n_c rho_ee sin^2(g_tau sqrt(l + 1)) s[l, l] within _RESIDUAL_TOL:
+    each is what steady_state checks at its top level, and checking every
+    level above L keeps a non-monotone tail from passing one level only.
+    p supplies the pump; L is clipped to s.n_max.
+    """
+    pn = photon_distribution(s)
+    leak = p.n_c * p.a.rho_ee * np.sin(p.k.g_tau * np.sqrt(np.arange(1.0, s.dim + 1))) ** 2 * pn
+    refused = np.flatnonzero(~((pn <= TAIL_TOL) & (leak <= _RESIDUAL_TOL)))
+    return min(int(refused[-1]) + 1 if refused.size else 0, s.n_max)
 
 
 def evolve(

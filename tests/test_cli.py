@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cavsr import experiments, steady
+from cavsr.atom import prepare
 from cavsr.cli import main
 from cavsr.dicke import MAX_BRUTE_FORCE_ATOMS
+from cavsr.interaction import KickParams
 
 
 @pytest.fixture
@@ -190,6 +193,28 @@ def test_transient_discrete_mode_walks_the_atom_grid(capsys, tmp_path, small_con
     data = np.loadtxt(tmp_path / "transient.csv", delimiter=",", skiprows=1, ndmin=2)
     assert data.shape[0] == 7  # 6 atoms in 2 decay times at n_c = 3, plus t = 0
     assert np.allclose(np.diff(data[:, 0]), 1.0 / 3.0)
+
+
+def test_transient_retries_once_on_the_steady_cutoff(capsys, tmp_path, small_config, monkeypatch):
+    # a held cutoff of 2 levels cannot carry the buildup: evolve refuses it
+    # and the transient runs again on the steady cutoff
+    used = []
+
+    def recording_evolve(p, q0, t_end):
+        used.append(p.n_max)
+        return steady.evolve(p, q0, t_end)
+
+    monkeypatch.setattr(steady, "_held_cutoff", lambda p, s: 2)
+    monkeypatch.setattr(experiments, "evolve", recording_evolve)
+    rc, out, _ = run_cli(
+        capsys, "transient", "--config", small_config, "--out", str(tmp_path), "--t-end", "6.0",
+    )
+    assert rc == 0
+    meta = json.loads((tmp_path / "transient.meta.json").read_text(encoding="utf-8"))
+    steady_cutoff = steady.steady_state_auto(3.0, prepare(0.5 * math.pi), KickParams(0.1)).n_max
+    assert used == [2, steady_cutoff]
+    assert meta["n_max_used"] == steady_cutoff
+    assert out["final_mean_n"] == pytest.approx(out["steady_mean_n"], rel=0.01)
 
 
 @pytest.fixture

@@ -25,8 +25,8 @@ from cavsr.experiments import (
 from cavsr import experiments, steady
 from cavsr.errors import ResourceError
 from cavsr.atom import prepare
-from cavsr.hilbert import mean_photon
-from cavsr.steady import steady_state_auto, suggest_n_max
+from cavsr.hilbert import mean_photon, vacuum
+from cavsr.steady import MasterParams, evolve, steady_state_auto, suggest_n_max
 
 HALF = 0.5 * math.pi
 
@@ -381,6 +381,18 @@ def test_coarse_transient_relaxes_to_the_dephased_steady_state():
     # also speeds the coherence's relaxation
     _, summary = transient_buildup(small_cavity(linewidth=0.5, t_end=8.0))
     assert summary["final_mean_n"] == pytest.approx(summary["steady_mean_n"], rel=1e-4)
+
+
+def test_coarse_transient_integrates_on_the_levels_its_steady_state_holds():
+    # g_tau = 0.1, theta = 2, n_c = 50: 34 of the steady cutoff's 42 levels
+    # hold the steady state, and <n>(t) on them is the full cutoff's to the
+    # integrator's rtol
+    cfg = small_cavity(n_c=50.0, theta=2.0, t_end=4.0)
+    res, _ = transient_buildup(cfg)
+    s = steady_state_auto(50.0, cfg.atom(), cfg.kick())
+    assert res.metadata["n_max_used"] < s.n_max
+    _, states = evolve(MasterParams(50.0, cfg.kick(), cfg.atom(), s.n_max), vacuum(s.n_max), 4.0)
+    assert res.mean_n == pytest.approx([mean_photon(q) for q in states], rel=1e-8)
 
 
 def test_regular_transient_refuses_a_baseline_past_the_guard_before_solving(monkeypatch):

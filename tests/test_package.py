@@ -2,6 +2,7 @@ import ast
 import contextlib
 import importlib
 import inspect
+import json
 from pathlib import Path
 
 import cavsr
@@ -59,3 +60,21 @@ def test_benchmark_finds_every_name_it_traces(monkeypatch):
         workloads.install_tracing(spans.Tracer(), stack)
         assert trajectory.jc_kick_pure is not interaction.jc_kick_pure
     assert trajectory.jc_kick_pure is interaction.jc_kick_pure
+
+
+def test_every_bench_record_has_the_shared_layout():
+    # each committed BENCH_<n>.json backs a speed claim in one layout, and
+    # each of its paired studies ran a workload that BENCHMARK.json declares
+    root = Path(__file__).resolve().parents[1]
+    benchmark = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    declared = {workload["name"] for workload in benchmark["workloads"]}
+    records = sorted(root.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        layout = {"change", "parent_commit", "host", "layer_moved", "runs", "paired_studies"}
+        assert layout <= record.keys(), path.name
+        studies = record["paired_studies"]["studies"]
+        assert studies, path.name
+        for study in studies:
+            assert study["workload"] in declared, f"{path.name}: {study['workload']}"

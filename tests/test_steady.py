@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cavsr.analytic import pn_random_phase
 from cavsr.atom import AtomState, dephase, prepare
-from cavsr.errors import ConvergenceError, ResourceError, TruncationError
+from cavsr.errors import TAIL_TOL, ConvergenceError, ResourceError, TruncationError
 from cavsr.hilbert import (
     FieldState,
     coherent,
@@ -271,6 +271,17 @@ def test_dephased_beam_matches_the_small_angle_closed_form(n_c, theta, coherence
         assert mean_photon(s) == pytest.approx(ref, rel=1e-4)
 
 
+def lu_at_the_recursion_cutoff(n_c, a, k, dephasing=0.0):
+    """steady_state's LU for a rho_eg = 0 atom, which steady_state_auto answers
+    with the recursion itself: at the recursion's cutoff, or at twice it where
+    the LU's 1e-9 trace-leak rule refuses that."""
+    n_max = steady_state_auto(n_c, a, k).n_max
+    try:
+        return steady_state(MasterParams(n_c, k, a, n_max, dephasing=dephasing))
+    except TruncationError:
+        return steady_state(MasterParams(n_c, k, a, 2 * n_max, dephasing=dephasing))
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     st.floats(0.1, 300.0),
@@ -279,18 +290,10 @@ def test_dephased_beam_matches_the_small_angle_closed_form(n_c, theta, coherence
     st.floats(0.0, 100.0),
 )
 def test_dephasing_leaves_the_random_phase_state_alone(n_c, rho_ee, g_tau, rate):
-    # with rho_eg = 0 the steady state is diagonal, where (n - m)^2 vanishes.
-    # steady_state_auto never reads dephasing for such an atom, so the LU is
-    # solved here, at the recursion's cutoff or, when the LU's 1e-9 trace-leak
-    # rule refuses that, at twice it
+    # with rho_eg = 0 the steady state is diagonal, where (n - m)^2 vanishes
     a, k = AtomState(rho_ee, 0.0), KickParams(g_tau)
-    n_max = steady_state_auto(n_c, a, k).n_max
-    try:
-        s = steady_state(MasterParams(n_c, k, a, n_max, dephasing=rate))
-    except TruncationError:
-        n_max *= 2
-        s = steady_state(MasterParams(n_c, k, a, n_max, dephasing=rate))
-    assert np.array_equal(s.q, steady_state(MasterParams(n_c, k, a, n_max)).q)
+    s = lu_at_the_recursion_cutoff(n_c, a, k, rate)
+    assert np.array_equal(s.q, steady_state(MasterParams(n_c, k, a, s.n_max)).q)
 
 
 @pytest.mark.parametrize(
@@ -339,7 +342,7 @@ def test_auto_takes_a_phase_averaged_atom_from_the_recursion(monkeypatch):
 
 
 def test_solution_matches_recursion_exactly():
-    s = steady_state_auto(10.0, AtomState(1.0, 0.0), KickParams(0.05))
+    s = lu_at_the_recursion_cutoff(10.0, AtomState(1.0, 0.0), KickParams(0.05))
     p_rec = pn_random_phase(10.0, 1.0, 0.05, s.n_max)
     assert np.max(np.abs(photon_distribution(s) - p_rec)) <= 1e-8
 
@@ -566,6 +569,52 @@ def test_suggested_cutoff_tracks_saturated_field():
     # semiclassical balance puts the mean near 296 at this flux
     n = suggest_n_max(1200.0, HALF, 0.05)
     assert 450 <= n <= 520
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.floats(1.0, 30.0),
+    st.floats(0.02, 0.15),
+    st.floats(0.3, 3.0),
+    st.floats(-math.pi, math.pi),
+)
+def test_held_cutoff_is_the_least_level_both_edge_rules_hold_from(n_c, g_tau, theta, phi):
+    # at and above the cutoff every level keeps at most TAIL_TOL population
+    # and leaks the trace no faster than _RESIDUAL_TOL, at the rate that
+    # test_generator_annihilates_the_trace pins; searched for by brute force
+    a, k = prepare(theta, phi), KickParams(g_tau)
+    s = steady_state_auto(n_c, a, k)
+    pn = photon_distribution(s)
+    leak = n_c * a.rho_ee * np.sin(g_tau * np.sqrt(np.arange(s.dim) + 1.0)) ** 2 * pn
+    ok = (pn <= TAIL_TOL) & (leak <= steady._RESIDUAL_TOL)
+    least = next((n for n in range(s.dim) if ok[n:].all()), s.n_max)
+    assert steady._held_cutoff(MasterParams(n_c, k, a, s.n_max), s) == min(least, s.n_max)
+
+
+def test_held_cutoff_reads_every_level_above_it():
+    # a bump two levels under the top refuses every cutoff below it
+    pn = np.full(21, 1e-12)
+    pn[0], pn[18] = 1.0, 1e-7
+    s = FieldState(np.diag(pn / pn.sum()))
+    assert steady._held_cutoff(MasterParams(1.0, KickParams(0.05), HALF, 20), s) == 19
+
+
+def test_held_cutoff_leak_is_the_generator_trace_row():
+    # at the transient benchmark's point the leak rate, not the population,
+    # refuses the level under the held cutoff; minus build_generator's vec(I)
+    # row at (n, n) times p_n is the rate at which a cutoff n leaks the trace
+    a, k = HALF, KickParams(0.05)
+    s = steady_state_auto(300.0, a, k)
+    held = steady._held_cutoff(MasterParams(300.0, k, a, s.n_max), s)
+    pn = photon_distribution(s)
+
+    def leak(n):
+        row = np.eye(n + 1).ravel() @ build_generator(MasterParams(300.0, k, a, n))
+        return -row[n * (n + 2)] * pn[n]
+
+    assert held < s.n_max
+    assert np.all(pn[held - 1 :] <= TAIL_TOL)
+    assert leak(held) <= steady._RESIDUAL_TOL < leak(held - 1)
 
 
 def test_evolve_zero_duration():
