@@ -478,7 +478,15 @@ def lossless_emission(cfg: RunConfig, atoms: int = 20) -> tuple[SweepResult, dic
 def transient_buildup(cfg: RunConfig) -> tuple[SweepResult, dict]:
     """<n>(t) from the vacuum over cfg.duration (1/gamma_c), for cfg's injection.
 
-    A Poisson beam integrates the master equation, against the steady <n>.
+    A Poisson beam integrates the master equation, against the steady <n>,
+    on the fewest levels that hold that steady state by steady_state's
+    upper-edge rules (steady._held_cutoff), not on the steady search's
+    cutoff: the explicit integrator's step is bound by the stiffest modes,
+    which live on the top levels. The field rises from the vacuum towards
+    that state, so those levels hold the buildup too; where evolve's tail
+    check says otherwise, the integration runs once more on the steady
+    cutoff. The sidecar records the cutoff used as n_max_used.
+
     A regular beam sends atoms 1/n_c apart through the exact map, one point
     per atom, against the lossless stepwise emission after the same number
     of atoms; that map has no pump phase noise, so it refuses a linewidth,

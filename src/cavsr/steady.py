@@ -444,7 +444,8 @@ def _held_cutoff(p: MasterParams, s: FieldState) -> int:
     pn = photon_distribution(s)
     leak = p.n_c * p.a.rho_ee * np.sin(p.k.g_tau * np.sqrt(np.arange(1.0, s.dim + 1))) ** 2 * pn
     refused = np.flatnonzero(~((pn <= TAIL_TOL) & (leak <= _RESIDUAL_TOL)))
-    return min(int(refused[-1]) + 1 if refused.size else 0, s.n_max)
+    # a unit-trace state keeps more than TAIL_TOL on some level, so one is refused
+    return min(int(refused[-1]) + 1, s.n_max)
 
 
 def evolve(

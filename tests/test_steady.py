@@ -588,7 +588,7 @@ def test_held_cutoff_is_the_least_level_both_edge_rules_hold_from(n_c, g_tau, th
     leak = n_c * a.rho_ee * np.sin(g_tau * np.sqrt(np.arange(s.dim) + 1.0)) ** 2 * pn
     ok = (pn <= TAIL_TOL) & (leak <= steady._RESIDUAL_TOL)
     least = next((n for n in range(s.dim) if ok[n:].all()), s.n_max)
-    assert steady._held_cutoff(MasterParams(n_c, k, a, s.n_max), s) == min(least, s.n_max)
+    assert steady._held_cutoff(MasterParams(n_c, k, a, s.n_max), s) == least
 
 
 def test_held_cutoff_reads_every_level_above_it():
@@ -599,22 +599,21 @@ def test_held_cutoff_reads_every_level_above_it():
     assert steady._held_cutoff(MasterParams(1.0, KickParams(0.05), HALF, 20), s) == 19
 
 
-def test_held_cutoff_leak_is_the_generator_trace_row():
-    # at the transient benchmark's point the leak rate, not the population,
-    # refuses the level under the held cutoff; minus build_generator's vec(I)
-    # row at (n, n) times p_n is the rate at which a cutoff n leaks the trace
+def test_held_cutoff_leak_is_the_generator_trace_row(monkeypatch):
+    # minus build_generator's vec(I) row at (n, n) times p_n is the rate at
+    # which a cutoff n leaks the trace. At the transient benchmark's point the
+    # leak rate decides the held cutoff n, so a rate bound a hair above that
+    # rate keeps n, and one a hair below it moves the cutoff up one level
     a, k = HALF, KickParams(0.05)
     s = steady_state_auto(300.0, a, k)
-    held = steady._held_cutoff(MasterParams(300.0, k, a, s.n_max), s)
-    pn = photon_distribution(s)
-
-    def leak(n):
-        row = np.eye(n + 1).ravel() @ build_generator(MasterParams(300.0, k, a, n))
-        return -row[n * (n + 2)] * pn[n]
-
-    assert held < s.n_max
-    assert np.all(pn[held - 1 :] <= TAIL_TOL)
-    assert leak(held) <= steady._RESIDUAL_TOL < leak(held - 1)
+    p = MasterParams(300.0, k, a, s.n_max)
+    n = steady._held_cutoff(p, s)
+    row = np.eye(n + 1).ravel() @ build_generator(dataclasses.replace(p, n_max=n))
+    leak = -row[n * (n + 2)] * photon_distribution(s)[n]
+    assert n < s.n_max
+    for scale, held in ((1.0 + 1e-12, n), (1.0 - 1e-12, n + 1)):
+        monkeypatch.setattr(steady, "_RESIDUAL_TOL", leak * scale)
+        assert steady._held_cutoff(p, s) == held
 
 
 def test_evolve_zero_duration():
