@@ -264,8 +264,8 @@ def _solve_curve(
     The curve is plotted against axis, the values themselves unless given.
     The baseline is the same point with transit_dephase = 0, the
     random-phase pump, whose diagonal steady state steady_state_auto takes
-    from the detailed-balance recursion. Failures are annotated under the
-    point's label.
+    from the detailed-balance recursion, on a cutoff that steady_state's LU
+    accepts too. Failures are annotated under the point's label.
     """
     meta = _base_metadata(cfg, axis_label, swept=name)
     meta["baseline"] = "random-phase (rho_eg = 0) steady state at matching rho_ee"

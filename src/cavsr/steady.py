@@ -297,18 +297,12 @@ def steady_state(p: MasterParams) -> FieldState:
     f = apply_stencil(q[lo:, lo:], stencil)
     inner = np.abs(f[pad:, pad:])
     best = float(inner.max())
-    if not best <= _RESIDUAL_TOL:
-        # a residual confined to the replaced trace row is the rate at which
-        # probability escapes past the window's edges: a basis problem, not a
-        # solver one, so report it as such and let callers enlarge the basis
-        if not float(inner.ravel()[1:].max()) <= _RESIDUAL_TOL:
-            raise ConvergenceError(
-                f"steady-state residual {best:.3e} above {_RESIDUAL_TOL:.0e}"
-            )
-        raise TruncationError(
-            f"trace leaks out of levels {p.n_lo}..{p.n_max} at rate {best:.3e}; "
-            "enlarge the basis"
-        )
+    # a residual off the replaced trace row is the solver's; one confined to it
+    # is the rate at which probability escapes past the window's edges, a basis
+    # problem that _check_leak reports as such so that callers enlarge the basis
+    if not best <= _RESIDUAL_TOL and not float(inner.ravel()[1:].max()) <= _RESIDUAL_TOL:
+        raise ConvergenceError(f"steady-state residual {best:.3e} above {_RESIDUAL_TOL:.0e}")
+    _check_leak(p, best)
     q[p.n_lo :, p.n_lo :] /= float(np.trace(r))
     check_tail("steady state keeps", float(q[p.n_max, p.n_max].real), p.n_max)
     edge = max(np.abs(f[:pad]).max(initial=0.0), np.abs(f[:, :pad]).max(initial=0.0))
@@ -318,6 +312,19 @@ def steady_state(p: MasterParams) -> FieldState:
             "lower the window's edge"
         )
     return FieldState(q)
+
+
+def _trace_leak(p: MasterParams, pn: np.ndarray) -> np.ndarray:
+    """Rate n_c rho_ee sin^2(g_tau sqrt(l + 1)) pn[l] at which a cutoff at level l leaks trace."""
+    return p.n_c * p.a.rho_ee * np.sin(p.k.g_tau * np.sqrt(np.arange(1.0, pn.size + 1))) ** 2 * pn
+
+
+def _check_leak(p: MasterParams, rate: float) -> None:
+    """steady_state's trace-leak rule: p's basis leaks trace at a rate within _RESIDUAL_TOL."""
+    if not rate <= _RESIDUAL_TOL:
+        raise TruncationError(
+            f"trace leaks out of levels {p.n_lo}..{p.n_max} at rate {rate:.3e}; enlarge the basis"
+        )
 
 
 def _balance_angle(n_c: float, a: AtomState, g_tau: float) -> float:
@@ -391,13 +398,15 @@ def steady_state_auto(
 
     A phase-averaged atom (rho_eg = 0) leaves the steady state diagonal,
     where detailed balance gives it exactly: each attempt is
-    analytic.pn_random_phase on the full basis, and it must pass both that
-    recursion's estimate of the mass past the cutoff and steady_state's
-    rule on the top level. dephasing has no effect, since (n - m)^2
-    vanishes on the diagonal. Any other atom is
+    analytic.pn_random_phase on the full basis, and it must pass that
+    recursion's estimate of the mass past the cutoff and both of
+    steady_state's upper-edge rules, the top level's population and the
+    trace-leak rate, so steady_state accepts the same cutoff. dephasing has
+    no effect, since (n - m)^2 vanishes on the diagonal. Any other atom is
     solved by steady_state's LU. Without n_max, the window runs from ten
     sigma and ten below the predicted mean (or from the vacuum, when that
-    reaches it, and always for rho_eg = 0) up to suggest_n_max's cutoff; a
+    reaches it, and always for rho_eg = 0) up to suggest_n_max's cutoff,
+    which for rho_eg = 0 is clipped to the guard's largest cutoff; a
     given n_max is solved on the full basis. A truncation on a window
     above the vacuum re-solves once on the full basis at the same cutoff,
     since either edge may have failed; on the full basis a truncation
@@ -406,13 +415,13 @@ def steady_state_auto(
     once that cutoff has failed. dephasing is MasterParams'; the window
     estimate does not read it.
     """
-    if n_max is None:
-        lo, cur = _window_edges(_predicted_mean(n_c, a, k.g_tau))
-    else:
-        lo, cur = 0, max(n_max, 2)
     diagonal = a.rho_eg == 0
-    if diagonal:
-        lo = 0  # the recursion runs up from the vacuum
+    if n_max is not None:
+        lo, cur = 0, max(n_max, 2)
+    else:
+        lo, cur = _window_edges(_predicted_mean(n_c, a, k.g_tau))
+        if diagonal:  # the recursion runs up from the vacuum; clip its start as doubling is
+            lo, cur = 0, min(cur, DEFAULT_MAX_DIM - 1)
     while True:
         try:
             p = MasterParams(n_c, k, a, cur, lo, dephasing)
@@ -421,6 +430,7 @@ def steady_state_auto(
             _check_guard(p)
             pn = pn_random_phase(n_c, a.rho_ee, k.g_tau, cur)
             check_tail("steady state keeps", float(pn[-1]), cur)
+            _check_leak(p, float(_trace_leak(p, pn)[-1]))
             return FieldState(np.diag(pn))
         except TruncationError:
             if lo > 0:
@@ -442,8 +452,7 @@ def _held_cutoff(p: MasterParams, s: FieldState) -> int:
     p supplies the pump; L is clipped to s.n_max.
     """
     pn = photon_distribution(s)
-    leak = p.n_c * p.a.rho_ee * np.sin(p.k.g_tau * np.sqrt(np.arange(1.0, s.dim + 1))) ** 2 * pn
-    refused = np.flatnonzero(~((pn <= TAIL_TOL) & (leak <= _RESIDUAL_TOL)))
+    refused = np.flatnonzero(~((pn <= TAIL_TOL) & (_trace_leak(p, pn) <= _RESIDUAL_TOL)))
     # a unit-trace state keeps more than TAIL_TOL on some level, so one is refused
     return min(int(refused[-1]) + 1, s.n_max)
 

@@ -42,13 +42,9 @@ def test_pn_matches_master_solver():
         g_tau = rng.uniform(0.02, 0.12)
         a, k = AtomState(rho_ee, 0.0), KickParams(g_tau)
         # steady_state_auto answers rho_eg = 0 with the recursion itself, so
-        # the LU solves its cutoff, or twice it where the LU's 1e-9 trace-leak
-        # rule refuses that
+        # the LU solves the cutoff the recursion accepts
         n_max = steady_state_auto(n_c, a, k).n_max
-        try:
-            s = steady_state(MasterParams(n_c, k, a, n_max))
-        except TruncationError:
-            s = steady_state(MasterParams(n_c, k, a, 2 * n_max))
+        s = steady_state(MasterParams(n_c, k, a, n_max))
         recursion = pn_random_phase(n_c, rho_ee, g_tau, s.n_max)
         assert np.max(np.abs(photon_distribution(s) - recursion)) <= 1e-8
 

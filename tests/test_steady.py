@@ -174,14 +174,14 @@ def test_generator_size_guard(monkeypatch):
 
 
 def test_weak_pump_mean():
-    s = steady_state_auto(1000.0, AtomState(0.5, 0.0), KickParams(0.01))
+    s = lu_at_the_recursion_cutoff(1000.0, AtomState(0.5, 0.0), KickParams(0.01))
     assert mean_photon(s) == pytest.approx(0.025, rel=0.02)
 
 
 def test_strong_pump_plateau():
     # quarter-excited beam: the mean converges to rho/(1 - 2 rho) = 1/2 from
     # below as the pump parameter grows; p = 1000 sits within half a percent
-    s = steady_state_auto(1e7, AtomState(0.25, 0.0), KickParams(0.01))
+    s = lu_at_the_recursion_cutoff(1e7, AtomState(0.25, 0.0), KickParams(0.01))
     assert mean_photon(s) == pytest.approx(0.5, rel=0.05)
 
 
@@ -273,13 +273,9 @@ def test_dephased_beam_matches_the_small_angle_closed_form(n_c, theta, coherence
 
 def lu_at_the_recursion_cutoff(n_c, a, k, dephasing=0.0):
     """steady_state's LU for a rho_eg = 0 atom, which steady_state_auto answers
-    with the recursion itself: at the recursion's cutoff, or at twice it where
-    the LU's 1e-9 trace-leak rule refuses that."""
+    with the recursion itself, at the cutoff the recursion accepts."""
     n_max = steady_state_auto(n_c, a, k).n_max
-    try:
-        return steady_state(MasterParams(n_c, k, a, n_max, dephasing=dephasing))
-    except TruncationError:
-        return steady_state(MasterParams(n_c, k, a, 2 * n_max, dephasing=dephasing))
+    return steady_state(MasterParams(n_c, k, a, n_max, dephasing=dephasing))
 
 
 @settings(max_examples=20, deadline=None)
@@ -301,8 +297,6 @@ def test_dephasing_leaves_the_random_phase_state_alone(n_c, rho_ee, g_tau, rate)
     [
         # steady-large's random-phase point, at the cutoff its search once accepted
         (1500.0, 0.75, 0.05, 320, 0.0),
-        # test_02's p = 20 point
-        (2e5, 0.25, 0.01, 34, 0.0),
         # test_01's five points
         (1.0, 0.25, 0.01, 11, 0.0),
         (100.0, 0.5, 0.01, 11, 0.0),
@@ -323,6 +317,25 @@ def test_lu_matches_the_random_phase_recursion(n_c, rho_ee, g_tau, n_max, rate):
                                   dephasing=rate))
     ref = pn_random_phase(n_c, rho_ee, g_tau, n_max)
     assert np.max(np.abs(np.real(np.diag(s.q)) - ref)) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "n_c, rho_ee, g_tau",
+    [
+        # test_02's p = 20 point, where the recursion once stopped at 17 levels
+        (2e5, 0.25, 0.01),
+        # fig3's baseline at 2.04 excited atoms, where it once stopped at 20
+        (85.90852218092107, 0.5, 0.1840344976472901),
+    ],
+)
+def test_lu_accepts_the_cutoff_the_recursion_accepts(n_c, rho_ee, g_tau):
+    # both paths refuse a cutoff by the same two upper-edge rules, so the LU
+    # takes steady_state_auto's cutoff as it stands
+    a, k = AtomState(rho_ee, 0.0), KickParams(g_tau)
+    n_max = steady_state_auto(n_c, a, k).n_max
+    s = steady_state(MasterParams(n_c, k, a, n_max))
+    ref = pn_random_phase(n_c, rho_ee, g_tau, n_max)
+    assert np.max(np.abs(photon_distribution(s) - ref)) <= 1e-8
 
 
 def test_auto_takes_a_phase_averaged_atom_from_the_recursion(monkeypatch):
@@ -350,7 +363,7 @@ def test_solution_matches_recursion_exactly():
 def test_mean_monotone_in_flux_for_inverted_beam():
     a = AtomState(1.0, 0.0)
     k = KickParams(0.05)
-    means = [mean_photon(steady_state_auto(float(n_c), a, k)) for n_c in range(1, 129)]
+    means = [mean_photon(lu_at_the_recursion_cutoff(float(n_c), a, k)) for n_c in range(1, 129)]
     assert np.all(np.diff(means) >= -1e-12)
 
 
@@ -383,6 +396,18 @@ def test_auto_stops_doubling_at_ceiling(monkeypatch):
             steady_state_auto(50.0, atom, k, n_max=4)
         with pytest.raises(ResourceError):
             steady_state_auto(50.0, atom, k, n_max=20)
+
+
+def test_auto_clips_a_predicted_start_to_the_ceiling():
+    # just below the lasing threshold the noncollective mean's denominator is
+    # 7e-4, so the window estimate reads 1509 photons, past the guard; the
+    # recursion holds the state on the guard's largest cutoff, and <n> = 10.3
+    # agrees with a search that starts at n_max 40 and stops at 161 levels
+    a, k = AtomState(0.9876708696600728, 0.0), KickParams(0.1275543820714748)
+    s = steady_state_auto(125.94795947678931, a, k)
+    assert s.n_max == steady.DEFAULT_MAX_DIM - 1
+    low = steady_state_auto(125.94795947678931, a, k, n_max=40)
+    assert mean_photon(s) == pytest.approx(mean_photon(low), rel=1e-9)
 
 
 def test_auto_clips_growth_to_ceiling(monkeypatch):
