@@ -52,7 +52,7 @@ __all__ = [
 
 # Direct sparse-LU factorization of the real dim(dim+1)/2 system is the whole
 # strategy; fill-in grows fast, and a full-basis solve at dim 1040 peaks at
-# about 1.0 GB in a fresh process and takes about 4 s on 2 cores. Past the
+# about 0.94 GB in a fresh process and takes about 2.7 s on 2 cores. Past the
 # guard we refuse rather than thrash.
 # Every solver reads the guard when called, so raising it here raises it for all.
 DEFAULT_MAX_DIM = 1100
@@ -62,6 +62,13 @@ _RESIDUAL_TOL = 1e-9
 # Leaves of the nested-dissection order hold at most this many unknowns:
 # smaller leaves cost more Python per solve, larger ones more LU fill.
 _DISSECTION_LEAF = 16
+
+# SuperLU's threshold partial pivoting: a diagonal entry is kept as the pivot
+# unless its column holds an entry more than 1/_PIVOT_THRESHOLD times larger,
+# so each elimination step grows entries by at most 1 + 1/_PIVOT_THRESHOLD
+# (Duff, Erisman & Reid, Direct Methods for Sparse Matrices, sec. 5.4) while
+# the dissection order's diagonal, and with it its fill, is mostly kept.
+_PIVOT_THRESHOLD = 0.1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -286,7 +293,9 @@ def steady_state(p: MasterParams) -> FieldState:
     del g  # the factorization below sets the peak memory; free the fold first
     b = np.zeros(a.shape[0])
     b[rank[0]] = 1.0
-    x = scipy.sparse.linalg.splu(a, permc_spec="NATURAL").solve(b)
+    x = scipy.sparse.linalg.splu(
+        a, permc_spec="NATURAL", diag_pivot_thresh=_PIVOT_THRESHOLD
+    ).solve(b)
 
     r = x[rank[red]].reshape(dim, dim)
     q = np.zeros((p.dim, p.dim), dtype=complex)
@@ -407,16 +416,17 @@ def steady_state_auto(
     sigma and ten below the predicted mean (or from the vacuum, when that
     reaches it, and always for rho_eg = 0) up to suggest_n_max's cutoff,
     which for rho_eg = 0 is clipped to the guard's largest cutoff; a
-    given n_max is solved on the full basis. A truncation on a window
-    above the vacuum re-solves once on the full basis at the same cutoff,
-    since either edge may have failed; on the full basis a truncation
-    doubles the cutoff. Doubling is clipped to the largest cutoff the
-    guard allows, n_max = DEFAULT_MAX_DIM - 1, so the search gives up only
-    once that cutoff has failed. dephasing is MasterParams'; the window
-    estimate does not read it.
+    given n_max, at least 1, is solved on the full basis. A truncation on
+    a window above the vacuum re-solves once on the full basis at the
+    same cutoff, since either edge may have failed; on the full basis a
+    truncation doubles the cutoff. Doubling is clipped to the largest
+    cutoff the guard allows, n_max = DEFAULT_MAX_DIM - 1, so the search
+    gives up only once that cutoff has failed. dephasing is MasterParams';
+    the window estimate does not read it.
     """
     diagonal = a.rho_eg == 0
     if n_max is not None:
+        check_range("n_max", n_max, 1)
         lo, cur = 0, max(n_max, 2)
     else:
         lo, cur = _window_edges(_predicted_mean(n_c, a, k.g_tau))

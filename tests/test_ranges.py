@@ -35,6 +35,7 @@ CASES = [
     ("AtomState", "rho_eg", lambda v: AtomState(0.5, v)),
     ("EnsembleSpec.from_pulse", "theta", lambda v: EnsembleSpec.from_pulse(2, v)),
     ("steady_state_auto", "n_c", lambda v: steady_state_auto(v, HALF, K)),
+    ("steady_state_auto", "n_max", lambda v: steady_state_auto(1.0, HALF, K, n_max=v)),
     ("suggest_n_max", "n_c", lambda v: suggest_n_max(v, HALF, 0.05)),
     ("steady_state", "n_c", lambda v: steady_state(MasterParams(v, K, HALF, 5))),
     ("steady_state", "dephasing",
@@ -109,6 +110,11 @@ def test_apply_decay_takes_an_infinite_interval():
      (lambda: vacuum(0), "n_max must be at least 1, got 0"),
      (lambda: AtomState(1.5, 0.0), "rho_ee must lie in [0, 1], got 1.5"),
      (lambda: steady_state_auto(-5.0, HALF, K), "n_c must be non-negative, got -5.0"),
+     # refused, not replaced by the smallest cutoff searched, for either kind of atom
+     (lambda: steady_state_auto(0.01, HALF, KickParams(0.1), n_max=-5),
+      "n_max must be at least 1, got -5"),
+     (lambda: steady_state_auto(0.01, AtomState(0.5, 0.0), K, n_max=-2),
+      "n_max must be at least 1, got -2"),
      (lambda: suggest_n_max(-5.0, HALF, 0.05), "n_c must be non-negative, got -5.0"),
      # refused before the log of a negative ratio warns (every warning fails the suite)
      (lambda: pn_random_phase(-1.0, 0.5, 0.05, 10), "n_c must be non-negative, got -1.0"),

@@ -504,9 +504,8 @@ def test_dissection_orders_each_half_before_its_separator(width):
         boxes += split[:2]
 
 
-def test_dissection_order_fills_less_than_minimum_degree(monkeypatch):
-    # SuperLU's MMD_ATA on the very matrix steady_state factors is the
-    # reference: 0.65x its fill was measured at this point (129 levels)
+def _captured_lu(monkeypatch, p):
+    """steady_state(p)'s system a, right side b, factor lu and solution x; splu is restored."""
     splu = scipy.sparse.linalg.splu
     seen = {}
 
@@ -520,11 +519,42 @@ def test_dissection_order_fills_less_than_minimum_degree(monkeypatch):
             return seen["x"]
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", CapturingLU)
-    steady_state(MasterParams(300.0, KickParams(0.05), HALF, 128))
-    reference = splu(seen["a"], permc_spec="MMD_ATA")
-    assert seen["lu"].nnz <= 0.8 * reference.nnz
+    steady_state(p)
+    monkeypatch.undo()
+    return seen
+
+
+def _assert_same_solution(seen, reference):
     x = reference.solve(seen["b"])
     assert np.max(np.abs(seen["x"] - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_dissection_order_fills_less_than_minimum_degree(monkeypatch):
+    # SuperLU's MMD_ATA on the very matrix steady_state factors is the
+    # reference: 0.53x its fill was measured at this point (129 levels)
+    seen = _captured_lu(monkeypatch, MasterParams(300.0, KickParams(0.05), HALF, 128))
+    reference = scipy.sparse.linalg.splu(seen["a"], permc_spec="MMD_ATA")
+    assert seen["lu"].nnz <= 0.8 * reference.nnz
+    _assert_same_solution(seen, reference)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        MasterParams(300.0, KickParams(0.05), HALF, 128),  # the transient's steady solve
+        MasterParams(1000.0, KickParams(0.05), HALF, 419, n_lo=82),  # steady-large's window
+        MasterParams(120.0, KickParams(0.1), prepare(1.2, 0.7), 69, dephasing=0.5),
+    ],
+    ids=["full-basis", "window", "dephased-complex"],
+)
+def test_threshold_pivoting_keeps_the_dissection_diagonal(monkeypatch, p):
+    # default partial pivoting moves rows off the dissection order's diagonal
+    # (705 of 8385 at 129 levels, 3 under the threshold) and stores 1.05x to
+    # 1.21x the threshold factor's entries at these points; the state must not move
+    seen = _captured_lu(monkeypatch, p)
+    reference = scipy.sparse.linalg.splu(seen["a"], permc_spec="NATURAL")
+    assert seen["lu"].nnz < reference.nnz
+    _assert_same_solution(seen, reference)
 
 
 def test_a_wrong_gauge_shows_as_a_residual(monkeypatch):
