@@ -29,10 +29,10 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.integrate
 import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.integrate._ivp import dop853_coefficients as _tableau
 
 from .analytic import mean_n_noncollective, pn_random_phase
 from .atom import AtomState
@@ -467,19 +467,139 @@ def _held_cutoff(p: MasterParams, s: FieldState) -> int:
     return min(int(refused[-1]) + 1, s.n_max)
 
 
+def _step_polynomials() -> np.ndarray:
+    """DOP853's step and its two error terms as polynomials in z = h G, for y' = G y.
+
+    On a linear autonomous system each stage h k_i of the tableau is
+    P_i(z) y, with P_i = z (1 + sum_j A[i, j] P_j), so P_i has degree i + 1.
+    Row 0 is the step y_new = R(z) y, R = 1 + sum_i B[i] P_i, of degree 12
+    and equal to exp(z) through z^8; rows 1 and 2 are the embedded error
+    terms h err5 and h err3, sums over the stages and the first-same-as-last
+    stage z R(z), which the tableau weights 0, so they have degree 12 too.
+    Column j holds the coefficient of z^j, j = 0..13: the next step's
+    derivative z R(z) y reads the basis up to z^13.
+    """
+    stages = _tableau.N_STAGES
+    p = np.zeros((stages + 1, stages + 2))
+    for i in range(stages):
+        inner = _tableau.A[i, :i] @ p[:i]
+        inner[0] += 1.0
+        p[i, 1:] = inner[:-1]
+    step = _tableau.B @ p[:stages]
+    step[0] += 1.0
+    p[stages, 1:] = step[:-1]
+    return np.array([step, _tableau.E5 @ p, _tableau.E3 @ p])
+
+
+_DOP853 = _step_polynomials()
+
+# scipy.integrate.DOP853's tolerances and step-size controller
+_RTOL, _ATOL = 1e-8, 1e-12
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0
+
+
+def _power_basis(g: scipy.sparse.csr_matrix, y: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
+    """Rows W[j] = (h g)^j y, j = 0..13, for y with g y = f: one matvec per power past the first."""
+    w = np.empty((_DOP853.shape[1], y.size))
+    w[0], w[1] = y, h * f
+    for j in range(2, w.shape[0]):
+        w[j] = g @ w[j - 1]
+        w[j] *= h
+    return w
+
+
+def _error_norm(e5: np.ndarray, e3: np.ndarray) -> float:
+    """DOP853's error norm of a step from its error terms h err5, h err3 over the tolerance scale."""
+    n5, n3 = float(e5 @ e5), float(e3 @ e3)
+    if n5 == 0.0 and n3 == 0.0:
+        return 0.0
+    return n5 / math.sqrt((n5 + 0.01 * n3) * e5.size)
+
+
+def _dop853(g: scipy.sparse.csr_matrix, y: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Solution of y' = g y at the increasing times from times[0] = 0, one row per time.
+
+    DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10) under
+    scipy.integrate.DOP853's controller: its initial-step rule, tolerances,
+    error norm and step factors. On the constant g a step of size h is the
+    polynomial _DOP853[0] in z = h g, so each step builds the basis
+    W[j] = z^j y once and takes every trial as a small weighted sum of its
+    rows. A rejected trial at h' = rho h only weights W[j] by rho^j, at no
+    matvec; each time sampled inside an accepted step is the same step
+    polynomial at the partial step, again at no matvec; and the next step's
+    g y_new is sum_j R_j rho^j W[j + 1] / h, so an accepted step costs the
+    12 matvecs of W[2..13] and the first one a further 2 (g y, and the
+    initial-step rule's g (g y)). A step-size underflow or a non-finite
+    error norm raises ConvergenceError.
+    """
+    powers = np.arange(_DOP853.shape[1])
+    out = np.empty((times.size, y.size))
+    out[0] = y
+    t, t_end, i = 0.0, float(times[-1]), 1
+    f = g @ y
+    # scipy's select_initial_step, whose finite difference of f is g (g y) exactly here
+    scale = _ATOL + np.abs(y) * _RTOL
+    d0, d1, d2 = (float(np.linalg.norm(v / scale)) / math.sqrt(y.size) for v in (y, f, g @ f))
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    h = min(100.0 * h0, h1, t_end)
+    while t < t_end:
+        min_step = 10.0 * (np.nextafter(t, math.inf) - t)
+        h = max(h, min_step)
+        t_new = min(t + h, t_end)
+        h = built = t_new - t
+        w = _power_basis(g, y, f, h)
+        rejected = False
+        while True:
+            c = _DOP853 * (h / built) ** powers
+            y_new, e5, e3 = c @ w
+            scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RTOL
+            err = _error_norm(e5 / scale, e3 / scale)
+            if not math.isfinite(err):
+                raise ConvergenceError(f"transient integration failed: error norm {err} at t={t}")
+            if err < 1.0:
+                break
+            h *= max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
+            rejected = True
+            if not h >= min_step:
+                raise ConvergenceError(
+                    f"transient integration failed: step {h:.3e} below {min_step:.3e} at t={t}"
+                )
+            t_new = t + h
+            h = t_new - t
+        end = int(np.searchsorted(times, t_new, side="right"))
+        rho = (times[i:end] - t) / built
+        out[i:end] = (_DOP853[0] * rho[:, None] ** powers) @ w
+        i = end
+        f = c[0, :-1] @ w[1:] / built
+        factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
+        h *= min(1.0, factor) if rejected else factor
+        t, y = t_new, y_new
+    return out
+
+
 def evolve(
     p: MasterParams, q0: FieldState, t_end: float
 ) -> tuple[np.ndarray, list[FieldState]]:
     """Transient of the master equation from q0 for a time t_end (1/gamma_c).
 
-    Integrates the generator with an adaptive high-order scheme, on the
-    same real state as steady_state: the dim(dim+1)/2 entries R[n, m],
-    n <= m, of the real symmetric R with Q = u * R in the gauge of _gauge.
-    The generator preserves that form, so q0 must have it too (the vacuum,
-    any Fock mixture, a steady state of the same atoms); any other q0
-    raises ValueError. Returns 81 evenly spaced times and the state at
+    Integrates the generator on the same real state as steady_state: the
+    dim(dim+1)/2 entries R[n, m], n <= m, of the real symmetric R with
+    Q = u * R in the gauge of _gauge. The generator preserves that form, so
+    q0 must have it too (the vacuum, any Fock mixture, a steady state of
+    the same atoms); any other q0 raises ValueError. The scheme is
+    _dop853: DOP853 with scipy's step control, rtol 1e-8 and atol 1e-12,
+    taken as its step polynomial on powers of the constant generator. An
+    accepted step costs 12 sparse matvecs (the first 14), a rejected trial
+    and a sample none, and each sample is a full-order step to its time,
+    not an interpolant. Returns 81 evenly spaced times and the state at
     each, renormalized to unit trace, and raises TruncationError if any
-    sample's top level fails errors.check_tail, the rule steady_state applies.
+    sample's top level fails errors.check_tail, the rule steady_state
+    applies, and ConvergenceError if the integration fails.
     """
     if p.n_lo != 0:
         raise ValueError(f"evolve runs on the full basis, got n_lo={p.n_lo}")
@@ -497,16 +617,9 @@ def evolve(
             f"q0 is not real symmetric in the gauge of the generator (off by "
             f"{off:.3e}); interaction.kick_sequence takes any state"
         )
-    g = g.tocsr()
     times = np.linspace(0.0, t_end, 81)
-    sol = scipy.integrate.solve_ivp(
-        lambda _t, y: g @ y, (0.0, t_end), r0.real[np.triu_indices(p.dim)],
-        method="DOP853", t_eval=times, rtol=1e-8, atol=1e-12,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"transient integration failed: {sol.message}")
     states = []
-    for y in sol.y.T:
+    for y in _dop853(g.tocsr(), r0.real[np.triu_indices(p.dim)], times):
         r = y[red].reshape(p.dim, p.dim)
         states.append(FieldState(r * u / float(np.trace(r))))
     check_tail("transient reaches", max(float(s.q[-1, -1].real) for s in states), p.n_max)

@@ -5,7 +5,6 @@ import inspect
 import math
 
 import pytest
-import scipy.integrate
 import scipy.sparse.linalg
 
 from cavsr import (
@@ -77,7 +76,7 @@ def no_solver(monkeypatch):
         raise AssertionError("a non-finite input reached the solver")
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", reached)
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", reached)
+    monkeypatch.setattr(steady, "_dop853", reached)
     monkeypatch.setattr(steady, "_balance_angle", reached)
 
 

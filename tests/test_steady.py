@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.sparse
 import scipy.sparse.linalg
+from scipy.integrate._ivp import dop853_coefficients
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -719,6 +722,79 @@ def test_evolve_matches_matrix_exponential(atom):
     got = np.array([s.q.ravel() for s in states])
     assert np.max(np.abs(got - ref)) <= 1e-6
     assert mean_photon(states[-1]) >= 0.1
+
+
+@pytest.mark.parametrize(
+    "n_c, g_tau, atom, n_max, t_end",
+    [(100.0, 0.05, HALF, 30, 2.0), (30.0, 0.1, dephase(prepare(1.1, 0.7), 0.8), 40, 3.0)],
+)
+def test_evolve_mean_matches_matrix_exponential(n_c, g_tau, atom, n_max, t_end):
+    # <n>(t) at every sample, against the exponential of the complex generator;
+    # measured 4e-13 and 4e-11 (2e-11 and 9e-10 with scipy's dense output)
+    p = MasterParams(n_c, KickParams(g_tau), atom, n_max)
+    _, states = evolve(p, vacuum(n_max), t_end)
+    ref = scipy.sparse.linalg.expm_multiply(
+        build_generator(p), vacuum(n_max).q.ravel(), start=0.0, stop=t_end, num=81, endpoint=True
+    )
+    want = np.array([mean_photon(FieldState(q.reshape(n_max + 1, n_max + 1))) for q in ref])
+    got = np.array([mean_photon(s) for s in states])
+    assert got[0] == want[0] == 0.0
+    assert np.max(np.abs(got[1:] / want[1:] - 1.0)) <= 1e-9
+
+
+def _stable_system(n=12, seed=3):
+    """A small random linear system whose eigenvalues have negative real parts."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) / math.sqrt(n) - 2.0 * np.eye(n)
+    assert np.linalg.eigvals(a).real.max() < 0.0
+    return scipy.sparse.csr_matrix(a), rng.standard_normal(n)
+
+
+def test_dop853_step_polynomial_is_the_exponential_to_eighth_order():
+    step = steady._DOP853[0]
+    inv_factorials = [1.0 / math.factorial(j) for j in range(9)]
+    assert step[:9] == pytest.approx(inv_factorials, rel=1e-13, abs=0.0)
+    assert step[9] != pytest.approx(1.0 / math.factorial(9), rel=1e-3)
+    # degree 12: twelve stages, one power of z each
+    assert step[12] != 0.0
+    assert np.all(steady._DOP853[:, 13] == 0.0)
+
+
+def test_power_form_step_is_scipy_dop853_step():
+    g, y = _stable_system()
+    h = 0.05
+    solver = scipy.integrate.DOP853(
+        lambda _t, x: g @ x, 0.0, y, 10.0, first_step=h, rtol=1e-8, atol=1e-12
+    )
+    solver.step()
+    assert solver.t == h  # accepted at the first trial, so solver.K holds its stages
+    y_new, e5, e3 = steady._DOP853 @ steady._power_basis(g, y, g @ y, h)
+    # the error terms are differences of O(|y|) stage sums, so roundoff is relative to |y|
+    for got, want in ((y_new, solver.y),
+                      (e5, h * solver.K.T @ dop853_coefficients.E5),
+                      (e3, h * solver.K.T @ dop853_coefficients.E3)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(y))
+
+
+def test_rescaled_power_basis_is_the_basis_at_the_smaller_step():
+    # a rejected trial weights W[j] by rho^j instead of rebuilding W at rho h
+    g, y = _stable_system()
+    f, h, rho = g @ y, 0.5, 0.37
+    rescaled = steady._power_basis(g, y, f, h) * rho ** np.arange(14)[:, None]
+    rebuilt = steady._power_basis(g, y, f, rho * h)
+    for got, want in zip(rescaled, rebuilt):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_dop853_fails_typed_on_a_non_finite_error_or_a_step_underflow(monkeypatch):
+    times = np.linspace(0.0, 100.0, 3)
+    nan = scipy.sparse.csr_matrix(np.full((3, 3), math.nan))
+    with pytest.raises(ConvergenceError, match="error norm nan"):
+        steady._dop853(nan, np.ones(3), times)
+    # a step floor of 10 (ten spacings of 1) leaves only trials far past stability
+    monkeypatch.setattr(np, "nextafter", lambda t, _to: t + 1.0)
+    with pytest.raises(ConvergenceError, match="below 1.000e[+]01"):
+        steady._dop853(scipy.sparse.csr_matrix(-5.0 * np.eye(3)), np.ones(3), times)
 
 
 def test_coarse_ode_needs_a_gauge_symmetric_start():
