@@ -545,7 +545,7 @@ def _dop853(g: scipy.sparse.csr_matrix, y: np.ndarray, times: np.ndarray) -> np.
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
     h = min(100.0 * h0, h1, t_end)
     while t < t_end:
         min_step = 10.0 * (np.nextafter(t, math.inf) - t)

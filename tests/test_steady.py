@@ -730,7 +730,7 @@ def test_evolve_matches_matrix_exponential(atom):
 )
 def test_evolve_mean_matches_matrix_exponential(n_c, g_tau, atom, n_max, t_end):
     # <n>(t) at every sample, against the exponential of the complex generator;
-    # measured 4e-13 and 4e-11 (2e-11 and 9e-10 with scipy's dense output)
+    # measured 4e-13 and 4e-11
     p = MasterParams(n_c, KickParams(g_tau), atom, n_max)
     _, states = evolve(p, vacuum(n_max), t_end)
     ref = scipy.sparse.linalg.expm_multiply(
