@@ -25,6 +25,7 @@ from .experiments import (
     closed_forms,
     collective_rates,
     load_config,
+    load_json_object,
     lossless_emission,
     preset,
     pump_response,
@@ -106,12 +107,7 @@ def _cmd_analytic(args) -> None:
 
 
 def _cmd_preset(args) -> None:
-    overrides = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            overrides = json.load(fh)
-        if not isinstance(overrides, dict):
-            raise ValueError("preset overrides file must hold a JSON object")
+    overrides = load_json_object(args.config) if args.config else {}
     _emit(preset(args.name, {**overrides, **_flag_overrides(args)}, args.out))
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "RunConfig",
     "SweepResult",
     "load_config",
+    "load_json_object",
     "config_dict",
     "sweep_pump",
     "sweep_atoms",
@@ -173,11 +174,17 @@ def _check_kind(key: str, value, kind: str) -> None:
         raise ValueError(f"{key!r} must be {kind}, got {value!r}")
 
 
-def load_config(path: str) -> RunConfig:
+def load_json_object(path: str) -> dict:
+    """The JSON object in the file at path: a config, or a preset's overrides."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
-        raise ValueError(f"config {path} must hold a JSON object")
+        raise ValueError(f"{path} must hold a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def load_config(path: str) -> RunConfig:
+    raw = load_json_object(path)
     known = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     unknown = sorted(set(raw) - set(known))
     if unknown:

@@ -29,10 +29,10 @@ import dataclasses
 import math
 
 import numpy as np
+import scipy.integrate
 import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.integrate._ivp import dop853_coefficients as _tableau
 
 from .analytic import mean_n_noncollective, pn_random_phase
 from .atom import AtomState
@@ -479,16 +479,17 @@ def _step_polynomials() -> np.ndarray:
     Column j holds the coefficient of z^j, j = 0..13: the next step's
     derivative z R(z) y reads the basis up to z^13.
     """
-    stages = _tableau.N_STAGES
+    tableau = scipy.integrate.DOP853
+    stages = tableau.n_stages
     p = np.zeros((stages + 1, stages + 2))
     for i in range(stages):
-        inner = _tableau.A[i, :i] @ p[:i]
+        inner = tableau.A[i, :i] @ p[:i]
         inner[0] += 1.0
         p[i, 1:] = inner[:-1]
-    step = _tableau.B @ p[:stages]
+    step = tableau.B @ p[:stages]
     step[0] += 1.0
     p[stages, 1:] = step[:-1]
-    return np.array([step, _tableau.E5 @ p, _tableau.E3 @ p])
+    return np.array([step, tableau.E5 @ p, tableau.E3 @ p])
 
 
 _DOP853 = _step_polynomials()
@@ -521,32 +522,25 @@ def _dop853(g: scipy.sparse.csr_matrix, y: np.ndarray, times: np.ndarray) -> np.
     """Solution of y' = g y at the increasing times from times[0] = 0, one row per time.
 
     DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10) under
-    scipy.integrate.DOP853's controller: its initial-step rule, tolerances,
-    error norm and step factors. On the constant g a step of size h is the
-    polynomial _DOP853[0] in z = h g, so each step builds the basis
-    W[j] = z^j y once and takes every trial as a small weighted sum of its
-    rows. A rejected trial at h' = rho h only weights W[j] by rho^j, at no
-    matvec; each time sampled inside an accepted step is the same step
-    polynomial at the partial step, again at no matvec; and the next step's
-    g y_new is sum_j R_j rho^j W[j + 1] / h, so an accepted step costs the
-    12 matvecs of W[2..13] and the first one a further 2 (g y, and the
-    initial-step rule's g (g y)). A step-size underflow or a non-finite
-    error norm raises ConvergenceError.
+    scipy.integrate.DOP853's controller: its tolerances, error norm and step
+    factors. On the constant g a step of size h is the polynomial
+    _DOP853[0] in z = h g, so each step builds the basis W[j] = z^j y once
+    and takes every trial as a small weighted sum of its rows. A rejected
+    trial at h' = rho h only weights W[j] by rho^j, at no matvec, so the
+    first trial is the whole span and no initial-step estimate is needed;
+    each time sampled inside an accepted step is the same step polynomial
+    at the partial step, again at no matvec; and the next step's g y_new is
+    sum_j R_j rho^j W[j + 1] / h, so an accepted step costs the 12 matvecs
+    of W[2..13] and the first one a further g y: 1 + 12 per accepted step
+    in all. A step-size underflow or a non-finite error norm raises
+    ConvergenceError.
     """
     powers = np.arange(_DOP853.shape[1])
     out = np.empty((times.size, y.size))
     out[0] = y
     t, t_end, i = 0.0, float(times[-1]), 1
     f = g @ y
-    # scipy's select_initial_step, whose finite difference of f is g (g y) exactly here
-    scale = _ATOL + np.abs(y) * _RTOL
-    d0, d1, d2 = (float(np.linalg.norm(v / scale)) / math.sqrt(y.size) for v in (y, f, g @ f))
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
-    h = min(100.0 * h0, h1, t_end)
+    h = t_end
     while t < t_end:
         min_step = 10.0 * (np.nextafter(t, math.inf) - t)
         h = max(h, min_step)
@@ -594,7 +588,7 @@ def evolve(
     the same atoms); any other q0 raises ValueError. The scheme is
     _dop853: DOP853 with scipy's step control, rtol 1e-8 and atol 1e-12,
     taken as its step polynomial on powers of the constant generator. An
-    accepted step costs 12 sparse matvecs (the first 14), a rejected trial
+    accepted step costs 12 sparse matvecs (the first 13), a rejected trial
     and a sample none, and each sample is a full-order step to its time,
     not an interpolant. Returns 81 evenly spaced times and the state at
     each, renormalized to unit trace, and raises TruncationError if any

@@ -9,6 +9,7 @@ from cavsr import experiments, steady
 from cavsr.atom import prepare
 from cavsr.cli import main
 from cavsr.dicke import MAX_BRUTE_FORCE_ATOMS
+from cavsr.errors import TruncationError
 from cavsr.interaction import KickParams
 
 
@@ -217,6 +218,33 @@ def test_transient_retries_once_on_the_steady_cutoff(capsys, tmp_path, small_con
     assert out["final_mean_n"] == pytest.approx(out["steady_mean_n"], rel=0.01)
 
 
+def test_transient_reraises_when_the_steady_cutoff_fails_too(
+    capsys, tmp_path, small_config, monkeypatch
+):
+    # evolve refuses every basis: the held cutoff, then the steady cutoff,
+    # whose refusal is the command's error
+    used = []
+
+    def refusing_evolve(p, q0, t_end):
+        used.append(p.n_max)
+        raise TruncationError(f"refused {p.n_max} levels")
+
+    monkeypatch.setattr(experiments, "evolve", refusing_evolve)
+    rc, out, err = run_cli(
+        capsys, "transient", "--config", small_config, "--out", str(tmp_path / "out"),
+        "--t-end", "6.0",
+    )
+    assert rc == 1
+    assert out is None
+    a, k = prepare(0.5 * math.pi), KickParams(0.1)
+    s = steady.steady_state_auto(3.0, a, k)
+    held = steady._held_cutoff(steady.MasterParams(3.0, k, a, s.n_max), s)
+    assert held < s.n_max
+    assert used == [held, s.n_max]
+    assert err["error"] == {"type": "TruncationError", "message": f"refused {s.n_max} levels"}
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture
 def regular_config(tmp_path, small_config):
     # small_config's beam with regular injection
@@ -343,6 +371,19 @@ def test_preset_via_cli(capsys, tmp_path):
     assert "theta_peak" in out
 
 
+def test_preset_overrides_that_are_not_an_object_are_a_clean_error(capsys, tmp_path):
+    ov = tmp_path / "ov.json"
+    ov.write_text("[7]", encoding="utf-8")
+    rc, out, err = run_cli(
+        capsys, "preset", "fig2", "--config", str(ov), "--out", str(tmp_path / "out")
+    )
+    assert rc == 1
+    assert out is None
+    assert err["error"]["type"] == "ValueError"
+    assert "JSON object" in err["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_is_a_clean_error(capsys, tmp_path):
     rc, out, err = run_cli(capsys, "steady", "--out", str(tmp_path))
     assert rc == 1
@@ -363,6 +404,20 @@ def test_bad_config_key_is_a_clean_error(capsys, tmp_path):
     assert rc == 1
     assert err["error"]["type"] == "ValueError"
     assert "flux" in err["error"]["message"]
+
+
+def test_config_missing_a_required_field_is_a_clean_error(capsys, tmp_path, coherent_config):
+    cfg = json.loads(Path(coherent_config).read_text(encoding="utf-8"))
+    del cfg["theta"]
+    path = tmp_path / "no_theta.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    rc, out, err = run_cli(capsys, "steady", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert rc == 1
+    assert out is None
+    assert err["error"]["type"] == "ValueError"
+    assert err["error"]["message"].startswith("bad config")
+    assert "theta" in err["error"]["message"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, value", [("points", None), ("g", "abc")])

@@ -101,6 +101,11 @@ def test_config_file_rejects_unknown_and_malformed(tmp_path):
     path.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ValueError, match="JSON object"):
         load_config(str(path))
+    cfg = config_dict(small_cavity())
+    del cfg["theta"]
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    with pytest.raises(ValueError, match="^bad config .*'theta'"):
+        load_config(str(path))
 
 
 def test_sweep_result_validation():

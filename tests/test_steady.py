@@ -6,7 +6,6 @@ import pytest
 import scipy.integrate
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.integrate._ivp import dop853_coefficients
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -771,8 +770,8 @@ def test_power_form_step_is_scipy_dop853_step():
     y_new, e5, e3 = steady._DOP853 @ steady._power_basis(g, y, g @ y, h)
     # the error terms are differences of O(|y|) stage sums, so roundoff is relative to |y|
     for got, want in ((y_new, solver.y),
-                      (e5, h * solver.K.T @ dop853_coefficients.E5),
-                      (e3, h * solver.K.T @ dop853_coefficients.E3)):
+                      (e5, h * solver.K.T @ solver.E5),
+                      (e3, h * solver.K.T @ solver.E3)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(y))
 
 
@@ -795,6 +794,42 @@ def test_dop853_fails_typed_on_a_non_finite_error_or_a_step_underflow(monkeypatc
     monkeypatch.setattr(np, "nextafter", lambda t, _to: t + 1.0)
     with pytest.raises(ConvergenceError, match="below 1.000e[+]01"):
         steady._dop853(scipy.sparse.csr_matrix(-5.0 * np.eye(3)), np.ones(3), times)
+
+
+def test_dop853_costs_g_y_and_twelve_matvecs_per_accepted_step(monkeypatch):
+    # the first basis spans the whole interval and the trials rejected on it
+    # cost nothing, so only the first g y comes on top of each step's W[2..13]
+    class Counted:
+        def __init__(self, g):
+            self.g, self.calls = g, 0
+
+        def __matmul__(self, x):
+            self.calls += 1
+            return self.g @ x
+
+    built = []
+    power_basis = steady._power_basis
+
+    def recording_basis(g, y, f, h):
+        built.append(h)
+        return power_basis(g, y, f, h)
+
+    monkeypatch.setattr(steady, "_power_basis", recording_basis)
+    g, y = _stable_system()
+    counted = Counted(g)
+    steady._dop853(counted, y, np.linspace(0.0, 3.0, 7))
+    assert built[0] == 3.0 and len(built) > 1
+    assert counted.calls == 1 + 12 * len(built)
+
+
+def test_ground_state_atoms_leave_the_vacuum_alone():
+    # theta = 0 pumps nothing: g y = 0, every error term is 0, and the whole
+    # span is one step whose every sample is the vacuum itself
+    p = MasterParams(30.0, KickParams(0.1), prepare(0.0), 10)
+    times, states = evolve(p, vacuum(10), 5.0)
+    assert times.size == 81
+    for s in states:
+        assert np.array_equal(s.q, vacuum(10).q)
 
 
 def test_coarse_ode_needs_a_gauge_symmetric_start():
