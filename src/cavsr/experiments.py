@@ -57,11 +57,6 @@ __all__ = [
     "PRESET_NAMES",
 ]
 
-# reference experiment scale: (g, gamma_c) = 2*pi*(290, 75) kHz, tau = 101 ns
-_G0 = 2.0 * math.pi * 290e3
-_GAMMA_C0 = 2.0 * math.pi * 75e3
-_TAU0 = 101e-9
-
 _FLUX = ("r", "n_mean", "n_c")
 
 
@@ -161,7 +156,8 @@ def config_dict(cfg: RunConfig) -> dict:
 def _check_kind(key: str, value, kind: str) -> None:
     """Reject a config field or preset override not of the kind given.
 
-    kind is a RunConfig annotation or "a number".
+    kind is a RunConfig annotation, such as "int | None", or a preset's
+    "int" or "float".
     """
     if value is None and "None" in kind:
         return
@@ -370,10 +366,7 @@ def write_sweep(res: SweepResult, out_dir: str, stem: str) -> tuple[str, str]:
 def read_sweep(csv_path: str) -> SweepResult:
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     meta_path = csv_path.rsplit(".", 1)[0] + ".meta.json"
-    meta = {}
-    if os.path.exists(meta_path):
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
+    meta = load_json_object(meta_path) if os.path.exists(meta_path) else {}
     return SweepResult(data[:, 0], data[:, 1], data[:, 3], meta)
 
 
@@ -429,14 +422,24 @@ def steady_distribution(cfg: RunConfig) -> tuple[SweepResult, dict]:
 def pump_response(
     cfg: RunConfig, theta_max: float = 1.25 * math.pi, points: int = 51
 ) -> tuple[SweepResult, dict]:
-    """sweep_pump on `points` pulse areas from 0 to theta_max, and where <n> peaks."""
+    """sweep_pump on `points` pulse areas from 0 to theta_max, and where <n> and its baseline peak.
+
+    A grid past theta = pi is annotated: there the measured curves leave
+    the ideal pump this model keeps.
+    """
     check_range("theta_max", theta_max)
     res = sweep_pump(cfg, np.linspace(0.0, float(theta_max), int(points)))
+    if res.axis[-1] > math.pi:
+        res.metadata["annotations"].append(
+            "beyond theta = pi the model keeps the ideal pump; measured curves "
+            "are known to deviate there from stray-pump effects not modeled here"
+        )
     i_peak = int(np.nanargmax(res.mean_n))
     return res, {
         "points": int(res.axis.size),
         "theta_peak": float(res.axis[i_peak]),
         "mean_n_peak": float(res.mean_n[i_peak]),
+        "theta_peak_baseline": float(res.axis[int(np.nanargmax(res.baseline))]),
     }
 
 
@@ -447,18 +450,28 @@ def atom_scaling(
     points: int = 25,
     linear: bool = False,
 ) -> tuple[SweepResult, dict]:
-    """sweep_atoms on `points` excited-atom numbers from grid_min to grid_max.
+    """sweep_atoms on `points` excited-atom numbers from grid_min to grid_max, and its power law.
 
-    The grid is logarithmic unless linear is set.
+    The grid is logarithmic unless linear is set. collective_slope is the
+    log-log slope of collective_part over its positive points, 2 for the
+    paper's N^2 growth, with its standard error; both are NaN with fewer
+    than three such points.
     """
-    check_range("grid_min", grid_min)
-    check_range("grid_max", grid_max)
+    # refused here, before np.geomspace warns on a logarithm of a non-positive edge
+    check_range("grid_min", grid_min, 0.0, open_lo=True)
+    check_range("grid_max", grid_max, 0.0, open_lo=True)
     space = np.linspace if linear else np.geomspace
     res = sweep_atoms(cfg, space(float(grid_min), float(grid_max), int(points)))
+    good = np.isfinite(res.collective_part) & (res.collective_part > 0.0)
+    slope = stderr = math.nan
+    if np.count_nonzero(good) >= 3:
+        slope, stderr = fit_loglog_slope(res.axis[good], res.collective_part[good], slice(None))
     return res, {
         "points": int(res.axis.size),
         "mean_n_final": float(res.mean_n[-1]),
         "collective_final": float(res.collective_part[-1]),
+        "collective_slope": slope,
+        "slope_stderr": stderr,
     }
 
 
@@ -466,6 +479,8 @@ def lossless_emission(cfg: RunConfig, atoms: int = 20) -> tuple[SweepResult, dic
     """<n> after each of `atoms` sequential atoms with no cavity loss.
 
     The baseline is the same number of atoms crossing the cavity together.
+    last_increment_over_average, the last atom's <n> increment over the mean
+    per atom, is 2 for N^2 growth, 1 for one atom, NaN when nothing is emitted.
     """
     n_atoms = int(atoms)
     k = cfg.kick()
@@ -475,10 +490,14 @@ def lossless_emission(cfg: RunConfig, atoms: int = 20) -> tuple[SweepResult, dic
     meta = _base_metadata(cfg, "atom index")
     meta["baseline"] = "same number of atoms crossing the lossless cavity together"
     res = SweepResult(np.arange(1.0, n_atoms + 1.0), trace, bunched, meta)
+    last = np.diff(trace, prepend=0.0)[-1]
     return res, {
         "atoms": n_atoms,
         "final_mean_n": float(trace[-1]),
         "final_bunched": float(bunched[-1]),
+        "last_increment_over_average": float(last / (trace[-1] / n_atoms))
+        if trace[-1] > 0.0
+        else math.nan,
     }
 
 
@@ -627,79 +646,56 @@ def closed_forms(cfg: RunConfig) -> dict:
 
 
 def _apply_overrides(
-    base: RunConfig, overrides: dict | None, extra_keys: set[str]
+    base: RunConfig, overrides: dict | None, reads: dict[str, str]
 ) -> tuple[RunConfig, dict]:
-    """base with the overrides that name config fields; the rest must be in extra_keys."""
-    if not overrides:
-        return base, {}
+    """base with the overrides that name config fields, and the rest, each a key of reads."""
     known = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    extras = {}
-    cfg_kw = {}
-    for key, value in overrides.items():
-        if key in extra_keys:
-            _check_kind(key, value, "a number")
+    extras, cfg_kw = {}, {}
+    for key, value in (overrides or {}).items():
+        if key in reads:
+            _check_kind(key, value, reads[key])
             check_range(key, value)
             extras[key] = value
         elif key in known:
             _check_kind(key, value, known[key])
             cfg_kw[key] = value
         else:
-            reads = ", ".join(sorted(extra_keys)) or "none"
-            raise ValueError(f"unknown preset override {key!r}; this preset also reads {reads}")
+            also = ", ".join(sorted(reads)) or "none"
+            raise ValueError(f"unknown preset override {key!r}; this preset also reads {also}")
     return _replace(base, cfg_kw), extras
 
 
-def _preset_fig2(overrides: dict | None, out_dir: str) -> dict:
-    base = RunConfig(g=_G0, gamma_c=_GAMMA_C0, tau=_TAU0, theta=0.5 * math.pi, n_mean=1.0)
-    cfg, extras = _apply_overrides(base, overrides, {"points", "theta_max"})
-    res, summary = pump_response(cfg, **extras)
-    res.metadata["annotations"].append(
-        "beyond theta = pi the model keeps the ideal pump; measured curves "
-        "are known to deviate there from stray-pump effects not modeled here"
-    )
-    return {
-        "files": list(write_sweep(res, out_dir, "fig2")),
-        "theta_peak": summary["theta_peak"],
-        "theta_peak_baseline": float(res.axis[int(np.nanargmax(res.baseline))]),
-    }
+def _figure(pipeline, stem: str, base: RunConfig, reads: dict[str, str]):
+    """The preset that runs a command's pipeline at base with the overrides it reads.
+
+    It writes stem.csv and its sidecar and returns the command's summary with both paths.
+    """
+    def run(overrides: dict | None, out_dir: str) -> dict:
+        cfg, extras = _apply_overrides(base, overrides, reads)
+        res, summary = pipeline(cfg, **extras)
+        return {**summary, "files": list(write_sweep(res, out_dir, stem))}
+
+    return run
 
 
-def _preset_fig3(overrides: dict | None, out_dir: str) -> dict:
-    base = RunConfig(g=_G0, gamma_c=_GAMMA_C0, tau=_TAU0, theta=0.5 * math.pi, n_c=1.0)
-    cfg, extras = _apply_overrides(base, overrides, {"points", "grid_min", "grid_max"})
-    res, _ = atom_scaling(cfg, **extras)
-    csv_path, meta_path = write_sweep(res, out_dir, "fig3")
-    good = np.isfinite(res.collective_part) & (res.collective_part > 0.0)
-    slope = stderr = math.nan
-    if np.count_nonzero(good) >= 3:
-        slope, stderr = fit_loglog_slope(
-            res.axis[good], res.collective_part[good], slice(None)
-        )
-    return {"files": [csv_path, meta_path], "collective_slope": slope, "slope_stderr": stderr}
-
-
-def _preset_figs1(overrides: dict | None, out_dir: str) -> dict:
-    base = RunConfig(g=_G0, gamma_c=_GAMMA_C0, tau=0.01 / _G0, theta=0.5 * math.pi, n_c=20.0)
-    cfg, extras = _apply_overrides(base, overrides, {"atoms"})
-    res, summary = lossless_emission(cfg, **extras)
-    trace, n_atoms = res.mean_n, summary["atoms"]
-    return {
-        "files": list(write_sweep(res, out_dir, "figS1")),
-        "final_sequential": summary["final_mean_n"],
-        "final_bunched": summary["final_bunched"],
-        "last_increment_over_average": (trace[-1] - trace[-2]) / (trace[-1] / n_atoms)
-        if n_atoms > 1
-        else 1.0,
-    }
+# the reference experiment: (g, gamma_c) = 2*pi*(290, 75) kHz, tau = 101 ns, a pi/2 pulse,
+# one atom per field decay time
+_REFERENCE = RunConfig(
+    g=2.0 * math.pi * 290e3, gamma_c=2.0 * math.pi * 75e3, tau=101e-9, theta=0.5 * math.pi, n_c=1.0
+)
+# its transit time for g_tau = 0.01
+_SHORT_TRANSIT = 0.01 / _REFERENCE.g
+# the grid overrides of the presets that sweep the flux
+_GRID_READS = {"points": "int", "grid_min": "float", "grid_max": "float"}
 
 
 def _preset_figs3(overrides: dict | None, out_dir: str) -> dict:
-    base = RunConfig(g=_G0, gamma_c=_GAMMA_C0, tau=_TAU0, theta=0.5 * math.pi, n_mean=0.57)
-    cfg, extras = _apply_overrides(base, overrides, {"points", "grid_max"})
+    base = _replace(_REFERENCE, {"n_mean": 0.57})
+    cfg, extras = _apply_overrides(base, overrides, {"points": "int", "grid_max": "float"})
     grid = np.array([0.0, 25e3, 50e3, 100e3, 200e3, 400e3, 800e3])
     points = extras.get("points", grid.size)
     check_range(repr("points"), points, 1)
-    grid = grid[grid <= extras.get("grid_max", math.inf)][: int(points)]
+    grid = grid[grid <= extras.get("grid_max", math.inf)][:points]
     # the random-phase baseline is the infinite-linewidth limit
     res = _solve_curve(cfg, "pump FWHM linewidth [Hz]", "linewidth", grid)
     return {"files": list(write_sweep(res, out_dir, "figS3")), "mean_n": res.mean_n.tolist()}
@@ -720,16 +716,18 @@ def _dim_limited_nc(a: AtomState, g_tau: float, nc_target: float, dim_cap: int) 
 
 
 def _preset_figs5(overrides: dict | None, out_dir: str) -> dict:
-    base = RunConfig(g=_G0, gamma_c=_GAMMA_C0, tau=_TAU0, theta=0.5 * math.pi, n_c=1.0)
-    cfg, extras = _apply_overrides(base, overrides, {"points", "grid_min", "grid_max"})
-    points = int(extras.get("points", 21))
+    cfg, extras = _apply_overrides(_REFERENCE, overrides, _GRID_READS)
+    points = extras.get("points", 21)
     nc_min = float(extras.get("grid_min", 0.1))
+    # refused before np.geomspace warns, as atom_scaling does
+    check_range("grid_min", nc_min, 0.0, open_lo=True)
     out: dict = {"files": [], "curves": {}}
     for g_tau in (0.01, 0.03, 0.1):
         cfg_i = dataclasses.replace(cfg, tau=g_tau / cfg.g)
         a = cfg_i.atom()
         sat = 3.3 / g_tau**2
         target = float(extras.get("grid_max", sat))
+        check_range("grid_max", target, 0.0, open_lo=True)
         nc_hi = _dim_limited_nc(a, g_tau, target, dim_cap=steady.DEFAULT_MAX_DIM - 30)
         nc_values = np.geomspace(nc_min, nc_hi, points)
         res = _solve_curve(cfg_i, "atoms per cavity decay time n_c", "n_c", nc_values)
@@ -747,11 +745,8 @@ def _preset_figs5(overrides: dict | None, out_dir: str) -> dict:
 
 
 def _preset_figs6(overrides: dict | None, out_dir: str) -> dict:
-    base = RunConfig(
-        g=_G0, gamma_c=_GAMMA_C0, tau=0.01 / _G0, theta=0.5 * math.pi,
-        n_c=10.0, injection="regular", t_end=6.0,
-    )
-    cfg, _ = _apply_overrides(base, overrides, set())
+    beam = {"tau": _SHORT_TRANSIT, "n_c": 10.0, "injection": "regular", "t_end": 6.0}
+    cfg, _ = _apply_overrides(_replace(_REFERENCE, beam), overrides, {})
     res, _ = transient_buildup(cfg)
     # baseline[j] is the lossless <n> after j atoms
     k_ref = max(int(round(cfg.derived_n_c)), 1)
@@ -759,16 +754,17 @@ def _preset_figs6(overrides: dict | None, out_dir: str) -> dict:
     return {
         "files": list(write_sweep(res, out_dir, "figS6")),
         "steady_mean_n": float(np.mean(tail)),
-        "lossless_at_nc_atoms": float(res.baseline[k_ref])
-        if k_ref < res.axis.size
-        else math.nan,
+        "lossless_at_nc_atoms": float(res.baseline[k_ref]) if k_ref < res.axis.size else math.nan,
     }
 
 
 _PRESETS = {
-    "fig2": _preset_fig2,
-    "fig3": _preset_fig3,
-    "figS1": _preset_figs1,
+    # a command's pipeline, the stem it writes, its base config, the overrides it reads
+    "fig2": _figure(pump_response, "fig2", _replace(_REFERENCE, {"n_mean": 1.0}),
+                    {"points": "int", "theta_max": "float"}),
+    "fig3": _figure(atom_scaling, "fig3", _REFERENCE, _GRID_READS),
+    "figS1": _figure(lossless_emission, "figS1",
+                     _replace(_REFERENCE, {"tau": _SHORT_TRANSIT, "n_c": 20.0}), {"atoms": "int"}),
     "figS3": _preset_figs3,
     "figS5": _preset_figs5,
     "figS6": _preset_figs6,

@@ -591,9 +591,10 @@ def evolve(
     accepted step costs 12 sparse matvecs (the first 13), a rejected trial
     and a sample none, and each sample is a full-order step to its time,
     not an interpolant. Returns 81 evenly spaced times and the state at
-    each, renormalized to unit trace, and raises TruncationError if any
-    sample's top level fails errors.check_tail, the rule steady_state
-    applies, and ConvergenceError if the integration fails.
+    each, renormalized to unit trace. It raises TruncationError if any
+    sample fails either of steady_state's upper-edge rules, errors.check_tail
+    on its top level or the trace-leak rate, and ConvergenceError if the
+    integration fails.
     """
     if p.n_lo != 0:
         raise ValueError(f"evolve runs on the full basis, got n_lo={p.n_lo}")
@@ -617,4 +618,5 @@ def evolve(
         r = y[red].reshape(p.dim, p.dim)
         states.append(FieldState(r * u / float(np.trace(r))))
     check_tail("transient reaches", max(float(s.q[-1, -1].real) for s in states), p.n_max)
+    _check_leak(p, max(float(_trace_leak(p, photon_distribution(s))[-1]) for s in states))
     return times, states

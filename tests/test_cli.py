@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -503,27 +504,68 @@ def test_non_finite_preset_grid_is_a_clean_error(capsys, tmp_path, name, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "name, overrides, key",
+    [("fig3", {"points": 2.7}, "points"), ("figS1", {"atoms": 2.7}, "atoms"),
+     ("figS3", {"points": 2.0}, "points"), ("figS5", {"points": 3.5, "grid_max": 5.0}, "points")],
+    ids=["fig3", "figS1", "figS3", "figS5"],
+)
+def test_preset_count_override_must_be_an_integer(capsys, tmp_path, name, overrides, key):
+    ov = tmp_path / "ov.json"
+    ov.write_text(json.dumps(overrides), encoding="utf-8")
+    rc, out, err = run_cli(
+        capsys, "preset", name, "--config", str(ov), "--out", str(tmp_path / "out")
+    )
+    assert rc == 1
+    assert out is None
+    assert err["error"]["type"] == "ValueError"
+    assert err["error"]["message"].startswith(f"{key!r} must be int")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, overrides, key",
+    [(["sweep-atoms", "--grid-min", "-1"], None, "grid_min"),
+     (["sweep-atoms", "--grid-max", "0"], None, "grid_max"),
+     (["preset", "fig3"], {"grid_min": -1}, "grid_min"),
+     (["preset", "figS5"], {"grid_min": -1}, "grid_min"),
+     (["preset", "figS5"], {"grid_max": -1}, "grid_max")],
+    ids=["sweep-atoms-min", "sweep-atoms-max", "fig3-min", "figS5-min", "figS5-max"],
+)
+def test_non_positive_geometric_grid_is_a_clean_error(
+    capsys, tmp_path, scaling_config, argv, overrides, key
+):
+    # refused before np.geomspace sees it, so no logarithm warns on the way
+    config = scaling_config
+    if overrides is not None:
+        config = tmp_path / "ov.json"
+        config.write_text(json.dumps(overrides), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(
+            capsys, *argv, "--config", str(config), "--out", str(tmp_path / "out")
+        )
+    assert rc == 1
+    assert out is None
+    assert err["error"]["type"] == "ValueError"
+    assert err["error"]["message"].startswith(f"{key} must be positive")
+    assert not (tmp_path / "out").exists()
+
+
 def preset_config(capsys, tmp_path, name):
-    """Run a preset at its defaults; its sidecar's config as a CLI config file."""
+    """Run a preset at its defaults: its sidecar's config as a CLI config file, its summary."""
     out = tmp_path / name
-    rc, _, _ = run_cli(capsys, "preset", name, "--out", str(out))
+    rc, summary, _ = run_cli(capsys, "preset", name, "--out", str(out))
     assert rc == 0
     meta = json.loads((out / f"{name}.meta.json").read_text(encoding="utf-8"))
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(meta["config"]), encoding="utf-8")
-    return str(path), (out / f"{name}.csv").read_text(encoding="utf-8")
-
-
-def test_lossless_runs_the_figs1_pipeline(capsys, tmp_path):
-    config, rows = preset_config(capsys, tmp_path, "figS1")
-    rc, out, _ = run_cli(capsys, "lossless", "--config", config, "--out", str(tmp_path))
-    assert rc == 0
-    assert out["atoms"] == 20
-    assert (tmp_path / "lossless.csv").read_text(encoding="utf-8") == rows
+    return str(path), summary
 
 
 def test_discrete_transient_runs_the_figs6_pipeline(capsys, tmp_path):
-    config, rows = preset_config(capsys, tmp_path, "figS6")
+    config, _ = preset_config(capsys, tmp_path, "figS6")
+    rows = (tmp_path / "figS6" / "figS6.csv").read_text(encoding="utf-8")
     assert json.loads(Path(config).read_text(encoding="utf-8"))["n_c"] == 10.0
     rc, out, _ = run_cli(
         capsys, "transient", "--config", config, "--out", str(tmp_path),
@@ -561,11 +603,16 @@ def test_zero_duration_from_config_or_flag(capsys, tmp_path, small_config):
 
 @pytest.mark.parametrize(
     "name, command, stem",
-    [("fig2", "sweep-pump", "sweep_pump"), ("fig3", "sweep-atoms", "sweep_atoms")],
+    [("fig2", "sweep-pump", "sweep_pump"), ("fig3", "sweep-atoms", "sweep_atoms"),
+     ("figS1", "lossless", "lossless")],
 )
 def test_sweep_commands_run_the_figure_pipelines(capsys, tmp_path, name, command, stem):
-    # at the preset's configuration and both defaults, command and preset are one curve
-    config, rows = preset_config(capsys, tmp_path, name)
-    rc, _, _ = run_cli(capsys, command, "--config", config, "--out", str(tmp_path))
+    # at the preset's configuration and both defaults, command and preset are one
+    # curve, one sidecar and one summary
+    config, summary = preset_config(capsys, tmp_path, name)
+    rc, out, _ = run_cli(capsys, command, "--config", config, "--out", str(tmp_path))
     assert rc == 0
-    assert (tmp_path / f"{stem}.csv").read_text(encoding="utf-8") == rows
+    assert {**out, "files": None} == {**summary, "files": None}
+    for suffix in (".csv", ".meta.json"):
+        ours = (tmp_path / f"{stem}{suffix}").read_text(encoding="utf-8")
+        assert ours == (tmp_path / name / f"{name}{suffix}").read_text(encoding="utf-8")

@@ -284,7 +284,15 @@ def test_preset_sequential_emission(tmp_path):
     assert np.all(np.diff(res.mean_n) > 0.0)
     # phased emission accelerates: the last step beats the running average
     assert 1.5 < out["last_increment_over_average"] < 2.0
-    assert out["final_sequential"] > out["final_bunched"] * 0.9
+    assert out["final_mean_n"] > out["final_bunched"] * 0.9
+
+
+def test_last_increment_of_one_atom_and_of_no_emission():
+    # one atom's increment is the average; ground-state atoms emit nothing
+    _, summary = lossless_emission(small_cavity(), atoms=1)
+    assert summary["last_increment_over_average"] == 1.0
+    _, summary = lossless_emission(small_cavity(theta=0.0), atoms=3)
+    assert math.isnan(summary["last_increment_over_average"])
 
 
 def test_preset_phase_noise_robustness(tmp_path):
@@ -369,6 +377,13 @@ def test_preset_buildup_transient(tmp_path):
     assert res.mean_n[0] == 0.0
     assert out["steady_mean_n"] > 0.0
     assert np.isfinite(out["lossless_at_nc_atoms"])
+
+
+def test_preset_buildup_shorter_than_n_c_atoms(tmp_path):
+    # 0.5 decay times send 5 of the n_c = 10 atoms, so no point sits at n_c atoms
+    out = preset("figS6", {"t_end": 0.5}, out_dir=str(tmp_path))
+    assert read_sweep(str(tmp_path / "figS6.csv")).axis.shape == (6,)
+    assert math.isnan(out["lossless_at_nc_atoms"])
 
 
 def test_discrete_transient_steps_land_on_injection_grid():

@@ -701,6 +701,14 @@ def test_evolve_reports_a_transient_past_the_cutoff():
     assert mean_photon(states[-1]) == pytest.approx(47.888, rel=1e-3)
 
 
+def test_evolve_refuses_a_basis_that_leaks_trace():
+    # on levels 0..95 the top level keeps 4.6e-9, within the tail rule, but it
+    # leaks trace at 1.5e-7, past the 1e-9 rate steady_state allows
+    p = MasterParams(300.0, KickParams(0.05), HALF, 95)
+    with pytest.raises(TruncationError, match=r"trace leaks out of levels 0\.\.95 at rate 1\.5"):
+        evolve(p, vacuum(95), 8.0)
+
+
 @pytest.mark.parametrize(
     "atom",
     [
