@@ -43,7 +43,6 @@ __all__ = [
     "fit_loglog_slope",
     "write_sweep",
     "read_sweep",
-    "trajectory_config",
     "steady_distribution",
     "pump_response",
     "atom_scaling",
@@ -100,7 +99,7 @@ class RunConfig:
         if self.injection not in INJECTIONS:
             raise ValueError(f"injection must be one of {INJECTIONS}, got {self.injection!r}")
         for name, least in (("theta", 0), ("phi", -math.inf), ("linewidth", 0), ("t_end", 0),
-                            ("n_max", 1), ("n_trajectories", 1), ("seed", 0)):
+                            ("n_max", 1), ("n_trajectories", 2), ("seed", 0)):
             value = getattr(self, name)
             if value is not None:
                 check_range(name, value, least)
@@ -375,25 +374,6 @@ def read_sweep(csv_path: str) -> SweepResult:
 # write and the summary numbers to print, or the summary alone
 
 
-def trajectory_config(cfg: RunConfig) -> TrajectoryConfig:
-    """Translate a RunConfig into trajectory units (seconds)."""
-    n_max = cfg.n_max or suggest_n_max(cfg.derived_n_c, cfg.atom(), cfg.g_tau)
-    return TrajectoryConfig(
-        r=cfg.derived_r,
-        gamma_c=cfg.gamma_c,
-        g=cfg.g,
-        tau=cfg.tau,
-        theta=cfg.theta,
-        injection=cfg.injection,
-        linewidth=cfg.linewidth,
-        transit_dephase=cfg.transit_dephase,
-        n_max=n_max,
-        t_end=cfg.duration / cfg.gamma_c,
-        seed=cfg.seed,
-        n_trajectories=cfg.n_trajectories,
-    )
-
-
 def steady_distribution(cfg: RunConfig) -> tuple[SweepResult, dict]:
     """Steady photon distribution p_n against the Poisson law at the predicted amplitude."""
     s = _steady(cfg)
@@ -564,11 +544,20 @@ def transient_buildup(cfg: RunConfig) -> tuple[SweepResult, dict]:
 
 
 def trajectory_ensemble(cfg: RunConfig) -> tuple[SweepResult, dict]:
-    """Ensemble-mean <n>(t) of the quantum-jump engine against the master-equation floor."""
-    ens = run_ensemble(trajectory_config(cfg))
-    floor = mean_photon(_steady(cfg))
+    """Ensemble-mean <n>(t) of the quantum-jump engine against the master-equation floor.
+
+    Both run on the cutoff the floor's search from cfg.n_max accepted, recorded as n_max_used.
+    """
+    s = _steady(cfg)
+    ens = run_ensemble(TrajectoryConfig(  # in seconds
+        r=cfg.derived_r, gamma_c=cfg.gamma_c, g=cfg.g, tau=cfg.tau, theta=cfg.theta, n_max=s.n_max,
+        injection=cfg.injection, linewidth=cfg.linewidth, transit_dephase=cfg.transit_dephase,
+        t_end=cfg.duration / cfg.gamma_c, seed=cfg.seed, n_trajectories=cfg.n_trajectories,
+    ))
+    floor = mean_photon(s)
     meta = _base_metadata(cfg, "time [1/gamma_c]")
     meta["baseline"] = "master-equation steady state"
+    meta["n_max_used"] = s.n_max
     meta["trajectory"] = ens.metadata
     res = SweepResult(ens.times * cfg.gamma_c, ens.mean_n, np.full(ens.mean_n.shape, floor), meta)
     summary = {

@@ -204,7 +204,7 @@ def run_trajectory(cfg: TrajectoryConfig, seed: int) -> TrajectoryResult:
         if not top <= 1e-6:
             raise TruncationError(
                 f"trajectory reached the cutoff n_max={cfg.n_max} "
-                f"(top amplitude {top:.2e}); enlarge the basis"
+                f"(top-level population {top:.2e}); enlarge the basis"
             )
         max_top = max(max_top, top)
         n_atoms += 1

@@ -336,6 +336,19 @@ def test_trajectory_ensemble_summary(capsys, tmp_path, small_config):
     assert 0.0 <= counters["max_top_population"] < 1e-6
 
 
+def test_trajectory_runs_on_the_cutoff_its_floor_accepted(capsys, tmp_path, small_config):
+    # --n-max starts the floor's cutoff search, as in every command that
+    # solves; 4 levels overflow a trajectory, the search settles on 8
+    rc, out, err = run_cli(
+        capsys, "trajectory", "--config", small_config, "--out", str(tmp_path),
+        "--n-max", "4", "--t-end", "4.0", "--trajectories", "10",
+    )
+    assert rc == 0, err
+    meta = json.loads((tmp_path / "trajectory.meta.json").read_text())
+    assert meta["n_max_used"] == 8
+    assert out["master_steady_mean_n"] > 0.0
+
+
 def test_dicke_rates_and_weights(capsys, small_config):
     rc, out, _ = run_cli(capsys, "dicke", "--config", small_config, "--atoms", "4")
     assert rc == 0
@@ -457,7 +470,7 @@ def test_config_field_of_the_wrong_type_is_a_clean_error(
 @pytest.mark.parametrize(
     "key, value",
     [("injection", "regularr"), ("linewidth", -5.0), ("t_end", -1.0), ("n_max", 0),
-     ("n_trajectories", 0), ("seed", -1), ("transit_dephase", 1.5),
+     ("n_trajectories", 0), ("n_trajectories", 1), ("seed", -1), ("transit_dephase", 1.5),
      # JSON reads NaN and Infinity as floats
      ("n_c", math.nan), ("g", math.nan), ("t_end", math.nan), ("tau", math.inf),
      ("phi", -math.inf)],

@@ -18,7 +18,7 @@ from cavsr.experiments import (
     read_sweep,
     sweep_atoms,
     sweep_pump,
-    trajectory_config,
+    trajectory_ensemble,
     transient_buildup,
     write_sweep,
 )
@@ -232,17 +232,32 @@ def test_read_sweep_without_metadata(tmp_path):
     assert back.axis.shape == (2,)
 
 
-def test_trajectory_translation():
+def test_trajectory_translation(monkeypatch):
+    # the ensemble runs in seconds, on the cutoff the floor's search accepted
+    handed = []
+
+    class Handed(Exception):
+        pass
+
+    def capture(tc):
+        handed.append(tc)
+        raise Handed
+
+    monkeypatch.setattr(experiments, "run_ensemble", capture)
     cfg = small_cavity(gamma_c=2.0, t_end=5.0, seed=3, n_trajectories=7,
-                       injection="regular", linewidth=1e3)
-    tc = trajectory_config(cfg)
+                       injection="regular", linewidth=1e3, n_max=4)
+    for c in (cfg, dataclasses.replace(cfg, linewidth=0.0)):
+        with pytest.raises(Handed):
+            trajectory_ensemble(c)
+    tc, tc0 = handed
     assert tc.r == pytest.approx(10.0)
     assert tc.t_end == pytest.approx(2.5)
     assert tc.linewidth == 1e3
     assert tc.injection == "regular"
     assert tc.seed == 3 and tc.n_trajectories == 7
-    assert tc.n_max >= 10
-    assert trajectory_config(dataclasses.replace(cfg, linewidth=0.0)).linewidth == 0.0
+    floor = steady_state_auto(5.0, cfg.atom(), cfg.kick(), n_max=4, dephasing=cfg.dephasing)
+    assert tc.n_max == floor.n_max > 4
+    assert tc0.linewidth == 0.0
 
 
 def test_predicted_amplitude():

@@ -217,7 +217,7 @@ def test_full_transit_scramble_reduces_to_random_phase_pump():
 def test_cutoff_overflow_is_reported():
     cfg = TrajectoryConfig(r=5.0, gamma_c=1e-3, g=0.5e6 * math.pi, tau=1e-6,
                            theta=math.pi, n_max=1, t_end=2.0)
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match=r"n_max=1 \(top-level population \d"):
         run_trajectory(cfg, seed=0)
 
 
