@@ -496,7 +496,8 @@ def transient_buildup(cfg: RunConfig) -> tuple[SweepResult, dict]:
     A regular beam sends atoms 1/n_c apart through the exact map, one point
     per atom, against the lossless stepwise emission after the same number
     of atoms; that map has no pump phase noise, so it refuses a linewidth,
-    and it has no steady state of its own to report.
+    and it has no steady state of its own to report. It runs on the Poisson
+    beam's steady cutoff, which its sidecar records as n_max_used too.
     """
     a, k, n_c = cfg.atom(), cfg.kick(), cfg.derived_n_c
     t_end = cfg.duration
@@ -521,6 +522,7 @@ def transient_buildup(cfg: RunConfig) -> tuple[SweepResult, dict]:
         mean = np.array([0.0] + kick_sequence(q0, atoms, k, delta))
         baseline = np.array([0.0] + lossless_sequence(atoms, k))
         meta["baseline"] = "lossless stepwise emission after the same number of atoms"
+        meta["n_max_used"] = q0.n_max
         summary = {"mode": "discrete-regular"}
     else:
         s_ss = _steady(cfg)

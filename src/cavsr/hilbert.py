@@ -14,7 +14,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
 
 from .errors import check_range, check_tail
 
@@ -33,6 +32,11 @@ __all__ = [
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-9
 _PSD_TOL = 1e-9
+
+
+def _log_factorials(count: int) -> np.ndarray:
+    """log(n!) for n = 0..count-1."""
+    return np.array([math.lgamma(n + 1.0) for n in range(count)])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,8 +96,13 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
         c = np.zeros(n_max + 1, dtype=complex)
         c[0] = 1.0
         return c
-    log_mag = -0.5 * a * a + n * math.log(a) - 0.5 * gammaln(n + 1.0)
+    log_mag = -0.5 * a * a + n * math.log(a) - 0.5 * _log_factorials(n_max + 1)
     return np.exp(log_mag + 1j * n * np.angle(complex(alpha)))
+
+
+def _mass_above(c: np.ndarray) -> float:
+    """Poisson mass above n_max: what |alpha> keeps past its amplitudes c on 0..n_max."""
+    return 1.0 - float(np.vdot(c, c).real)
 
 
 def coherent(alpha: complex, n_max: int) -> FieldState:
@@ -103,7 +112,7 @@ def coherent(alpha: complex, n_max: int) -> FieldState:
     errors.check_tail.
     """
     c = coherent_amplitudes(alpha, n_max)
-    tail = float(pdtrc(n_max, abs(alpha) ** 2))  # Poisson mass above n_max
+    tail = _mass_above(c)
     check_tail(f"coherent state |alpha|={abs(alpha):.4g} keeps", tail, n_max)
     c = c / np.linalg.norm(c)
     return FieldState(np.outer(c, c.conj()))
@@ -121,7 +130,7 @@ def photon_distribution(s: FieldState) -> np.ndarray:
 def fidelity_to_coherent(s: FieldState, alpha: complex) -> float:
     """<alpha|rho|alpha> against the exact (untruncated) coherent state."""
     c = coherent_amplitudes(alpha, s.n_max)
-    tail = float(pdtrc(s.n_max, abs(alpha) ** 2))  # Poisson mass above n_max
+    tail = _mass_above(c)
     check_tail(f"coherent target |alpha|={abs(alpha):.4g} keeps", tail, s.n_max)
     f = float(np.real(c.conj() @ s.q @ c))
     return max(f, 0.0)
@@ -154,11 +163,12 @@ def apply_decay(s: FieldState, gamma_c: float, dt: float) -> FieldState:
     log_eta = math.log(eta)
     log_loss = math.log1p(-eta)
     n = np.arange(dim, dtype=float)
+    log_fact = _log_factorials(dim)
     out = np.zeros_like(s.q)
     for k in range(dim):
         nn = n[: dim - k]
         log_c = (
-            0.5 * (gammaln(nn + k + 1.0) - gammaln(nn + 1.0) - gammaln(k + 1.0))
+            0.5 * (log_fact[k:] - log_fact[: dim - k] - log_fact[k])
             + 0.5 * nn * log_eta
             + 0.5 * k * log_loss
         )

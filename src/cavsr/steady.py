@@ -29,11 +29,10 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.integrate
-import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
+from ._roots import _brentq
 from .analytic import mean_n_noncollective, pn_random_phase
 from .atom import AtomState
 from .errors import ConvergenceError, DivergenceError, ResourceError, TruncationError
@@ -364,7 +363,7 @@ def _balance_angle(n_c: float, a: AtomState, g_tau: float) -> float:
         return 0.0
     crossings = np.nonzero(vals <= 0.0)[0]
     i = int(crossings[0])
-    return float(scipy.optimize.brentq(f, grid[i - 1], grid[i], xtol=1e-12))
+    return _brentq(f, grid[i - 1], grid[i], xtol=1e-12)
 
 
 def _predicted_mean(n_c: float, a: AtomState, g_tau: float) -> float:
@@ -467,34 +466,35 @@ def _held_cutoff(p: MasterParams, s: FieldState) -> int:
     return min(int(refused[-1]) + 1, s.n_max)
 
 
-def _step_polynomials() -> np.ndarray:
-    """DOP853's step and its two error terms as polynomials in z = h G, for y' = G y.
+# DOP853's step and its two error terms as polynomials in z = h G, for
+# y' = G y (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10). On a
+# linear autonomous system each stage h k_i of the tableau is P_i(z) y, with
+# P_i = z (1 + sum_j A[i, j] P_j), so P_i has degree i + 1. Row 0 is the step
+# y_new = R(z) y, R = 1 + sum_i B[i] P_i, of degree 12 and equal to exp(z)
+# through z^8; rows 1 and 2 are the embedded error terms h err5 and h err3,
+# sums over the stages and the first-same-as-last stage z R(z), which the
+# tableau weights 0, so they have degree 12 too. Column j holds the
+# coefficient of z^j, j = 0..13: the next step's derivative z R(z) y reads
+# the basis up to z^13. The literals are the shortest reprs of the doubles
+# this recursion gives on the tableau of scipy's DOP853 class;
+# tests/test_steady.py derives them again from that tableau and compares
+# them exactly.
+_DOP853 = np.array([
+    [1.0, 1.0000000000000004, 0.49999999999999956, 0.16666666666666724,
+     0.04166666666666692, 0.008333333333333576, 0.0013888888888889156,
+     0.00019841269841269895, 2.480158730158748e-05, 2.6916922001691e-06,
+     2.3413451082097818e-07, 1.4947364854591543e-08, 3.613324578128244e-10, 0.0],
+    [0.0, -1.1796119636642288e-16, 5.898059818321144e-17, -7.294512216482474e-16,
+     1.1615057873837209e-15, 3.5453411040275995e-17, -1.3495284686596729e-05,
+     1.9334654633240663e-08, 2.425572283573909e-07, -3.986199671840648e-08,
+     -2.4840232758051564e-08, -5.179991027569355e-09, -1.806662289064122e-10, 0.0],
+    [0.0, 2.7755575615628914e-16, 3.0531133177191805e-16, 4.2327252813834093e-16,
+     0.004202279202280007, 0.0019128497333627474, 0.0004618663214840214,
+     9.203663915338108e-05, 1.4960035021054483e-05, 1.9783991013752843e-06,
+     1.6968469610869003e-07, 8.82069232633511e-09, 1.8306229103919414e-10, 0.0],
+])
 
-    On a linear autonomous system each stage h k_i of the tableau is
-    P_i(z) y, with P_i = z (1 + sum_j A[i, j] P_j), so P_i has degree i + 1.
-    Row 0 is the step y_new = R(z) y, R = 1 + sum_i B[i] P_i, of degree 12
-    and equal to exp(z) through z^8; rows 1 and 2 are the embedded error
-    terms h err5 and h err3, sums over the stages and the first-same-as-last
-    stage z R(z), which the tableau weights 0, so they have degree 12 too.
-    Column j holds the coefficient of z^j, j = 0..13: the next step's
-    derivative z R(z) y reads the basis up to z^13.
-    """
-    tableau = scipy.integrate.DOP853
-    stages = tableau.n_stages
-    p = np.zeros((stages + 1, stages + 2))
-    for i in range(stages):
-        inner = tableau.A[i, :i] @ p[:i]
-        inner[0] += 1.0
-        p[i, 1:] = inner[:-1]
-    step = tableau.B @ p[:stages]
-    step[0] += 1.0
-    p[stages, 1:] = step[:-1]
-    return np.array([step, tableau.E5 @ p, tableau.E3 @ p])
-
-
-_DOP853 = _step_polynomials()
-
-# scipy.integrate.DOP853's tolerances and step-size controller
+# the tolerances and step-size controller of scipy's DOP853 class
 _RTOL, _ATOL = 1e-8, 1e-12
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
@@ -522,9 +522,10 @@ def _dop853(g: scipy.sparse.csr_matrix, y: np.ndarray, times: np.ndarray) -> np.
     """Solution of y' = g y at the increasing times from times[0] = 0, one row per time.
 
     DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10) under
-    scipy.integrate.DOP853's controller: its tolerances, error norm and step
-    factors. On the constant g a step of size h is the polynomial
-    _DOP853[0] in z = h g, so each step builds the basis W[j] = z^j y once
+    the controller of scipy's DOP853 class: its tolerances, error norm and
+    step factors. On the constant g a step of size h is the polynomial
+    _DOP853[0] in z = h g, whose literal coefficients a test derives again
+    from scipy's tableau, so each step builds the basis W[j] = z^j y once
     and takes every trial as a small weighted sum of its rows. A rejected
     trial at h' = rho h only weights W[j] by rho^j, at no matvec, so the
     first trial is the whole span and no initial-step estimate is needed;

@@ -27,8 +27,8 @@ import math
 from collections.abc import Iterator
 
 import numpy as np
-import scipy.optimize
 
+from ._roots import _brentq
 from .dicke import EnsembleSpec
 from .errors import ConvergenceError, TruncationError, check_range
 from .interaction import KickParams, jc_kick_pure, measure_atom
@@ -127,7 +127,7 @@ def _photon_losses(
         w = np.abs(amp) ** 2
         u = rng.random()
         span = t1 - t
-        # the arithmetic of _survival_minus_u, so brentq below sees the same sign
+        # the arithmetic of _survival_minus_u, so _brentq below sees the same sign
         f = np.exp(neg_gn * span)
         survival = float(w @ (f * f))
         if survival > u:
@@ -135,7 +135,7 @@ def _photon_losses(
             amp *= f
             amp /= math.sqrt(survival)
             return
-        s_jump = float(scipy.optimize.brentq(_survival_minus_u, 0.0, span, args=(w, neg_gn, u)))
+        s_jump = _brentq(_survival_minus_u, 0.0, span, args=(w, neg_gn, u))
         amp *= np.exp(neg_gn * s_jump)
         amp[:-1] = sqrt_n[1:] * amp[1:]
         amp[-1] = 0.0

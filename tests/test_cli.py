@@ -195,6 +195,10 @@ def test_transient_discrete_mode_walks_the_atom_grid(capsys, tmp_path, small_con
     data = np.loadtxt(tmp_path / "transient.csv", delimiter=",", skiprows=1, ndmin=2)
     assert data.shape[0] == 7  # 6 atoms in 2 decay times at n_c = 3, plus t = 0
     assert np.allclose(np.diff(data[:, 0]), 1.0 / 3.0)
+    # the map runs on the Poisson beam's steady cutoff
+    meta = json.loads((tmp_path / "transient.meta.json").read_text(encoding="utf-8"))
+    steady_cutoff = steady.steady_state_auto(3.0, prepare(0.5 * math.pi), KickParams(0.1)).n_max
+    assert meta["n_max_used"] == steady_cutoff
 
 
 def test_transient_retries_once_on_the_steady_cutoff(capsys, tmp_path, small_config, monkeypatch):

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
+from cavsr import hilbert
 from cavsr.errors import TruncationError
 from cavsr.hilbert import (
     FieldState,
@@ -65,6 +66,17 @@ def test_coherent_needs_room():
         coherent(3.0, 29)
     assert coherent(3.0, 30).n_max == 30
     assert coherent(1.0, 20).n_max == 20
+
+
+def test_log_factorials_and_tail_mass_match_scipy_special():
+    n = np.arange(1101)
+    np.testing.assert_allclose(hilbert._log_factorials(n.size), special.gammaln(n + 1.0),
+                               rtol=1e-15, atol=0.0)
+    # the tail is 1 - sum |c_n|^2; the log-domain amplitudes carry about eps |alpha|^2
+    for alpha in (0.5, 3.0, 10.0, 31.6):
+        for n_max in np.unique(np.linspace(1, alpha**2 + 12.0 * alpha + 30.0, 60).astype(int)):
+            tail = hilbert._mass_above(coherent_amplitudes(alpha, int(n_max)))
+            assert abs(tail - special.pdtrc(n_max, alpha**2)) <= 1e-15 * max(1.0, alpha**2)
 
 
 def test_coherent_amplitudes_formula():

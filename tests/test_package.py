@@ -3,10 +3,19 @@ import contextlib
 import importlib
 import inspect
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.optimize
 
 import cavsr
 from cavsr import (
+    _roots,
     analytic,
     atom,
     cli,
@@ -18,6 +27,8 @@ from cavsr import (
     steady,
     trajectory,
 )
+from cavsr.atom import dephase, prepare
+from cavsr.errors import ConvergenceError
 
 MODULES = (analytic, atom, dicke, errors, experiments, hilbert, interaction, steady, trajectory)
 
@@ -78,3 +89,63 @@ def test_every_bench_record_has_the_shared_layout():
         assert studies, path.name
         for study in studies:
             assert study["workload"] in declared, f"{path.name}: {study['workload']}"
+
+
+# scipy modules whose import costs more than cavsr uses of them
+UNLOADED = ("scipy.optimize", "scipy.integrate", "scipy.special")
+
+
+@pytest.mark.parametrize("module", ["cavsr", "cavsr.cli"])
+def test_import_leaves_the_costly_scipy_modules_unloaded(module):
+    # a fresh interpreter, since this one has loaded them for the tests
+    code = f"import sys, {module}; print(sorted(m for m in {UNLOADED!r} if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cavsr.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env)
+    assert out.stdout.strip() == "[]"
+
+
+def _compared_root_finds(monkeypatch, module):
+    """Patch module._brentq to record each root it finds next to scipy's on the same bracket."""
+    found = []
+
+    def compared(f, a, b, args=(), xtol=_roots._XTOL):
+        got = _roots._brentq(f, a, b, args=args, xtol=xtol)
+        found.append((got, scipy.optimize.brentq(f, a, b, args=args, xtol=xtol)))
+        return got
+
+    monkeypatch.setattr(module, "_brentq", compared)
+    return found
+
+
+def test_brentq_finds_scipys_root_on_balance_brackets(monkeypatch):
+    found = _compared_root_finds(monkeypatch, steady)
+    rng = np.random.default_rng(5)
+    for _ in range(1000):
+        a = dephase(prepare(rng.uniform(0.05, math.pi)), rng.uniform(0.0, 1.0))
+        steady._balance_angle(10.0 ** rng.uniform(0.0, 4.0), a, rng.uniform(0.005, 0.3))
+    assert len(found) > 900
+    assert all(got == want for got, want in found)
+
+
+def test_brentq_finds_scipys_root_on_survival_brackets(monkeypatch):
+    found = _compared_root_finds(monkeypatch, trajectory)
+    rng = np.random.default_rng(6)
+    for _ in range(350):
+        n = np.arange(rng.integers(2, 60), dtype=float)
+        amp = rng.standard_normal(n.size) + 1j * rng.standard_normal(n.size)
+        amp /= np.linalg.norm(amp)
+        span = rng.uniform(0.01, 5.0)
+        list(trajectory._photon_losses(amp, 0.0, span, -n, np.sqrt(n), rng))
+    assert len(found) > 3000
+    assert all(got == want for got, want in found)
+
+
+def test_brentq_fails_typed():
+    with pytest.raises(ConvergenceError, match="do not differ in sign"):
+        _roots._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ConvergenceError, match="NaN"):
+        _roots._brentq(lambda x: math.nan if x > 0.0 else -1.0, -1.0, 1.0)
+    # a step function leaves only bisection, which needs ~2000 halvings here
+    with pytest.raises(ConvergenceError, match="did not converge in 100 iterations"):
+        _roots._brentq(lambda x: -1.0 if x < 0.3 else 1.0, -1e300, 1e300)

@@ -757,6 +757,23 @@ def _stable_system(n=12, seed=3):
     return scipy.sparse.csr_matrix(a), rng.standard_normal(n)
 
 
+def test_step_polynomials_are_derived_from_scipys_tableau():
+    # on y' = G y each stage h k_i is P_i(z) y, P_i = z (1 + sum_j A[i, j] P_j);
+    # the step is 1 + sum_i B[i] P_i, the error terms weight the stages and
+    # the first-same-as-last stage z R(z) by E5 and E3
+    tableau = scipy.integrate.DOP853
+    stages = tableau.n_stages
+    p = np.zeros((stages + 1, stages + 2))
+    for i in range(stages):
+        inner = tableau.A[i, :i] @ p[:i]
+        inner[0] += 1.0
+        p[i, 1:] = inner[:-1]
+    step = tableau.B @ p[:stages]
+    step[0] += 1.0
+    p[stages, 1:] = step[:-1]
+    assert np.array_equal(steady._DOP853, np.array([step, tableau.E5 @ p, tableau.E3 @ p]))
+
+
 def test_dop853_step_polynomial_is_the_exponential_to_eighth_order():
     step = steady._DOP853[0]
     inv_factorials = [1.0 / math.factorial(j) for j in range(9)]
