@@ -43,7 +43,7 @@ def pn_random_phase(n_c: float, rho_ee: float, g_tau: float, n_max: int) -> np.n
     check_range("n_c", n_c, 0.0)
     check_range("rho_ee", rho_ee, 0.0, 1.0)
     check_range("g_tau", g_tau)
-    check_range("n_max", n_max, 1)
+    check_range("n_max", n_max, 1, integer=True)
 
     def ratio(k: np.ndarray) -> np.ndarray:
         s2 = np.sin(np.sqrt(k) * g_tau) ** 2

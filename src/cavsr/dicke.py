@@ -38,7 +38,7 @@ class EnsembleSpec:
     c_g: complex
 
     def __post_init__(self) -> None:
-        check_range("n_atoms", self.n_atoms, 1)
+        check_range("n_atoms", self.n_atoms, 1, integer=True)
         nrm = abs(self.c_e) ** 2 + abs(self.c_g) ** 2
         if not abs(nrm - 1.0) <= 1e-10:
             raise ValueError(f"atom amplitudes have norm {nrm!r}, expected 1")
@@ -87,7 +87,7 @@ def decompose_product_state(spec: EnsembleSpec) -> np.ndarray:
 
 def ensemble_rate(n_atoms: int, a: AtomState) -> float:
     """Collective emission rate N(N-1)|rho_eg|^2 + N rho_ee of N product atoms."""
-    check_range("n_atoms", n_atoms, 1)
+    check_range("n_atoms", n_atoms, 1, integer=True)
     return n_atoms * (n_atoms - 1) * abs(a.rho_eg) ** 2 + n_atoms * a.rho_ee
 
 

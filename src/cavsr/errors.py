@@ -3,11 +3,13 @@
 Plain invalid arguments raise ValueError; the classes here mark failure
 modes a caller may want to catch and handle differently (enlarge the
 basis, change solver, accept a diverging analytic branch, ...).
-check_range is the package's one rule for a scalar input's range, and
-check_tail its one rule for whether a Fock cutoff holds a state.
+check_range is the package's one rule for a scalar input's kind and
+range: a bool, None or a string is not a number, and integer= marks a
+count. check_tail is its one rule for whether a Fock cutoff holds a state.
 """
 
 import math
+import numbers
 
 __all__ = [
     "CavsrError",
@@ -47,15 +49,25 @@ class DegenerateBranchError(CavsrError):
 
 
 def check_range(
-    name: str, value: float, lo: float = -math.inf, hi: float = math.inf, open_lo: bool = False
+    name: str, value: float, lo: float = -math.inf, hi: float = math.inf, open_lo: bool = False,
+    integer: bool = False,
 ) -> None:
-    """Raise ValueError unless value is finite and in [lo, hi], or in (lo, hi] with open_lo.
+    """Raise ValueError unless value is a finite number in [lo, hi], or in (lo, hi] with open_lo.
 
-    Each test states the condition it accepts, so NaN, which fails every
-    comparison, is refused. The message starts with the parameter's name.
+    Refused in turn: a bool, None, a string or any other non-numbers.Real
+    (NumPy scalars are numbers); a non-finite value; with integer, a count
+    that is not a numbers.Integral; a value out of range. Each test states
+    the condition it accepts, so NaN, which fails every comparison, is
+    refused. The message starts with the name, quoted for a wrong kind.
     """
+    kind = type(value)
+    # the built-in types first: an ABC isinstance costs several times more
+    if not (kind is float or kind is int or kind is not bool and isinstance(value, numbers.Real)):
+        raise ValueError(f"{name!r} must be {'int' if integer else 'float'}, got {value!r}")
     if not -math.inf < value < math.inf:
         raise ValueError(f"{name} must be finite, got {value}")
+    if integer and kind is not int and not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name!r} must be int, got {value!r}")
     if not (lo < value <= hi if open_lo else lo <= value <= hi):
         if hi < math.inf:
             want = f"lie in {'(' if open_lo else '['}{lo:g}, {hi:g}]"

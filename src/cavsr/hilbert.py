@@ -77,7 +77,7 @@ class FieldState:
 
 
 def vacuum(n_max: int) -> FieldState:
-    check_range("n_max", n_max, 1)
+    check_range("n_max", n_max, 1, integer=True)
     q = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     q[0, 0] = 1.0
     return FieldState(q)
@@ -90,7 +90,7 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     """
     a = abs(alpha)
     check_range("alpha", a)
-    check_range("n_max", n_max, 0)
+    check_range("n_max", n_max, 0, integer=True)
     n = np.arange(n_max + 1)
     if a == 0.0:
         c = np.zeros(n_max + 1, dtype=complex)

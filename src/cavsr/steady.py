@@ -88,8 +88,8 @@ class MasterParams:
 
     def __post_init__(self) -> None:
         check_range("n_c", self.n_c, 0.0, open_lo=True)
-        check_range("n_max", self.n_max, 1)
-        check_range("n_lo", self.n_lo, 0, self.n_max - 1)
+        check_range("n_max", self.n_max, 1, integer=True)
+        check_range("n_lo", self.n_lo, 0, self.n_max - 1, integer=True)
         check_range("dephasing", self.dephasing, 0.0)
 
     @property
@@ -425,7 +425,7 @@ def steady_state_auto(
     """
     diagonal = a.rho_eg == 0
     if n_max is not None:
-        check_range("n_max", n_max, 1)
+        check_range("n_max", n_max, 1, integer=True)
         lo, cur = 0, max(n_max, 2)
     else:
         lo, cur = _window_edges(_predicted_mean(n_c, a, k.g_tau))

@@ -59,7 +59,7 @@ class TrajectoryConfig:
     n_max: int = 30
     t_end: float = 0.0          # s
     seed: int = 0
-    n_trajectories: int = 1
+    n_trajectories: int = 2
 
     def __post_init__(self) -> None:
         # a NaN or infinite t_end or r would keep the event loop from ending
@@ -68,8 +68,8 @@ class TrajectoryConfig:
         if self.injection not in INJECTIONS:
             raise ValueError(f"injection must be one of {INJECTIONS}, got {self.injection!r}")
         check_range("transit_dephase", self.transit_dephase, 0.0, 1.0)
-        check_range("n_max", self.n_max, 1)
-        check_range("n_trajectories", self.n_trajectories, 1)
+        check_range("n_max", self.n_max, 1, integer=True)
+        check_range("n_trajectories", self.n_trajectories, 2, integer=True)
 
     @property
     def g_tau(self) -> float:
@@ -241,8 +241,6 @@ def run_ensemble(cfg: TrajectoryConfig) -> EnsembleResult:
     g_tau 0.1, theta pi/2 it reads about 0.00115 where the period average is
     0.00144.
     """
-    if not cfg.n_trajectories >= 2:
-        raise ValueError("ensemble statistics need at least 2 trajectories")
     acc = np.zeros(N_SAMPLES)
     steadies = np.empty(cfg.n_trajectories)
     rates = np.empty(cfg.n_trajectories)

@@ -336,7 +336,7 @@ def test_preset_phase_noise_notes_overlapping_transits_once(tmp_path):
 
 def test_preset_phase_noise_rejects_a_point_count_below_one(tmp_path):
     for points in (0, -2):
-        with pytest.raises(ValueError, match="'points'"):
+        with pytest.raises(ValueError, match="^points must be at least 1, got "):
             preset("figS3", {"points": points}, out_dir=str(tmp_path))
     assert not list(tmp_path.iterdir())
 

@@ -1,4 +1,5 @@
-"""One range rule: every scalar input is finite and in range, or a ValueError names it."""
+"""One rule for every scalar input: it is a number of the right kind, finite and in range, or a
+ValueError names it. A bool, None or a string is no number, and a count must be an integer."""
 
 import ast
 import inspect
@@ -12,8 +13,8 @@ from cavsr import (
 )
 from cavsr.analytic import mean_n_noncollective, n_eff, pn_random_phase
 from cavsr.atom import AtomState, prepare
-from cavsr.dicke import EnsembleSpec
-from cavsr.experiments import RunConfig
+from cavsr.dicke import EnsembleSpec, ensemble_rate
+from cavsr.experiments import RunConfig, atom_scaling, lossless_emission, pump_response
 from cavsr.hilbert import apply_decay, coherent, coherent_amplitudes, fidelity_to_coherent, vacuum
 from cavsr.interaction import KickParams, bunched_mean_n, jc_kick, lossless_sequence
 from cavsr.steady import MasterParams, evolve, steady_state, steady_state_auto, suggest_n_max
@@ -117,12 +118,54 @@ def test_apply_decay_takes_an_infinite_interval():
      (lambda: suggest_n_max(-5.0, HALF, 0.05), "n_c must be non-negative, got -5.0"),
      # refused before the log of a negative ratio warns (every warning fails the suite)
      (lambda: pn_random_phase(-1.0, 0.5, 0.05, 10), "n_c must be non-negative, got -1.0"),
-     (lambda: coherent_amplitudes(0.5, -1), "n_max must be non-negative, got -1")],
+     (lambda: coherent_amplitudes(0.5, -1), "n_max must be non-negative, got -1"),
+     # an ensemble's standard error needs two trajectories, as RunConfig asks
+     (lambda: TrajectoryConfig(**TRAJ, n_trajectories=1),
+      "n_trajectories must be at least 2, got 1")],
 )
 def test_out_of_range_message_names_the_parameter_and_the_range(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+# the counts CASES lacks
+COUNTS = [
+    ("vacuum", "n_max", vacuum),
+    ("coherent_amplitudes", "n_max", lambda v: coherent_amplitudes(0.5, v)),
+    ("pn_random_phase", "n_max", lambda v: pn_random_phase(1.0, 0.5, 0.05, v)),
+    ("MasterParams", "n_max", lambda v: MasterParams(1.0, K, HALF, v)),
+    ("MasterParams", "n_lo", lambda v: MasterParams(1.0, K, HALF, 5, n_lo=v)),
+    ("EnsembleSpec", "n_atoms", lambda v: EnsembleSpec(v, 1.0, 0.0)),
+    ("ensemble_rate", "n_atoms", lambda v: ensemble_rate(v, HALF)),
+    ("pump_response", "points", lambda v: pump_response(RunConfig(**RUN), points=v)),
+    ("atom_scaling", "points", lambda v: atom_scaling(RunConfig(**RUN), points=v)),
+    ("lossless_emission", "atoms", lambda v: lossless_emission(RunConfig(**RUN), atoms=v)),
+]
+_IS_COUNT = {("steady_state_auto", "n_max"), ("RunConfig", "n_max"), ("RunConfig", "seed"),
+             ("RunConfig", "n_trajectories"), ("TrajectoryConfig", "n_max"),
+             ("TrajectoryConfig", "n_trajectories")} | {(e, n) for e, n, _ in COUNTS}
+# where None leaves the input unset
+_MAY_BE_NONE = {("steady_state_auto", "n_max"), ("RunConfig", "n_max"), ("RunConfig", "t_end"),
+                ("RunConfig", "r"), ("RunConfig", "n_mean"), ("RunConfig", "n_c")}
+# complex inputs: abs() runs before the rule sees their magnitude
+_COMPLEX = {"alpha", "rho_eg"}
+KINDS = [
+    (entry, name, call, value)
+    for entry, name, call in CASES + COUNTS if name not in _COMPLEX
+    for value in ([] if (entry, name) in _MAY_BE_NONE else [None]) + ["1", True]
+    + ([2.5] if (entry, name) in _IS_COUNT else [])
+]
+
+
+@pytest.mark.parametrize(
+    "entry, name, call, value", KINDS,
+    ids=[f"{entry}-{name}-{value!r}" for entry, name, _, value in KINDS],
+)
+def test_wrongly_typed_input_is_refused_by_name(no_solver, entry, name, call, value):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value).startswith(f"{name!r} must be ")
 
 
 def _passes_nan(test: ast.expr, negated: bool = False) -> list[ast.Compare]:
