@@ -11,7 +11,7 @@ import cmath
 import dataclasses
 import math
 
-from .errors import check_range
+from .errors import check_magnitude, check_range
 
 __all__ = ["AtomState", "prepare", "dephase", "pair_correlation"]
 
@@ -26,11 +26,11 @@ class AtomState:
 
     def __post_init__(self) -> None:
         check_range("rho_ee", self.rho_ee, 0.0, 1.0)
-        check_range("rho_eg", abs(self.rho_eg))
+        magnitude = check_magnitude("rho_eg", self.rho_eg)
         bound = math.sqrt(self.rho_ee * (1.0 - self.rho_ee))
-        if not abs(self.rho_eg) <= bound + _POSITIVITY_TOL:
+        if not magnitude <= bound + _POSITIVITY_TOL:
             raise ValueError(
-                f"|rho_eg|={abs(self.rho_eg):.6g} exceeds the positivity bound "
+                f"|rho_eg|={magnitude:.6g} exceeds the positivity bound "
                 f"{bound:.6g} for rho_ee={self.rho_ee}"
             )
         object.__setattr__(self, "rho_ee", float(self.rho_ee))

@@ -5,7 +5,8 @@ modes a caller may want to catch and handle differently (enlarge the
 basis, change solver, accept a diverging analytic branch, ...).
 check_range is the package's one rule for a scalar input's kind and
 range: a bool, None or a string is not a number, and integer= marks a
-count. check_tail is its one rule for whether a Fock cutoff holds a state.
+count; check_magnitude applies it to a complex input's magnitude.
+check_tail is its one rule for whether a Fock cutoff holds a state.
 """
 
 import math
@@ -76,6 +77,19 @@ def check_range(
         else:
             want = f"exceed {lo:g}" if open_lo else f"be at least {lo:g}"
         raise ValueError(f"{name} must {want}, got {value}")
+
+
+def check_magnitude(name: str, value: complex) -> float:
+    """|value| of a complex input, refused as check_range refuses a real one.
+
+    A bool or any non-numbers.Complex is refused before abs() runs; the
+    magnitude must then pass check_range.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise ValueError(f"{name!r} must be complex, got {value!r}")
+    magnitude = abs(value)
+    check_range(name, magnitude)
+    return magnitude
 
 
 def check_tail(what: str, mass: float, n_max: int) -> None:

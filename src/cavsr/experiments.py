@@ -624,12 +624,14 @@ def closed_forms(cfg: RunConfig) -> dict:
 def _apply_overrides(
     base: RunConfig, overrides: dict | None, reads: tuple[str, ...]
 ) -> tuple[RunConfig, dict]:
-    """base with the overrides that name config fields, and the rest, numbers named in reads."""
+    """base with the overrides that name config fields, and the rest, those named in reads.
+
+    Each read is checked where the preset uses it, as a count or a number.
+    """
     known = {f.name for f in dataclasses.fields(RunConfig)}
     extras, cfg_kw = {}, {}
     for key, value in (overrides or {}).items():
         if key in reads:
-            check_range(key, value)
             extras[key] = value
         elif key in known:
             cfg_kw[key] = value
@@ -669,7 +671,10 @@ def _preset_figs3(overrides: dict | None, out_dir: str) -> dict:
     grid = np.array([0.0, 25e3, 50e3, 100e3, 200e3, 400e3, 800e3])
     points = extras.get("points", grid.size)
     check_range("points", points, 1, integer=True)
-    grid = grid[grid <= extras.get("grid_max", math.inf)][:points]
+    if "grid_max" in extras:
+        check_range("grid_max", extras["grid_max"], 0.0)
+        grid = grid[grid <= extras["grid_max"]]
+    grid = grid[:points]
     # the random-phase baseline is the infinite-linewidth limit
     res = _solve_curve(cfg, "pump FWHM linewidth [Hz]", "linewidth", grid)
     return {"files": list(write_sweep(res, out_dir, "figS3")), "mean_n": res.mean_n.tolist()}
@@ -693,7 +698,7 @@ def _preset_figs5(overrides: dict | None, out_dir: str) -> dict:
     cfg, extras = _apply_overrides(_REFERENCE, overrides, _GRID_READS)
     points = extras.get("points", 21)
     check_range("points", points, 1, integer=True)
-    nc_min = float(extras.get("grid_min", 0.1))
+    nc_min = extras.get("grid_min", 0.1)
     # refused before np.geomspace warns, as atom_scaling does
     check_range("grid_min", nc_min, 0.0, open_lo=True)
     out: dict = {"files": [], "curves": {}}
@@ -701,7 +706,7 @@ def _preset_figs5(overrides: dict | None, out_dir: str) -> dict:
         cfg_i = dataclasses.replace(cfg, tau=g_tau / cfg.g)
         a = cfg_i.atom()
         sat = 3.3 / g_tau**2
-        target = float(extras.get("grid_max", sat))
+        target = extras.get("grid_max", sat)
         check_range("grid_max", target, 0.0, open_lo=True)
         nc_hi = _dim_limited_nc(a, g_tau, target, dim_cap=steady.DEFAULT_MAX_DIM - 30)
         nc_values = np.geomspace(nc_min, nc_hi, points)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import check_range, check_tail
+from .errors import check_magnitude, check_range, check_tail
 
 __all__ = [
     "FieldState",
@@ -88,8 +88,7 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
 
     Computed in the log domain so large |alpha| does not overflow n! factors.
     """
-    a = abs(alpha)
-    check_range("alpha", a)
+    a = check_magnitude("alpha", alpha)
     check_range("n_max", n_max, 0, integer=True)
     n = np.arange(n_max + 1)
     if a == 0.0:

@@ -335,16 +335,19 @@ def _check_leak(p: MasterParams, rate: float) -> None:
         )
 
 
-def _balance_angle(n_c: float, a: AtomState, g_tau: float) -> float:
-    """Root of the semiclassical gain-loss balance, as a Rabi angle.
+def _balance(n_c: float, a: AtomState, g_tau: float, dephasing: float):
+    """F(chi) of the semiclassical gain-loss balance, whose first root _balance_angle finds.
 
     An atom crossing a quasi-classical field of mean photon number nb
     precesses by chi = 2 sqrt(nb) g_tau and deposits
-    (1/2)[z (1 - cos chi) + s sin chi] photons, with z = 2 rho_ee - 1 and
-    s = 2|rho_eg|. Equating the beam gain n_c * deposit with the loss 2 nb
-    gives F(chi) = kappa [z (1 - cos chi) + s sin chi] - chi^2 = 0, with
-    kappa = n_c g_tau^2. Returns 0 when no positive root exists (no
-    self-sustained field).
+    (1/2)[z (1 - cos chi) + s c sin chi] photons, with z = 2 rho_ee - 1,
+    s = 2|rho_eg| and c = <cos phi> the phase lock of the field to the
+    atoms. Equating the beam gain n_c * deposit with the loss 2 nb gives
+    F(chi) = kappa [z (1 - cos chi) + s c sin chi] - chi^2, with
+    kappa = n_c g_tau^2. The coherent deposit pulls the field's phase phi
+    back at the rate k = kappa s sin chi / chi^2 while the pump's phase
+    noise spreads it at Gamma_phi / 2, so phi's variance is
+    Gamma_phi / (2 k) and c = exp(-Gamma_phi / (4 k)), 1 without dephasing.
 
     1 - cos chi is evaluated as 2 sin^2(chi/2): at the grid's first point
     the former rounds to 0, which would hide the small-angle gain
@@ -355,44 +358,147 @@ def _balance_angle(n_c: float, a: AtomState, g_tau: float) -> float:
     s = 2.0 * abs(a.rho_eg)
 
     def f(chi):
-        return kappa * (2.0 * z * np.sin(0.5 * chi) ** 2 + s * np.sin(chi)) - chi * chi
+        coherent = s * np.sin(chi)
+        if dephasing:
+            # no coherent deposit, no lock: the exponent is infinite and c is 0
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                c = np.exp(-dephasing * chi * chi / (4.0 * kappa * np.abs(coherent)))
+            coherent = coherent * np.nan_to_num(c)
+        return kappa * (2.0 * z * np.sin(0.5 * chi) ** 2 + coherent) - chi * chi
 
+    return f
+
+
+def _balance_angle(n_c: float, a: AtomState, g_tau: float, dephasing: float = 0.0) -> float:
+    """Root of the semiclassical gain-loss balance _balance, as a Rabi angle.
+
+    Returns 0 when no positive root exists (no self-sustained field), and
+    2 pi when the gain beats the loss up to that angle.
+    """
+    f = _balance(n_c, a, g_tau, dephasing)
     grid = np.linspace(1e-8, 2.0 * math.pi, 2049)
     vals = f(grid)
     if vals[0] <= 0.0:
         return 0.0
     crossings = np.nonzero(vals <= 0.0)[0]
+    if not crossings.size:  # the gain beats the loss at every angle scanned
+        return float(grid[-1])
     i = int(crossings[0])
     return _brentq(f, grid[i - 1], grid[i], xtol=1e-12)
 
 
-def _predicted_mean(n_c: float, a: AtomState, g_tau: float) -> float:
-    """Predicted <n>: the semiclassical balance plus the noncollective mean.
+# a window's margins, in predicted standard deviations at a Gaussian tail's
+# depth and in levels. At the phase-locked field of n_c 1000, g_tau 0.05,
+# <n> 250, steady_state's edge-flux rule holds from 8.1 sigma below the
+# predicted mean and its tail and leak rules up to 7.2 sigma above it; the
+# phase wander's lower tail, a squared Gaussian phase's, is the heavier
+_LOWER_SIGMAS = 8.0
+_UPPER_SIGMAS = 7.0
+_WANDER_SIGMAS = 13.0
+_WINDOW_PAD = 10.0
+# the restoring rate below which the linear-noise spread is not trusted
+_LEAST_RESTORING = 0.04
 
-    The noncollective mean counts only where it is finite. The balance is
-    what caps the field in the saturated and lasing regimes where the
-    small-angle formula blows up.
+
+def _photon_spread(
+    n_c: float, a: AtomState, g_tau: float, dephasing: float
+) -> tuple[float, float, float]:
+    """Predicted <n>, its linear-noise variance, and the variance the pump's phase noise adds.
+
+    The mean is the balance root's photon number plus the noncollective
+    mean where that is finite: the balance is what caps the field in the
+    saturated and lasing regimes where the small-angle formula blows up.
+    The variance is van Kampen's linear-noise result (N. G. van Kampen,
+    Stochastic Processes in Physics and Chemistry, ch. X),
+    D / (2 |A'|), where A(n) = n_c G(n) - 2n is the drift, G the deposit
+    of _balance, so that A'(n) = F'(chi) / chi, and D = 2n + n_c [rho_ee
+    sin^2(g_tau sqrt(n + 1)) + rho_gg sin^2(g_tau sqrt n)] counts each
+    photon lost and each photon an atom emits or absorbs. That gives the
+    thermal field's n(n + 1) below threshold and about n, a Poisson
+    field's, where the phase-locked field saturates. It is never below
+    the mean, and |A'| never below _LEAST_RESTORING, where the linear
+    theory breaks down at threshold. Where _balance's locking rate k is
+    positive, the phase noise makes the coherent gain 2 k n cos(phi)
+    wander: cos(phi) has the variance (1 - c^2)^2 / 2 of a Gaussian phi,
+    c = <cos phi>, and relaxes at 2 k, so the field follows it with the
+    variance 2 (k n (1 - c^2))^2 / (|A'| (|A'| + 2 k)).
     """
     check_range("n_c", n_c, 0.0)
     check_range("g_tau", g_tau, 0.0, open_lo=True)
-    chi = _balance_angle(n_c, a, g_tau)
+    check_range("dephasing", dephasing, 0.0)
+    chi = _balance_angle(n_c, a, g_tau, dephasing)
     est = (0.5 * chi / g_tau) ** 2
     try:
         est += mean_n_noncollective(n_c * g_tau * g_tau, a.rho_ee)
     except DivergenceError:
         pass  # lasing regime: the balance root already carries the saturated value
-    return est
+    chi = 2.0 * g_tau * math.sqrt(est)
+    h = 1e-6 * chi
+    if not h * chi > 0.0:  # no field, or one too weak for the difference quotient
+        return est, est, 0.0
+    f = _balance(n_c, a, g_tau, dephasing)
+    restoring = max(-float(f(chi + h) - f(chi - h)) / (2.0 * h * chi), _LEAST_RESTORING)
+    flips = a.rho_ee * math.sin(g_tau * math.sqrt(est + 1.0)) ** 2
+    flips += a.rho_gg * math.sin(g_tau * math.sqrt(est)) ** 2
+    var = max(est, (2.0 * est + n_c * flips) / (2.0 * restoring))
+    lock = n_c * g_tau * g_tau * 2.0 * abs(a.rho_eg) * math.sin(chi) / (chi * chi)
+    if not (dephasing and lock > 0.0):
+        return est, var, 0.0
+    swing = lock * est * (1.0 - math.exp(-0.5 * dephasing / lock))
+    return est, var, 2.0 * swing * swing / (restoring * (restoring + 2.0 * lock))
 
 
-def _window_edges(est: float) -> tuple[int, int]:
-    """Window n_lo..n_max around a predicted mean: ten sigma and ten on each side."""
-    margin = 10.0 * math.sqrt(est) + 10.0
-    return max(0, math.floor(est - margin)), math.ceil(est + margin)
+def _upper_edge(est: float, var: float) -> float:
+    """Level above a field of mean est and variance var by _UPPER_SIGMAS of a skewed law.
+
+    A Poisson field's (var = est) is Gaussian. Past that, the law is the
+    gamma law with the skewness 2 (var / est - 1) / sqrt(var) a negative
+    binomial's super-Poissonian part has, capped at the exponential law's
+    2, a thermal field's. Its quantile at the Gaussian tail of
+    _UPPER_SIGMAS is Wilson and Hilferty's cube (Proc. Natl. Acad. Sci.
+    17, 684 (1931)). _WINDOW_PAD levels are added.
+    """
+    sd = math.sqrt(var)
+    if not var > est:
+        return est + _UPPER_SIGMAS * sd + _WINDOW_PAD
+    root = max(sd / (var / est - 1.0), 1.0)  # the square root of the gamma law's shape
+    cube = (1.0 - 1.0 / (9.0 * root * root) + _UPPER_SIGMAS / (3.0 * root)) ** 3
+    return est + sd * root * (cube - 1.0) + _WINDOW_PAD
+
+
+def _window_edges(n_c: float, a: AtomState, g_tau: float, dephasing: float) -> tuple[int, int]:
+    """Window n_lo..n_max sized by the photon-number spread _photon_spread predicts.
+
+    The lower edge lies _LOWER_SIGMAS standard deviations of the linear
+    noise and _WANDER_SIGMAS of the phase wander, added in quadrature, and
+    _WINDOW_PAD levels below the predicted mean; the upper one is
+    _upper_edge's. Where the coherent deposit is a gain, the pump's phase
+    noise only takes gain away, so the field it spreads reaches no higher
+    than the undephased field: the upper edge leaves the wander out and is
+    at least the undephased field's. Where that deposit absorbs, sin chi
+    < 0, the phase noise takes absorption away, and the field can rise as
+    far as the random-phase field of rho_eg = 0: the edge is at least that
+    field's too.
+    """
+    est, var, wander = _photon_spread(n_c, a, g_tau, dephasing)
+    top = _upper_edge(est, var)
+    if dephasing:
+        bounds = [a]
+        if math.sin(2.0 * g_tau * math.sqrt(est)) < 0.0:
+            bounds.append(AtomState(a.rho_ee, 0.0))
+        for bound in bounds:
+            top = max(top, _upper_edge(*_photon_spread(n_c, bound, g_tau, 0.0)[:2]))
+    spread = math.hypot(_LOWER_SIGMAS * math.sqrt(var), _WANDER_SIGMAS * math.sqrt(wander))
+    return math.floor(max(0.0, est - spread - _WINDOW_PAD)), math.ceil(top)
 
 
 def suggest_n_max(n_c: float, a: AtomState, g_tau: float) -> int:
-    """Fock cutoff estimate: predicted <n> plus a ten-sigma-and-ten margin."""
-    return _window_edges(_predicted_mean(n_c, a, g_tau))[1]
+    """Fock cutoff estimate without pump phase noise: the top of _window_edges' window.
+
+    It reaches about seven standard deviations of the predicted photon
+    number above its mean, more for a super-Poissonian field, and ten levels.
+    """
+    return _window_edges(n_c, a, g_tau, 0.0)[1]
 
 
 def steady_state_auto(
@@ -411,24 +517,25 @@ def steady_state_auto(
     steady_state's upper-edge rules, the top level's population and the
     trace-leak rate, so steady_state accepts the same cutoff. dephasing has
     no effect, since (n - m)^2 vanishes on the diagonal. Any other atom is
-    solved by steady_state's LU. Without n_max, the window runs from ten
-    sigma and ten below the predicted mean (or from the vacuum, when that
-    reaches it, and always for rho_eg = 0) up to suggest_n_max's cutoff,
-    which for rho_eg = 0 is clipped to the guard's largest cutoff; a
-    given n_max, at least 1, is solved on the full basis. A truncation on
-    a window above the vacuum re-solves once on the full basis at the
-    same cutoff, since either edge may have failed; on the full basis a
-    truncation doubles the cutoff. Doubling is clipped to the largest
-    cutoff the guard allows, n_max = DEFAULT_MAX_DIM - 1, so the search
-    gives up only once that cutoff has failed. dephasing is MasterParams';
-    the window estimate does not read it.
+    solved by steady_state's LU. Without n_max, the window is
+    _window_edges', sized by the photon-number spread predicted at this
+    dephasing: from about eight standard deviations below the predicted
+    mean (or from the vacuum, when that reaches it, and always for
+    rho_eg = 0) to about seven above it, which for rho_eg = 0 is clipped
+    to the guard's largest cutoff; a given n_max, at least 1, is solved on
+    the full basis. A truncation on a window above the vacuum re-solves
+    once on the full basis at the same cutoff, since either edge may have
+    failed; on the full basis a truncation doubles the cutoff. Doubling
+    is clipped to the largest cutoff the guard allows,
+    n_max = DEFAULT_MAX_DIM - 1, so the search gives up only once that
+    cutoff has failed. dephasing is MasterParams'.
     """
     diagonal = a.rho_eg == 0
     if n_max is not None:
         check_range("n_max", n_max, 1, integer=True)
         lo, cur = 0, max(n_max, 2)
     else:
-        lo, cur = _window_edges(_predicted_mean(n_c, a, k.g_tau))
+        lo, cur = _window_edges(n_c, a, k.g_tau, dephasing)
         if diagonal:  # the recursion runs up from the vacuum; clip its start as doubling is
             lo, cur = 0, min(cur, DEFAULT_MAX_DIM - 1)
     while True:

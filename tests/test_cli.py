@@ -11,6 +11,7 @@ from cavsr.atom import prepare
 from cavsr.cli import main
 from cavsr.dicke import MAX_BRUTE_FORCE_ATOMS
 from cavsr.errors import TruncationError
+from cavsr.hilbert import mean_photon
 from cavsr.interaction import KickParams
 
 
@@ -75,7 +76,7 @@ def test_steady_reports_coherent_field(capsys, tmp_path, coherent_config):
 
 def test_steady_reports_an_unreachable_coherent_target(capsys, tmp_path):
     # at n_c 300 the linear prediction |alpha| = 15 needs ~225 photons, but
-    # the field saturates at <n> = 74 on a 172-level basis: the fidelity has
+    # the field saturates at <n> = 74 on a 146-level basis: the fidelity has
     # no value there, and the command says why instead of failing
     path = tmp_path / "saturated.json"
     path.write_text(
@@ -85,8 +86,13 @@ def test_steady_reports_an_unreachable_coherent_target(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "steady", "--config", str(path), "--out", str(tmp_path))
     assert rc == 0
     assert out["predicted_alpha"] == pytest.approx([0.0, -15.0])
-    assert out["n_max_used"] == 172
+    assert out["n_max_used"] == 146
     assert out["mean_n"] == pytest.approx(74.02, rel=1e-3)
+    # the basis holds the state a full basis 40 levels wider gives
+    ref = steady.steady_state(
+        steady.MasterParams(300.0, KickParams(0.1), prepare(0.5 * math.pi), 186)
+    )
+    assert out["mean_n"] == pytest.approx(mean_photon(ref), rel=1e-10)
     assert out["fidelity_to_predicted_alpha"] is None
     assert out["fidelity_note"].startswith("TruncationError: coherent target |alpha|=15")
     assert (tmp_path / "steady_pn.csv").exists()

@@ -334,6 +334,20 @@ def test_preset_phase_noise_notes_overlapping_transits_once(tmp_path):
     assert res.metadata["annotations"] == ["mean intracavity atom number 2 exceeds 1"]
 
 
+@pytest.mark.parametrize(
+    "name, key, value, kind",
+    [("fig3", "points", "7", "int"), ("fig2", "points", "7", "int"),
+     ("figS1", "atoms", "7", "int"), ("figS3", "points", "7", "int"),
+     ("figS5", "points", "7", "int"), ("figS3", "grid_max", "abc", "float"),
+     ("figS5", "grid_min", "7", "float"), ("figS5", "grid_max", True, "float")],
+)
+def test_a_preset_read_is_refused_by_the_kind_its_pipeline_uses(tmp_path, name, key, value, kind):
+    # each read is checked once, where it is used: a count as a count
+    with pytest.raises(ValueError, match=f"^'{key}' must be {kind}, got {value!r}$"):
+        preset(name, {key: value}, out_dir=str(tmp_path))
+    assert not list(tmp_path.iterdir())
+
+
 def test_preset_phase_noise_rejects_a_point_count_below_one(tmp_path):
     for points in (0, -2):
         with pytest.raises(ValueError, match="^points must be at least 1, got "):

@@ -36,6 +36,8 @@ CASES = [
     ("EnsembleSpec.from_pulse", "theta", lambda v: EnsembleSpec.from_pulse(2, v)),
     ("steady_state_auto", "n_c", lambda v: steady_state_auto(v, HALF, K)),
     ("steady_state_auto", "n_max", lambda v: steady_state_auto(1.0, HALF, K, n_max=v)),
+    # read by the window estimate before MasterParams sees it
+    ("steady_state_auto", "dephasing", lambda v: steady_state_auto(1.0, HALF, K, dephasing=v)),
     ("suggest_n_max", "n_c", lambda v: suggest_n_max(v, HALF, 0.05)),
     ("steady_state", "n_c", lambda v: steady_state(MasterParams(v, K, HALF, 5))),
     ("steady_state", "dephasing",
@@ -148,11 +150,9 @@ _IS_COUNT = {("steady_state_auto", "n_max"), ("RunConfig", "n_max"), ("RunConfig
 # where None leaves the input unset
 _MAY_BE_NONE = {("steady_state_auto", "n_max"), ("RunConfig", "n_max"), ("RunConfig", "t_end"),
                 ("RunConfig", "r"), ("RunConfig", "n_mean"), ("RunConfig", "n_c")}
-# complex inputs: abs() runs before the rule sees their magnitude
-_COMPLEX = {"alpha", "rho_eg"}
 KINDS = [
     (entry, name, call, value)
-    for entry, name, call in CASES + COUNTS if name not in _COMPLEX
+    for entry, name, call in CASES + COUNTS
     for value in ([] if (entry, name) in _MAY_BE_NONE else [None]) + ["1", True]
     + ([2.5] if (entry, name) in _IS_COUNT else [])
 ]

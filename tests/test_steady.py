@@ -587,7 +587,7 @@ def test_window_edge_flux_is_caught():
 )
 def test_window_matches_full_basis(n_c, pinned):
     k = KickParams(0.05)
-    n_lo = steady._window_edges(steady._predicted_mean(n_c, HALF, k.g_tau))[0]
+    n_lo = steady._window_edges(n_c, HALF, k.g_tau, 0.0)[0]
     s = steady_state_auto(n_c, HALF, k)
     assert n_lo > 0
     assert not np.any(s.q[:n_lo]) and not np.any(s.q[:, :n_lo])
@@ -602,16 +602,73 @@ def test_auto_falls_back_to_full_basis_when_a_window_fails(monkeypatch):
     # a window forced to [40, 60] around a mean near 49 fails its edges; the
     # retry on the full basis at 60 truncates too, so the cutoff doubles
     k = KickParams(0.1)
-    monkeypatch.setattr(steady, "_window_edges", lambda est: (40, 60))
+    monkeypatch.setattr(steady, "_window_edges", lambda *args: (40, 60))
     s = steady_state_auto(200.0, HALF, k)
     assert s.n_max == 120
     ref = steady_state(MasterParams(200.0, k, HALF, 120))
     assert np.max(np.abs(s.q - ref.q)) == 0.0
 
 
+def _solves(monkeypatch) -> list:
+    """The (n_lo, n_max) of every steady_state call from now on."""
+    calls = []
+    inner = steady.steady_state
+
+    def counted(p):
+        calls.append((p.n_lo, p.n_max))
+        return inner(p)
+
+    monkeypatch.setattr(steady, "steady_state", counted)
+    return calls
+
+
+def _random_points(seed: int, count: int) -> list:
+    """(n_c, g_tau, theta, dephasing) with n_c in 1-2000 and g_tau in 0.01-0.2, both log-uniform."""
+    rng = np.random.default_rng(seed)
+    return [
+        (10.0 ** rng.uniform(0.0, math.log10(2000.0)), 10.0 ** rng.uniform(-2.0, math.log10(0.2)),
+         rng.uniform(0.05, math.pi - 0.05), float(rng.choice([0.0, 0.1, 1.0])))
+        for _ in range(count)
+    ]
+
+
+# fig2's pump: n_mean 1 at (g, gamma_c) = 2 pi (290, 75) kHz, tau 101 ns
+FIG2_NC, FIG2_GTAU = 1.0 / (2.0 * math.pi * 75e3 * 101e-9), 2.0 * math.pi * 290e3 * 101e-9
+
+
+@pytest.mark.parametrize(
+    "n_c, g_tau, theta",
+    [(1000.0, 0.05, HALF_PULSE), (300.0, 0.05, HALF_PULSE)]
+    # fig2's grid near rho_ee = 1, where the field is super-Poissonian
+    + [(FIG2_NC, FIG2_GTAU, j * 1.25 * math.pi / 50) for j in (36, 37, 38, 39, 41, 42, 43, 44)],
+)
+def test_first_window_holds(monkeypatch, n_c, g_tau, theta):
+    calls = _solves(monkeypatch)
+    steady_state_auto(n_c, prepare(theta), KickParams(g_tau))
+    assert len(calls) == 1
+
+
+def test_first_window_holds_on_a_random_grid(monkeypatch):
+    # under a fixed margin of ten sqrt(<n>) and ten levels, points 2, 7, 50
+    # and 79, all near rho_ee = 1, needed a second solve
+    calls = _solves(monkeypatch)
+    for i, (n_c, g_tau, theta, dephasing) in enumerate(_random_points(0, 80)):
+        calls.clear()
+        steady_state_auto(n_c, prepare(theta), KickParams(g_tau), dephasing=dephasing)
+        assert len(calls) == 1, (i, calls)
+
+
+def _full_basis_mean(n_c: float, g_tau: float, n_max: int) -> float:
+    return mean_photon(steady_state(MasterParams(n_c, KickParams(g_tau), HALF, n_max)))
+
+
 def test_suggested_cutoff_in_coherent_regime():
+    # <n> 0.25 is nearly Poissonian: seven of its standard deviations and ten levels
     n = suggest_n_max(100.0, HALF, 0.01)
-    assert 14 <= n <= 18
+    assert n == 14
+    s = steady_state_auto(100.0, HALF, KickParams(0.01))
+    assert s.n_max == n
+    assert mean_photon(s) == pytest.approx(_full_basis_mean(100.0, 0.01, 2 * n), rel=1e-10)
 
 
 def test_dephased_beam_above_threshold_has_a_balance_root():
@@ -623,9 +680,15 @@ def test_dephased_beam_above_threshold_has_a_balance_root():
 
 
 def test_suggested_cutoff_tracks_saturated_field():
-    # semiclassical balance puts the mean near 296 at this flux
-    n = suggest_n_max(1200.0, HALF, 0.05)
-    assert 450 <= n <= 520
+    # semiclassical balance puts the mean near 297 at this flux, with a
+    # Poisson field's spread, sigma 17.2: the window is [149, 429], ten
+    # levels past eight sigma below the mean and seven above it
+    k = KickParams(0.05)
+    n = suggest_n_max(1200.0, HALF, k.g_tau)
+    assert n == 429
+    s = steady_state_auto(1200.0, HALF, k)
+    assert s.n_max == n
+    assert mean_photon(s) == pytest.approx(_full_basis_mean(1200.0, k.g_tau, n + 30), rel=1e-10)
 
 
 @settings(max_examples=15, deadline=None)
