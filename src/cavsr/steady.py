@@ -267,11 +267,10 @@ def steady_state(p: MasterParams) -> FieldState:
     flow is the residual of the one LU solve; its entry (n_lo, n_lo), the
     traded row, is the rate at which probability leaks out. Row and column
     n_lo - 1 are the flow out of the lower edge through loss and absorption,
-    which the trace row sees only in part. The upper edge must pass
-    errors.check_tail. The result is padded with zeros to levels
-    0..n_max. The checks raise in this order: a residual off the trace row
-    (ConvergenceError), a trace leak, the upper tail, the lower edge (each
-    TruncationError).
+    which the trace row sees only in part. The result is padded with zeros
+    to levels 0..n_max. The checks raise in this order: a residual off the
+    trace row (ConvergenceError), then _check_edges' top population (by
+    errors.check_tail), trace leak and lower edge (each TruncationError).
     """
     g, red = _folded_generator(p)
     dim = p.width
@@ -305,20 +304,13 @@ def steady_state(p: MasterParams) -> FieldState:
     f = apply_stencil(q[lo:, lo:], stencil)
     inner = np.abs(f[pad:, pad:])
     best = float(inner.max())
-    # a residual off the replaced trace row is the solver's; one confined to it
-    # is the rate at which probability escapes past the window's edges, a basis
-    # problem that _check_leak reports as such so that callers enlarge the basis
+    # a residual off the replaced trace row is the solver's; one confined to it is the rate
+    # at which probability escapes past the edges, a basis problem that _check_edges reports
     if not best <= _RESIDUAL_TOL and not float(inner.ravel()[1:].max()) <= _RESIDUAL_TOL:
         raise ConvergenceError(f"steady-state residual {best:.3e} above {_RESIDUAL_TOL:.0e}")
-    _check_leak(p, best)
     q[p.n_lo :, p.n_lo :] /= float(np.trace(r))
-    check_tail("steady state keeps", float(q[p.n_max, p.n_max].real), p.n_max)
     edge = max(np.abs(f[:pad]).max(initial=0.0), np.abs(f[:, :pad]).max(initial=0.0))
-    if not edge <= _RESIDUAL_TOL:
-        raise TruncationError(
-            f"steady state flows out of level n_lo={p.n_lo} at rate {edge:.3e}; "
-            "lower the window's edge"
-        )
+    _check_edges(p, "steady state keeps", float(q[p.n_max, p.n_max].real), best, edge)
     return FieldState(q)
 
 
@@ -327,11 +319,21 @@ def _trace_leak(p: MasterParams, pn: np.ndarray) -> np.ndarray:
     return p.n_c * p.a.rho_ee * np.sin(p.k.g_tau * np.sqrt(np.arange(1.0, pn.size + 1))) ** 2 * pn
 
 
-def _check_leak(p: MasterParams, rate: float) -> None:
-    """steady_state's trace-leak rule: p's basis leaks trace at a rate within _RESIDUAL_TOL."""
-    if not rate <= _RESIDUAL_TOL:
+def _check_edges(p: MasterParams, what: str, top: float, leak: float, floor: float = 0.0) -> None:
+    """The one place a basis is refused by its edges, each by TruncationError, in this order.
+
+    top, the population at n_max, must pass errors.check_tail (its message starts with what),
+    and leak, the trace's escape rate, and floor, the flow out of n_lo, stay in _RESIDUAL_TOL.
+    """
+    check_tail(what, top, p.n_max)
+    if not leak <= _RESIDUAL_TOL:
         raise TruncationError(
-            f"trace leaks out of levels {p.n_lo}..{p.n_max} at rate {rate:.3e}; enlarge the basis"
+            f"trace leaks out of levels {p.n_lo}..{p.n_max} at rate {leak:.3e}; enlarge the basis"
+        )
+    if not floor <= _RESIDUAL_TOL:
+        raise TruncationError(
+            f"steady state flows out of level n_lo={p.n_lo} at rate {floor:.3e}; "
+            "lower the window's edge"
         )
 
 
@@ -425,6 +427,7 @@ def _photon_spread(
     """
     check_range("n_c", n_c, 0.0)
     check_range("g_tau", g_tau, 0.0, open_lo=True)
+    check_range("n_c * g_tau**2", n_c * g_tau * g_tau)
     check_range("dephasing", dephasing, 0.0)
     chi = _balance_angle(n_c, a, g_tau, dephasing)
     est = (0.5 * chi / g_tau) ** 2
@@ -434,7 +437,7 @@ def _photon_spread(
         pass  # lasing regime: the balance root already carries the saturated value
     chi = 2.0 * g_tau * math.sqrt(est)
     h = 1e-6 * chi
-    if not h * chi > 0.0:  # no field, or one too weak for the difference quotient
+    if not 0.0 < h * chi < math.inf:  # no field, or one too weak or strong for the quotient
         return est, est, 0.0
     f = _balance(n_c, a, g_tau, dephasing)
     restoring = max(-float(f(chi + h) - f(chi - h)) / (2.0 * h * chi), _LEAST_RESTORING)
@@ -459,11 +462,14 @@ def _upper_edge(est: float, var: float) -> float:
     17, 684 (1931)). _WINDOW_PAD levels are added.
     """
     sd = math.sqrt(var)
-    if not var > est:
-        return est + _UPPER_SIGMAS * sd + _WINDOW_PAD
-    root = max(sd / (var / est - 1.0), 1.0)  # the square root of the gamma law's shape
-    cube = (1.0 - 1.0 / (9.0 * root * root) + _UPPER_SIGMAS / (3.0 * root)) ** 3
-    return est + sd * root * (cube - 1.0) + _WINDOW_PAD
+    top = est + _UPPER_SIGMAS * sd + _WINDOW_PAD
+    if var > est:
+        root = max(sd / (var / est - 1.0), 1.0)  # the square root of the gamma law's shape
+        cube = (1.0 - 1.0 / (9.0 * root * root) + _UPPER_SIGMAS / (3.0 * root)) ** 3
+        top = est + sd * root * (cube - 1.0) + _WINDOW_PAD
+    if not top < 2.0**53:  # a level no float resolves, or no number at all
+        raise ResourceError(f"window top {top:.3e} lies past float resolution; no basis holds it")
+    return top
 
 
 def _window_edges(n_c: float, a: AtomState, g_tau: float, dephasing: float) -> tuple[int, int]:
@@ -483,11 +489,9 @@ def _window_edges(n_c: float, a: AtomState, g_tau: float, dephasing: float) -> t
     est, var, wander = _photon_spread(n_c, a, g_tau, dephasing)
     top = _upper_edge(est, var)
     if dephasing:
-        bounds = [a]
+        top = max(top, suggest_n_max(n_c, a, g_tau))
         if math.sin(2.0 * g_tau * math.sqrt(est)) < 0.0:
-            bounds.append(AtomState(a.rho_ee, 0.0))
-        for bound in bounds:
-            top = max(top, _upper_edge(*_photon_spread(n_c, bound, g_tau, 0.0)[:2]))
+            top = max(top, suggest_n_max(n_c, AtomState(a.rho_ee, 0.0), g_tau))
     spread = math.hypot(_LOWER_SIGMAS * math.sqrt(var), _WANDER_SIGMAS * math.sqrt(wander))
     return math.floor(max(0.0, est - spread - _WINDOW_PAD)), math.ceil(top)
 
@@ -498,7 +502,7 @@ def suggest_n_max(n_c: float, a: AtomState, g_tau: float) -> int:
     It reaches about seven standard deviations of the predicted photon
     number above its mean, more for a super-Poissonian field, and ten levels.
     """
-    return _window_edges(n_c, a, g_tau, 0.0)[1]
+    return math.ceil(_upper_edge(*_photon_spread(n_c, a, g_tau, 0.0)[:2]))
 
 
 def steady_state_auto(
@@ -513,40 +517,37 @@ def steady_state_auto(
     A phase-averaged atom (rho_eg = 0) leaves the steady state diagonal,
     where detailed balance gives it exactly: each attempt is
     analytic.pn_random_phase on the full basis, and it must pass that
-    recursion's estimate of the mass past the cutoff and both of
-    steady_state's upper-edge rules, the top level's population and the
-    trace-leak rate, so steady_state accepts the same cutoff. dephasing has
-    no effect, since (n - m)^2 vanishes on the diagonal. Any other atom is
-    solved by steady_state's LU. Without n_max, the window is
-    _window_edges', sized by the photon-number spread predicted at this
-    dephasing: from about eight standard deviations below the predicted
-    mean (or from the vacuum, when that reaches it, and always for
-    rho_eg = 0) to about seven above it, which for rho_eg = 0 is clipped
-    to the guard's largest cutoff; a given n_max, at least 1, is solved on
-    the full basis. A truncation on a window above the vacuum re-solves
-    once on the full basis at the same cutoff, since either edge may have
-    failed; on the full basis a truncation doubles the cutoff. Doubling
-    is clipped to the largest cutoff the guard allows,
-    n_max = DEFAULT_MAX_DIM - 1, so the search gives up only once that
-    cutoff has failed. dephasing is MasterParams'.
+    recursion's estimate of the mass past the cutoff and _check_edges'
+    upper-edge rules, the top level's population and the trace-leak rate,
+    so steady_state accepts the same cutoff. dephasing has no effect,
+    since (n - m)^2 vanishes on the diagonal, and without n_max such an
+    atom starts at suggest_n_max, clipped to the guard's largest cutoff.
+    Any other atom is solved by steady_state's LU on _window_edges' window,
+    sized by the photon-number spread predicted at this dephasing: from
+    about eight standard deviations below the predicted mean (or from the
+    vacuum, when that reaches it) to about seven above it. A given n_max,
+    at least 1, is solved on the full basis. A truncation on a window
+    above the vacuum re-solves once on the full basis at the same cutoff,
+    since either edge may have failed; on the full basis a truncation
+    doubles the cutoff. Doubling is clipped to the largest cutoff the guard
+    allows, n_max = DEFAULT_MAX_DIM - 1, so the search gives up only once
+    that cutoff has failed. dephasing is MasterParams'.
     """
-    diagonal = a.rho_eg == 0
     if n_max is not None:
         check_range("n_max", n_max, 1, integer=True)
         lo, cur = 0, max(n_max, 2)
-    else:
+    elif a.rho_eg != 0:
         lo, cur = _window_edges(n_c, a, k.g_tau, dephasing)
-        if diagonal:  # the recursion runs up from the vacuum; clip its start as doubling is
-            lo, cur = 0, min(cur, DEFAULT_MAX_DIM - 1)
+    else:  # the recursion runs up from the vacuum; clip its start as doubling is
+        lo, cur = 0, min(suggest_n_max(n_c, a, k.g_tau), DEFAULT_MAX_DIM - 1)
     while True:
         try:
             p = MasterParams(n_c, k, a, cur, lo, dephasing)
-            if not diagonal:
+            if a.rho_eg != 0:
                 return steady_state(p)
             _check_guard(p)
             pn = pn_random_phase(n_c, a.rho_ee, k.g_tau, cur)
-            check_tail("steady state keeps", float(pn[-1]), cur)
-            _check_leak(p, float(_trace_leak(p, pn)[-1]))
+            _check_edges(p, "steady state keeps", float(pn[-1]), float(_trace_leak(p, pn)[-1]))
             return FieldState(np.diag(pn))
         except TruncationError:
             if lo > 0:
@@ -699,10 +700,10 @@ def evolve(
     accepted step costs 12 sparse matvecs (the first 13), a rejected trial
     and a sample none, and each sample is a full-order step to its time,
     not an interpolant. Returns 81 evenly spaced times and the state at
-    each, renormalized to unit trace. It raises TruncationError if any
-    sample fails either of steady_state's upper-edge rules, errors.check_tail
-    on its top level or the trace-leak rate, and ConvergenceError if the
-    integration fails.
+    each, renormalized to unit trace. It raises TruncationError if the
+    largest population each level reaches over the samples fails
+    _check_edges' top-population or trace-leak rule, and ConvergenceError
+    if the integration fails.
     """
     if p.n_lo != 0:
         raise ValueError(f"evolve runs on the full basis, got n_lo={p.n_lo}")
@@ -725,6 +726,6 @@ def evolve(
     for y in _dop853(g.tocsr(), r0.real[np.triu_indices(p.dim)], times):
         r = y[red].reshape(p.dim, p.dim)
         states.append(FieldState(r * u / float(np.trace(r))))
-    check_tail("transient reaches", max(float(s.q[-1, -1].real) for s in states), p.n_max)
-    _check_leak(p, max(float(_trace_leak(p, photon_distribution(s))[-1]) for s in states))
+    top = np.max([photon_distribution(s) for s in states], axis=0)
+    _check_edges(p, "transient reaches", float(top[-1]), float(_trace_leak(p, top)[-1]))
     return times, states

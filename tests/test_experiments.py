@@ -24,6 +24,7 @@ from cavsr.experiments import (
 )
 from cavsr import experiments, steady
 from cavsr.errors import ResourceError
+from cavsr.analytic import pn_random_phase
 from cavsr.atom import prepare
 from cavsr.hilbert import mean_photon, vacuum
 from cavsr.steady import MasterParams, evolve, steady_state_auto, suggest_n_max
@@ -290,6 +291,19 @@ def test_preset_atom_scaling_curve(tmp_path):
     assert 1.5 <= out["collective_slope"] <= 2.2
     assert out["slope_stderr"] >= 0.0
     assert (tmp_path / "fig3.csv").exists()
+
+
+def test_fig3_matches_the_benchmark_slope_oracle(tmp_path):
+    # sweep-small's oracle holds collective_slope to 1e-9 relative; each
+    # random-phase baseline is held to the recursion on 400 levels
+    out = preset("fig3", out_dir=str(tmp_path))
+    assert out["collective_slope"] == pytest.approx(1.7946121688624455, rel=1e-9, abs=0.0)
+    res = read_sweep(str(tmp_path / "fig3.csv"))
+    cfg, g_tau = res.metadata["config"], res.metadata["derived"]["g_tau"]
+    rho_ee = math.sin(0.5 * cfg["theta"]) ** 2
+    n_c = res.axis / rho_ee / (cfg["gamma_c"] * cfg["tau"])
+    ref = [np.arange(400) @ pn_random_phase(nc, rho_ee, g_tau, 399) for nc in n_c]
+    assert np.max(np.abs(res.baseline - ref)) <= 1e-12
 
 
 def test_preset_sequential_emission(tmp_path):

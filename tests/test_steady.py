@@ -356,6 +356,28 @@ def test_auto_takes_a_phase_averaged_atom_from_the_recursion(monkeypatch):
     assert factored == []
 
 
+def test_a_random_phase_search_asks_the_estimate_once(monkeypatch):
+    # a diagonal state's window top does not depend on the dephasing, and
+    # its lower edge would be thrown away: the dephased search starts at
+    # suggest_n_max, one undephased estimate, and never places a window
+    spread = steady._photon_spread
+    calls = []
+
+    def counting_spread(*args):
+        calls.append(args)
+        return spread(*args)
+
+    def no_window(*args):
+        raise AssertionError("a random-phase search placed a window")
+
+    monkeypatch.setattr(steady, "_photon_spread", counting_spread)
+    monkeypatch.setattr(steady, "_window_edges", no_window)
+    a, k = AtomState(0.75, 0.0), KickParams(0.05)
+    dephased = steady_state_auto(1500.0, a, k, dephasing=1.0)
+    assert len(calls) == 1
+    assert np.array_equal(dephased.q, steady_state_auto(1500.0, a, k).q)
+
+
 def test_solution_matches_recursion_exactly():
     s = lu_at_the_recursion_cutoff(10.0, AtomState(1.0, 0.0), KickParams(0.05))
     p_rec = pn_random_phase(10.0, 1.0, 0.05, s.n_max)
@@ -762,6 +784,42 @@ def test_evolve_reports_a_transient_past_the_cutoff():
             evolve(dataclasses.replace(p, n_max=n_max), vacuum(n_max), 8.0)
     _, states = evolve(dataclasses.replace(p, n_max=120), vacuum(120), 8.0)
     assert mean_photon(states[-1]) == pytest.approx(47.888, rel=1e-3)
+
+
+def test_a_basis_failing_top_and_leak_reports_the_top(monkeypatch):
+    # levels 0..30 of a field heading for <n> = 47.9 keep 1.8e-2 on the top
+    # level and leak trace at 0.2: _check_edges reads the top first
+    p = MasterParams(300.0, KickParams(0.05), HALF, 30)
+    with pytest.raises(
+        TruncationError, match=r"^steady state keeps 1\.757e-02 population at n_max=30 or past"
+    ):
+        steady_state(p)
+    monkeypatch.setattr(steady, "check_tail", lambda *args: None)
+    with pytest.raises(
+        TruncationError, match=r"^trace leaks out of levels 0\.\.30 at rate 1\.990e-01; "
+    ):
+        steady_state(p)
+
+
+@pytest.mark.parametrize(
+    "n_c, a, g_tau, error, match",
+    [
+        # both window edges round to one float
+        (1e300, HALF, 1e-30, ResourceError, "past float resolution"),
+        # n_c g_tau^2 overflows, for the LU and for the recursion
+        (1.0, HALF, 1e300, ValueError, r"^n_c \* g_tau\*\*2 must be finite"),
+        (1.0, AtomState(0.5, 0.0), 1e300, ValueError, r"^n_c \* g_tau\*\*2 must be finite"),
+        # the predicted field is too strong for the balance's difference quotient
+        (1e-300, AtomState(0.5, 0.0), 1e300, ResourceError, "past float resolution"),
+        (1e-300, HALF, 1e300, ResourceError, "solver guard"),
+    ],
+    ids=["one-float-window", "kappa-overflow", "kappa-overflow-random-phase",
+         "strong-field-random-phase", "strong-field"],
+)
+def test_absurd_inputs_are_refused_by_type(n_c, a, g_tau, error, match):
+    # the suite turns a warning on the way into an error
+    with pytest.raises(error, match=match):
+        steady_state_auto(n_c, a, KickParams(g_tau))
 
 
 def test_evolve_refuses_a_basis_that_leaks_trace():
