@@ -17,14 +17,14 @@ and returns coefficient arrays keyed by the index offset (dn, dm).
 
 kick_sequence kicks one atom after another, the field decaying for a fixed
 gap before each: a regular beam, or with no gap the lossless cavity.
-The trajectory solver's transit works on plain amplitude arrays instead:
-jc_kick_pure maps the field amplitudes to the two atom branches (e, g),
-and measure_atom picks one by the Born rule and renormalizes it.
+The trajectory solver's transit works on plain amplitude arrays instead,
+one row per trajectory of a batch: jc_kick_pure maps the field amplitudes
+to the two atom branches (e, g), and measure_atom picks one by the Born
+rule and renormalizes it.
 """
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import functools
 import math
@@ -129,64 +129,96 @@ def jc_kick(s: FieldState, a: AtomState, k: KickParams) -> FieldState:
 
 
 def jc_kick_pure(
-    amp: np.ndarray, a_pure: tuple[complex, complex, float], k: KickParams
+    amp: np.ndarray, a_pure: tuple[complex, complex, float | np.ndarray], k: KickParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact resonant evolution of (pure atom) x (pure field) for angle g_tau.
 
-    amp holds the field's Fock amplitudes and a_pure = (c_e, c_g, phase)
-    the atom c_e|e> + c_g e^{i phase}|g>. Returns the unnormalized branches
-    (e, g), the amplitudes of |e, n> and |g, n>. Level maps:
+    amp holds the field's Fock amplitudes, one field per row of a 2-D
+    stack (a vector is one field), and a_pure = (c_e, c_g, phase) the atom
+    c_e|e> + c_g e^{i phase}|g>; phase may hold one angle per row. Returns
+    the unnormalized branches (e, g), the amplitudes of |e, n> and |g, n>,
+    shaped as amp. Level maps:
     |e,n> -> C_n|e,n> - i S_n|g,n+1> and |g,n> -> C_{n-1}|g,n> - i S_{n-1}|e,n-1>.
+    The one branch the basis cannot hold, |e, n_max> -> |g, n_max + 1>,
+    carries |c_e amp[n_max] S_{n_max}|^2 away: the leak checked per field.
     """
     amp = np.asarray(amp, dtype=complex)
-    if amp.ndim != 1 or amp.size == 0:
-        raise ValueError(f"amplitudes must form a nonempty vector, got shape {amp.shape}")
+    if amp.ndim not in (1, 2) or amp.size == 0:
+        raise ValueError(
+            f"amplitudes must form a nonempty vector or a stack of them, got shape {amp.shape}")
     c_e, c_g, phase = a_pure
     ce = complex(c_e)
-    cg = complex(c_g) * cmath.exp(1j * phase)
-    nrm = abs(ce) ** 2 + abs(cg) ** 2
+    nrm = abs(ce) ** 2 + abs(complex(c_g)) ** 2
     if not abs(nrm - 1.0) <= 1e-8:
         raise ValueError(f"atom amplitudes have norm {nrm:.6g}, expected 1")
-    c, s, cm, sm = rabi_tables(amp.shape[0], k.g_tau)
+    phase = np.asarray(phase, dtype=float)
+    if not np.isfinite(phase).all():
+        raise ValueError(f"atom phase must be finite, got {phase}")
+    cg = complex(c_g) * np.exp(1j * phase)[..., None]
+    c, s, cm, sm, s_top2 = _pure_tables(amp.shape[-1], k.g_tau)
     e0 = ce * amp
     g0 = cg * amp
     e = c * e0
-    e[:-1] -= 1j * s[:-1] * g0[1:]
+    e[..., :-1] += s * g0[..., 1:]
     g = cm * g0
-    g[1:] -= 1j * sm[1:] * e0[:-1]
-    leak = abs(nrm * np.vdot(amp, amp).real - (np.vdot(e, e).real + np.vdot(g, g).real))
-    check_tail("pure kick leaks", leak, amp.shape[0] - 1)
+    g[..., 1:] += sm * e0[..., :-1]
+    leak = float(np.max(np.abs(e0[..., -1]))) ** 2 * s_top2
+    check_tail("pure kick leaks", leak, amp.shape[-1] - 1)
     return e, g
 
 
-def measure_atom(e: np.ndarray, g: np.ndarray, u: float) -> tuple[str, np.ndarray, float]:
-    """Project the atom in the energy basis using one uniform draw u in [0,1).
+@functools.lru_cache(maxsize=64)
+def _pure_tables(
+    dim: int, g_tau: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """rabi_tables as jc_kick_pure applies them: C, -i S[:-1], Cm, -i Sm[1:] and S[-1]^2."""
+    c, s, cm, sm = rabi_tables(dim, g_tau)
+    tables = (c, -1j * s[:-1], cm, -1j * sm[1:])
+    for table in tables[1::2]:
+        table.flags.writeable = False
+    return *tables, float(s[-1]) ** 2
 
-    e and g are the branches jc_kick_pure returns. Returns the outcome
-    label, the collapsed renormalized field amplitudes, and the probability
-    of the branch taken.
+
+_OUTCOMES = np.array(["g", "e"])  # measure_atom's labels, indexed by the excited flag
+
+
+def measure_atom(
+    e: np.ndarray, g: np.ndarray, u: float | np.ndarray
+) -> tuple[str | np.ndarray, np.ndarray, float | np.ndarray]:
+    """Project the atom in the energy basis using one uniform draw u in [0,1) per field.
+
+    e and g are the branches jc_kick_pure returns, a vector or a stack of
+    rows with one draw each. Returns the outcome label, the collapsed
+    renormalized field amplitudes, and the probability of the branch
+    taken; for a stack, an array of each, row by row.
     """
     e = np.asarray(e, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    if e.shape != g.shape or e.ndim != 1:
+    if e.shape != g.shape or e.ndim not in (1, 2):
         raise ValueError("e and g amplitude vectors must share one shape")
-    w_e = np.vdot(e, e).real
-    w_g = np.vdot(g, g).real
+    stack = e.ndim == 2
+    if not stack:
+        e, g = e[None], g[None]
+    w_e = (np.abs(e) ** 2).sum(axis=1)
+    w_g = (np.abs(g) ** 2).sum(axis=1)
     total = w_e + w_g
-    if not total > 1e-300:
+    if not (total > 1e-300).all():
         # both branches underflowed; renormalizing would divide by zero
         raise DegenerateBranchError("joint state norm vanished before measurement")
-    p_e = float(w_e / total)
-    if u < p_e:
-        outcome, amp, weight, prob = "e", e, w_e, p_e
-    else:
-        outcome, amp, weight, prob = "g", g, w_g, 1.0 - p_e
-    nrm = math.sqrt(weight)
-    if not nrm > 1e-150:
+    p_e = w_e / total
+    excited = u < p_e
+    prob = np.where(excited, p_e, 1.0 - p_e)
+    nrm = np.sqrt(np.where(excited, w_e, w_g))
+    outcome = _OUTCOMES[excited.view(np.int8)]
+    if not (nrm > 1e-150).all():
+        bad = np.flatnonzero(~(nrm > 1e-150))[0]
         raise DegenerateBranchError(
-            f"measurement branch '{outcome}' has vanishing probability {prob:.3e}"
+            f"measurement branch '{outcome[bad]}' has vanishing probability {prob[bad]:.3e}"
         )
-    return outcome, amp / nrm, prob
+    field = np.where(excited[:, None], e, g) / nrm[:, None]
+    if stack:
+        return outcome, field, prob
+    return str(outcome[0]), field[0], float(prob[0])
 
 
 def kick_sequence(

@@ -400,6 +400,8 @@ _WANDER_SIGMAS = 13.0
 _WINDOW_PAD = 10.0
 # the restoring rate below which the linear-noise spread is not trusted
 _LEAST_RESTORING = 0.04
+# the largest n_c g_tau^2 the balance takes
+_KAPPA_MAX = 1e300
 
 
 def _photon_spread(
@@ -427,7 +429,9 @@ def _photon_spread(
     """
     check_range("n_c", n_c, 0.0)
     check_range("g_tau", g_tau, 0.0, open_lo=True)
-    check_range("n_c * g_tau**2", n_c * g_tau * g_tau)
+    # _balance's F is n_c g_tau^2 times a deposit of at most 3 in size; past
+    # _KAPPA_MAX its scan would overflow, and no beam comes near it
+    check_range("n_c * g_tau**2", n_c * g_tau * g_tau, 0.0, _KAPPA_MAX)
     check_range("dephasing", dephasing, 0.0)
     chi = _balance_angle(n_c, a, g_tau, dephasing)
     est = (0.5 * chi / g_tau) ** 2

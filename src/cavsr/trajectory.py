@@ -17,14 +17,16 @@ dephasing as a per-atom chance of a fully scrambled phase.
 
 Of the three stochastic ingredients (arrival gaps, jump times, measurement
 outcomes), all draws come from one per-trajectory generator, so a (config,
-seed) pair fixes the trajectory bit for bit.
+seed) pair fixes the trajectory bit for bit. run_trajectory advances a
+batch of seeds together, one row each, so an ensemble pays numpy's call
+overhead once per step rather than once per trajectory.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -83,18 +85,28 @@ class TrajectoryConfig:
 
 @dataclasses.dataclass(frozen=True)
 class TrajectoryResult:
+    """A batch of trajectories, row i from the i-th seed."""
+
     times: np.ndarray       # sample grid, s
-    mean_n: np.ndarray
-    jump_times: np.ndarray  # s
-    n_atoms: int
-    max_top_population: float  # largest |amp[n_max]|^2 after any kick: the truncation margin
-    final: np.ndarray       # Fock amplitudes at t_end, unit norm
+    mean_n: np.ndarray      # (rows, N_SAMPLES)
+    jump_times: np.ndarray  # every jump, s: row 0's in time order, then row 1's, ...
+    jumps: np.ndarray       # jumps per row
+    atoms: np.ndarray       # transits per row
+    # per row, the largest |amp[n_max]|^2 after any kick: the truncation margin
+    max_top_population: np.ndarray
+    final: np.ndarray       # (rows, dim) Fock amplitudes at t_end, unit norm
+
+    @property
+    def n_atoms(self) -> int:
+        """Transits in the whole batch."""
+        return int(self.atoms.sum())
 
 
 @dataclasses.dataclass(frozen=True)
 class EnsembleResult:
     times: np.ndarray
     mean_n: np.ndarray              # ensemble average per sample
+    mean_n_stderr: np.ndarray       # its trajectory-to-trajectory standard error per sample
     # mean of the final quarter's grid samples (a grid average, not a time
     # average: see run_ensemble), then over trajectories
     steady_mean_n: float
@@ -106,124 +118,229 @@ class EnsembleResult:
 
 
 def _survival_minus_u(s: float, w: np.ndarray, neg_gn: np.ndarray, u: float) -> float:
-    """No-jump probability after time s, less the uniform draw u."""
+    """No-jump probability after time s, less the uniform draw u.
+
+    The arithmetic of _decay's survival per row, so _brentq sees the sign
+    that sent the row to it.
+    """
     f = np.exp(neg_gn * s)
-    return float(w @ (f * f)) - u
+    return float((w * (f * f)).sum()) - u
 
 
-def _photon_losses(
-    amp: np.ndarray,
-    t: float,
-    t1: float,
-    neg_gn: np.ndarray,
-    sqrt_n: np.ndarray,
-    rng: np.random.Generator,
-) -> Iterator[float]:
-    """Evolve the unit-norm amp in place from t to t1 by no-jump decay and jumps.
+def _decay(
+    amp: np.ndarray, span: np.ndarray, u: np.ndarray, neg_gn: np.ndarray, sqrt_n: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evolve each unit-norm row of amp in place by no-jump decay for its span, or up to a jump.
 
-    Yields each jump's time, with amp then holding the normalized post-jump state.
+    A row jumps first when its no-jump survival over the span falls to its
+    uniform draw u or below; the jump time then inverts the survival law.
+    Returns the mask of rows that jumped and their jump times; the
+    others have used up their span.
     """
-    while t1 - t > 0.0:
-        w = np.abs(amp) ** 2
-        u = rng.random()
-        span = t1 - t
-        # the arithmetic of _survival_minus_u, so _brentq below sees the same sign
-        f = np.exp(neg_gn * span)
-        survival = float(w @ (f * f))
-        if survival > u:
-            # no jump before t1; the survival is the squared norm left
-            amp *= f
-            amp /= math.sqrt(survival)
-            return
-        s_jump = _brentq(_survival_minus_u, 0.0, span, args=(w, neg_gn, u))
-        amp *= np.exp(neg_gn * s_jump)
-        amp[:-1] = sqrt_n[1:] * amp[1:]
-        amp[-1] = 0.0
-        norm2 = np.vdot(amp, amp).real
-        if not norm2 > 0.0:
-            raise ConvergenceError("field amplitudes underflowed during decay")
-        amp /= math.sqrt(norm2)
-        t += s_jump
-        yield t
+    w = np.abs(amp) ** 2
+    f = np.exp(np.multiply.outer(span, neg_gn))
+    survival = (w * (f * f)).sum(axis=1)
+    stay = survival > u
+    if stay.all():
+        # the survival is the squared norm left
+        amp *= f
+        amp /= np.sqrt(survival)[:, None]
+        return ~stay, span[:0]
+    jump = ~stay
+    amp[stay] = amp[stay] * f[stay] / np.sqrt(survival[stay])[:, None]
+    s_jump = np.array([
+        _brentq(_survival_minus_u, 0.0, s, args=(wr, neg_gn, ur))
+        for s, wr, ur in zip(span[jump].tolist(), w[jump], u[jump].tolist())
+    ])
+    after = amp[jump] * np.exp(np.multiply.outer(s_jump, neg_gn))
+    after[:, :-1] = sqrt_n[1:] * after[:, 1:]
+    after[:, -1] = 0.0
+    norm2 = (np.abs(after) ** 2).sum(axis=1)
+    if not (norm2 > 0.0).all():
+        raise ConvergenceError("field amplitudes underflowed during decay")
+    amp[jump] = after / np.sqrt(norm2)[:, None]
+    return jump, s_jump
 
 
-def run_trajectory(cfg: TrajectoryConfig, seed: int) -> TrajectoryResult:
-    """One pure-state trajectory, deterministic in (cfg, seed).
+_PENDING = 512  # events (and samples) folded into _Samples at a time
 
-    The loop records the populations after every event (the start, each
-    kick's measurement, each jump); <n> on the N_SAMPLES-point grid then
-    follows from the last event before each sample by no-jump decay.
+
+class _Samples:
+    """<n> on the sample grid of each row, filled from the row's events as they pass its samples.
+
+    A sample reads the row's last event before it, decayed without a jump;
+    a sample within roundoff of an event reads the state before it. The
+    events wait in a buffer of about _PENDING and are folded in together,
+    so a row holds its samples and one field, not its history.
     """
-    rng = np.random.default_rng(seed)
+
+    def __init__(self, times: np.ndarray, neg_gn: np.ndarray, amp: np.ndarray) -> None:
+        rows, dim = amp.shape
+        self.times = times
+        self.n = np.arange(dim, dtype=float)
+        self.two_neg_gn = 2.0 * neg_gn
+        self.mean_n = np.empty((rows, times.size))
+        self.filled = np.zeros(rows, dtype=np.intp)  # samples done per row
+        self.last_t = np.zeros(rows)
+        self.last_pops = np.abs(amp) ** 2
+        # the largest top-level population of any event: a kick sets it, a jump empties it
+        self.max_top = self.last_pops[:, -1].copy()
+        self.pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.size = 0
+
+    def event(self, rows: np.ndarray, t: np.ndarray, amp: np.ndarray) -> None:
+        """Events of distinct rows at times t, leaving the fields amp: kept, not copied."""
+        self.pending.append((rows, t, amp))
+        self.size += rows.size
+        if self.size >= _PENDING:
+            self._fold()
+
+    def finish(self) -> np.ndarray:
+        """mean_n, every row's samples past its last event read from that event."""
+        # an event past t_end closes every row; its field is never read
+        rows = np.arange(self.filled.size)
+        self.pending.append((rows, np.full(rows.size, np.inf), np.zeros(self.last_pops.shape)))
+        self._fold()
+        return self.mean_n
+
+    def _fold(self) -> None:
+        rows, t, amp = (np.concatenate(x) for x in zip(*self.pending))
+        self.pending.clear()
+        self.size = 0
+        pops = np.abs(amp) ** 2
+        del amp
+        order = np.argsort(rows, kind="stable")  # each row's events stay in time order
+        rows, t = rows[order], t[order]
+        np.maximum.at(self.max_top, rows, pops[order, -1])
+        upto = np.searchsorted(self.times, t + 1e-12 * np.maximum(1.0, t), side="right")
+        # each event fills the samples from its source, the row's previous event, up to it;
+        # a row's first event here has the last one folded before as its source
+        first = np.ones(rows.size, dtype=bool)
+        np.not_equal(rows[1:], rows[:-1], out=first[1:])
+        head = rows[first]
+        src = np.concatenate(([0], order[:-1]))
+        src_t = np.concatenate(([0.0], t[:-1]))
+        src_t[first] = self.last_t[head]
+        lo = np.concatenate(([0], upto[:-1]))
+        lo[first] = self.filled[head]
+        count = upto - lo
+        k = np.repeat(np.arange(rows.size), count)
+        j = np.arange(k.size) + np.repeat(lo - np.cumsum(count) + count, count)
+        for c in range(0, k.size, _PENDING):
+            kc, jc = k[c : c + _PENDING], j[c : c + _PENDING]
+            decayed = pops[src[kc]]
+            fresh = first[kc]
+            decayed[fresh] = self.last_pops[rows[kc[fresh]]]
+            decayed *= np.exp(np.multiply.outer(self.times[jc] - src_t[kc], self.two_neg_gn))
+            self.mean_n[rows[kc], jc] = (decayed * self.n).sum(axis=1) / decayed.sum(axis=1)
+        last = np.append(first[1:], True)
+        tail = rows[last]
+        self.filled[tail] = upto[last]
+        self.last_t[tail] = t[last]
+        self.last_pops[tail] = pops[order[last]]
+
+
+def run_trajectory(cfg: TrajectoryConfig, seeds: Iterable[int]) -> TrajectoryResult:
+    """Pure-state trajectories, one row per seed, each deterministic in (cfg, seed).
+
+    The rows advance together as (rows, dim) arrays. Each step, every
+    unfinished row decays towards its next arrival (or t_end) with one
+    draw from its own generator, or up to a jump; the rows that reach an
+    arrival are kicked and measured in one call each. A row draws in the
+    order a lone trajectory does, so it does not depend on the other
+    seeds. <n> on the N_SAMPLES-point grid is filled as each row's events
+    (each jump, each kick's measurement) pass its samples.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if not rngs:
+        raise ValueError("run_trajectory needs at least one seed")
     n = np.arange(cfg.n_max + 1, dtype=float)
     neg_gn = -cfg.gamma_c * n
     sqrt_n = np.sqrt(n)
-    amp = np.zeros(n.size, dtype=complex)
-    amp[0] = 1.0
+    amp = np.zeros((len(rngs), n.size), dtype=complex)
+    amp[:, 0] = 1.0
     kick = KickParams(cfg.g_tau)
     atom = EnsembleSpec.from_pulse(1, cfg.theta)
     p_scramble = 1.0 - cfg.transit_dephase
+    diffusion = 2.0 * math.pi * cfg.linewidth
+    mean_gap = 1.0 / cfg.r if cfg.r > 0.0 else math.inf
+    poisson = cfg.r > 0.0 and cfg.injection == "poisson"
 
-    event_t = [0.0]
-    event_pops = [np.abs(amp) ** 2]
-    jumps: list[float] = []
-    phase = 0.0
-    t = 0.0
-    t_prev_arrival = 0.0
-    n_atoms = 0
-    max_top = 0.0
-
-    def next_gap() -> float:
-        if cfg.r == 0.0:
-            return math.inf
-        if cfg.injection == "regular":
-            return 1.0 / cfg.r
-        return float(rng.exponential(1.0 / cfg.r))
-
-    t_arrival = next_gap()
-    while True:
-        target = min(t_arrival, cfg.t_end)
-        for t_jump in _photon_losses(amp, t, target, neg_gn, sqrt_n, rng):
-            jumps.append(t_jump)
-            event_t.append(t_jump)
-            event_pops.append(np.abs(amp) ** 2)
-        t = target
-        if t_arrival > cfg.t_end:
-            break
-        if cfg.linewidth > 0.0:
-            gap = t_arrival - t_prev_arrival
-            phase += rng.normal() * math.sqrt(2.0 * math.pi * cfg.linewidth * gap)
-        phi_k = phase
-        if p_scramble > 0.0 and rng.random() < p_scramble:
-            phi_k = rng.uniform(0.0, 2.0 * math.pi)
+    samples = _Samples(np.linspace(0.0, cfg.t_end, N_SAMPLES), neg_gn, amp)
+    jumps: list[list[float]] = [[] for _ in rngs]
+    atoms = [0] * len(rngs)
+    phase = [0.0] * len(rngs)
+    t_prev_arrival = [0.0] * len(rngs)
+    t = np.zeros(len(rngs))
+    t_arrival = np.array([rng.exponential(mean_gap) if poisson else mean_gap for rng in rngs])
+    live = np.arange(len(rngs))
+    while live.size:
+        target = np.minimum(t_arrival[live], cfg.t_end)
+        span = target - t[live]
+        # a row with time left decays to its target unless it jumps first;
+        # one that jumped arrives in a later step, with no draw if no time is left
+        arrive = ~(span > 0.0)
+        moving = ~arrive
+        if moving.any():
+            rows = live[moving]
+            a = amp[rows]
+            u = np.array([rngs[i].random() for i in rows.tolist()])
+            jump, s_jump = _decay(a, span[moving], u, neg_gn, sqrt_n)
+            amp[rows] = a
+            if s_jump.size:
+                arrive[moving] = ~jump
+                rows = rows[jump]
+                t[rows] += s_jump
+                for i, tj in zip(rows.tolist(), t[rows].tolist()):
+                    jumps[i].append(tj)
+                samples.event(rows, t[rows], a[jump])
+            else:
+                arrive |= moving
+        rows = live[arrive]
+        t[rows] = target[arrive]
+        ends = t_arrival[rows] > cfg.t_end
+        if ends.any():
+            arrive[arrive] = ends
+            live = live[~arrive]
+            rows = rows[~ends]
+        if not rows.size:
+            continue
+        phis = []
+        draws = []
+        arrivals = []
+        for i, t_k in zip(rows.tolist(), t_arrival[rows].tolist()):
+            rng = rngs[i]
+            if diffusion > 0.0:
+                phase[i] += rng.normal() * math.sqrt(diffusion * (t_k - t_prev_arrival[i]))
+            phi = phase[i]
+            if p_scramble > 0.0 and rng.random() < p_scramble:
+                phi = rng.uniform(0.0, 2.0 * math.pi)
+            phis.append(phi)
+            draws.append(rng.random())  # the measurement's
+            t_prev_arrival[i] = t_k
+            arrivals.append(t_k + (float(rng.exponential(mean_gap)) if poisson else mean_gap))
+            atoms[i] += 1
         # both looked up here as module globals: the benchmark's traced run wraps them there
-        e, g = jc_kick_pure(amp, (atom.c_e, atom.c_g, phi_k), kick)
-        _outcome, amp, _prob = measure_atom(e, g, rng.random())
-        pops = np.abs(amp) ** 2
-        top = float(pops[-1])
-        if not top <= 1e-6:
+        e, g = jc_kick_pure(amp[rows], (atom.c_e, atom.c_g, np.array(phis)), kick)
+        _outcome, kicked, _prob = measure_atom(e, g, np.array(draws))
+        top = np.abs(kicked[:, -1]) ** 2
+        if not (top <= 1e-6).all():
             raise TruncationError(
                 f"trajectory reached the cutoff n_max={cfg.n_max} "
-                f"(top-level population {top:.2e}); enlarge the basis"
+                f"(top-level population {top[~(top <= 1e-6)][0]:.2e}); enlarge the basis"
             )
-        max_top = max(max_top, top)
-        n_atoms += 1
-        event_t.append(t)
-        event_pops.append(pops)
-        t_prev_arrival = t_arrival
-        t_arrival = t_arrival + next_gap()
+        amp[rows] = kicked
+        t_arrival[rows] = arrivals
+        samples.event(rows, t[rows], kicked)
 
-    times = np.linspace(0.0, cfg.t_end, N_SAMPLES)
-    t_ev = np.array(event_t)
-    # a sample within roundoff of an event reads the state before it
-    idx = np.searchsorted(t_ev[1:] + 1e-12 * np.maximum(1.0, t_ev[1:]), times)
-    decayed = np.array(event_pops)[idx] * np.exp(np.outer(times - t_ev[idx], 2.0 * neg_gn))
+    mean_n = samples.finish()
     return TrajectoryResult(
-        times=times,
-        mean_n=decayed @ n / decayed.sum(axis=1),
-        jump_times=np.array(jumps),
-        n_atoms=n_atoms,
-        max_top_population=max_top,
+        times=samples.times,
+        mean_n=mean_n,
+        jump_times=np.array([tj for row in jumps for tj in row]),
+        jumps=np.array([len(row) for row in jumps]),
+        atoms=np.array(atoms),
+        max_top_population=samples.max_top,
         final=amp,
     )
 
@@ -241,29 +358,18 @@ def run_ensemble(cfg: TrajectoryConfig) -> EnsembleResult:
     g_tau 0.1, theta pi/2 it reads about 0.00115 where the period average is
     0.00144.
     """
-    acc = np.zeros(N_SAMPLES)
-    steadies = np.empty(cfg.n_trajectories)
-    rates = np.empty(cfg.n_trajectories)
-    t_window = 0.75 * cfg.t_end
-    times = None
-    atoms = jumps = 0
-    max_top = 0.0
-    for i in range(cfg.n_trajectories):
-        res = run_trajectory(cfg, cfg.seed + i)
-        if times is None:
-            times = res.times
-        atoms += res.n_atoms
-        jumps += res.jump_times.size
-        max_top = max(max_top, res.max_top_population)
-        acc += res.mean_n
-        window = res.times >= t_window
-        steadies[i] = float(np.mean(res.mean_n[window]))
-        span = cfg.t_end - t_window
-        rates[i] = np.count_nonzero(res.jump_times >= t_window) / span if span > 0 else 0.0
     n = cfg.n_trajectories
+    # looked up as a module global: the benchmark's probe wraps it there
+    res = run_trajectory(cfg, range(cfg.seed, cfg.seed + n))
+    t_window = 0.75 * cfg.t_end
+    steadies = res.mean_n[:, res.times >= t_window].mean(axis=1)
+    span = cfg.t_end - t_window
+    late = np.repeat(np.arange(n), res.jumps)[res.jump_times >= t_window]
+    rates = np.bincount(late, minlength=n) / span if span > 0 else np.zeros(n)
     return EnsembleResult(
-        times=times,
-        mean_n=acc / n,
+        times=res.times,
+        mean_n=res.mean_n.sum(axis=0) / n,
+        mean_n_stderr=np.std(res.mean_n, axis=0, ddof=1) / math.sqrt(n),
         steady_mean_n=float(np.mean(steadies)),
         steady_stderr=float(np.std(steadies, ddof=1) / math.sqrt(n)),
         per_traj_steady=steadies,
@@ -272,8 +378,8 @@ def run_ensemble(cfg: TrajectoryConfig) -> EnsembleResult:
         metadata={
             "n_trajectories": n,
             "seed": cfg.seed,
-            "atoms": atoms,
-            "jumps": jumps,
-            "max_top_population": max_top,
+            "atoms": res.n_atoms,
+            "jumps": int(res.jump_times.size),
+            "max_top_population": float(np.max(res.max_top_population)),
         },
     )

@@ -149,10 +149,12 @@ def test_pure_kick_rejects_unnormalized_atom():
 
 def test_transit_entries_reject_bad_shapes():
     k = KickParams(0.1)
-    for amp in (np.zeros(0), np.eye(2), np.complex128(1.0)):
+    # a vector is one field and a 2-D array a stack of them, one per row
+    for amp in (np.zeros(0), np.zeros((2, 0)), np.zeros((2, 2, 2)), np.complex128(1.0)):
         with pytest.raises(ValueError, match="nonempty vector"):
             jc_kick_pure(amp, (1.0, 0.0, 0.0), k)
-    for e, g in ((np.zeros(2), np.ones(3)), (np.eye(2), np.eye(2)), (np.ones(()), np.ones(()))):
+    for e, g in ((np.zeros(2), np.ones(3)), (np.zeros((2, 2, 2)), np.zeros((2, 2, 2))),
+                 (np.eye(2), np.ones((3, 2))), (np.ones(()), np.ones(()))):
         with pytest.raises(ValueError, match="share one shape"):
             measure_atom(e, g, 0.5)
 

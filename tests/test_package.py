@@ -136,7 +136,13 @@ def test_brentq_finds_scipys_root_on_survival_brackets(monkeypatch):
         amp = rng.standard_normal(n.size) + 1j * rng.standard_normal(n.size)
         amp /= np.linalg.norm(amp)
         span = rng.uniform(0.01, 5.0)
-        list(trajectory._photon_losses(amp, 0.0, span, -n, np.sqrt(n), rng))
+        # one row decays until its draw no longer brings a jump before the span ends
+        while span > 0.0:
+            jump, s_jump = trajectory._decay(
+                amp[None], np.array([span]), np.array([rng.random()]), -n, np.sqrt(n))
+            if not jump[0]:
+                break
+            span -= s_jump[0]
     assert len(found) > 3000
     assert all(got == want for got, want in found)
 

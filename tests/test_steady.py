@@ -802,22 +802,31 @@ def test_a_basis_failing_top_and_leak_reports_the_top(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n_c, a, g_tau, error, match",
+    "n_c, a, g_tau, error, match, guard",
     [
         # both window edges round to one float
-        (1e300, HALF, 1e-30, ResourceError, "past float resolution"),
+        (1e300, HALF, 1e-30, ResourceError, "past float resolution", None),
         # n_c g_tau^2 overflows, for the LU and for the recursion
-        (1.0, HALF, 1e300, ValueError, r"^n_c \* g_tau\*\*2 must be finite"),
-        (1.0, AtomState(0.5, 0.0), 1e300, ValueError, r"^n_c \* g_tau\*\*2 must be finite"),
+        (1.0, HALF, 1e300, ValueError, r"^n_c \* g_tau\*\*2 must be finite", None),
+        (1.0, AtomState(0.5, 0.0), 1e300, ValueError, r"^n_c \* g_tau\*\*2 must be finite", None),
         # the predicted field is too strong for the balance's difference quotient
-        (1e-300, AtomState(0.5, 0.0), 1e300, ResourceError, "past float resolution"),
-        (1e-300, HALF, 1e300, ResourceError, "solver guard"),
+        (1e-300, AtomState(0.5, 0.0), 1e300, ResourceError, "past float resolution", None),
+        (1e-300, HALF, 1e300, ResourceError, "solver guard", None),
+        # n_c g_tau^2 is finite, but the balance's scan would overflow; under a
+        # 60-level guard the last once reached SuperLU, which found it singular
+        (1.0, AtomState(0.0, 0.0), 1e154, ValueError,
+         r"^n_c \* g_tau\*\*2 must lie in \[0, 1e\+300\]", None),
+        (1.7e308, AtomState(1.0, 0.0), 1.0, ValueError, r"^n_c \* g_tau\*\*2 must lie in", None),
+        (1.7e308, prepare(2.0), 1.0, ValueError, r"^n_c \* g_tau\*\*2 must lie in", 60),
     ],
     ids=["one-float-window", "kappa-overflow", "kappa-overflow-random-phase",
-         "strong-field-random-phase", "strong-field"],
+         "strong-field-random-phase", "strong-field", "balance-overflow-ground",
+         "balance-overflow-inverted", "balance-overflow-singular-factor"],
 )
-def test_absurd_inputs_are_refused_by_type(n_c, a, g_tau, error, match):
+def test_absurd_inputs_are_refused_by_type(n_c, a, g_tau, error, match, guard, monkeypatch):
     # the suite turns a warning on the way into an error
+    if guard is not None:
+        monkeypatch.setattr(steady, "DEFAULT_MAX_DIM", guard)
     with pytest.raises(error, match=match):
         steady_state_auto(n_c, a, KickParams(g_tau))
 

@@ -46,7 +46,7 @@ def grid_decay_factor(times, window, delta, gamma_c):
 
 def test_ground_state_pump_leaves_vacuum():
     cfg = cavity_cfg(r=3.0, theta=0.0, t_end=2.0, n_max=5)
-    res = run_trajectory(cfg, seed=5)
+    res = run_trajectory(cfg, [5])
     assert res.n_atoms > 0
     assert np.all(res.mean_n == 0.0)
     assert res.jump_times.size == 0
@@ -54,7 +54,7 @@ def test_ground_state_pump_leaves_vacuum():
 
 def test_no_atoms_no_photons():
     cfg = cavity_cfg(r=0.0, theta=math.pi, t_end=1.0, n_max=3)
-    res = run_trajectory(cfg, seed=0)
+    res = run_trajectory(cfg, [0])
     assert res.n_atoms == 0
     assert np.all(res.mean_n == 0.0)
 
@@ -67,25 +67,23 @@ def test_single_kick_born_statistics():
         theta=math.pi, injection="regular", n_max=4, t_end=1.0,
     )
     n_seeds = 800
-    hits = 0
-    for seed in range(n_seeds):
-        res = run_trajectory(cfg, seed)
-        assert res.n_atoms == 1
-        n_fin = float(np.arange(res.final.size) @ np.abs(res.final) ** 2)
-        assert n_fin == pytest.approx(0.0, abs=1e-12) or n_fin == pytest.approx(1.0, abs=1e-12)
-        hits += round(n_fin)
+    res = run_trajectory(cfg, range(n_seeds))
+    assert np.all(res.atoms == 1)
+    n_fin = np.abs(res.final) ** 2 @ np.arange(cfg.n_max + 1)
+    assert np.all((np.abs(n_fin) <= 1e-12) | (np.abs(n_fin - 1.0) <= 1e-12))
+    hits = int(np.sum(np.round(n_fin)))
     sigma = math.sqrt(0.25 / n_seeds)
     assert hits / n_seeds == pytest.approx(0.5, abs=3.0 * sigma)
 
 
 def test_deterministic_in_config_and_seed():
     cfg = cavity_cfg(r=2.0, t_end=3.0, n_max=10)
-    a = run_trajectory(cfg, seed=11)
-    b = run_trajectory(cfg, seed=11)
+    a = run_trajectory(cfg, [11])
+    b = run_trajectory(cfg, [11])
     assert np.array_equal(a.mean_n, b.mean_n)
     assert np.array_equal(a.jump_times, b.jump_times)
     assert a.n_atoms == b.n_atoms
-    c = run_trajectory(cfg, seed=12)
+    c = run_trajectory(cfg, [12])
     assert not np.array_equal(a.mean_n, c.mean_n)
     assert abs(np.linalg.norm(a.final) - 1.0) <= 1e-10
 
@@ -99,11 +97,11 @@ def test_sample_on_an_arrival_reads_the_state_before_the_kick(monkeypatch):
 
     def recording_measure(e, g, u):
         out = measure(e, g, u)
-        after_kick.append(np.abs(out[1]) ** 2)
+        after_kick.append(np.abs(out[1][0]) ** 2)
         return out
 
     monkeypatch.setattr(trajectory, "measure_atom", recording_measure)
-    res = run_trajectory(cfg, seed=3)
+    res = run_trajectory(cfg, [3])
     arrivals = np.cumsum(np.full(res.n_atoms, 1.0 / 3.0))
     n = np.arange(cfg.n_max + 1)
     checked = 0
@@ -115,8 +113,8 @@ def test_sample_on_an_arrival_reads_the_state_before_the_kick(monkeypatch):
             continue  # the previous event is a jump, not the previous kick
         pre = after_kick[i - 1] * np.exp(-2.0 * cfg.gamma_c * n * (res.times[20 * k] - t_prev))
         post = after_kick[i] @ n / after_kick[i].sum()
-        assert res.mean_n[20 * k] == pytest.approx(pre @ n / pre.sum(), rel=1e-12)
-        assert abs(res.mean_n[20 * k] - post) > 1e-6
+        assert res.mean_n[0, 20 * k] == pytest.approx(pre @ n / pre.sum(), rel=1e-12)
+        assert abs(res.mean_n[0, 20 * k] - post) > 1e-6
         checked += 1
     assert checked >= 5
 
@@ -218,7 +216,7 @@ def test_cutoff_overflow_is_reported():
     cfg = TrajectoryConfig(r=5.0, gamma_c=1e-3, g=0.5e6 * math.pi, tau=1e-6,
                            theta=math.pi, n_max=1, t_end=2.0)
     with pytest.raises(TruncationError, match=r"n_max=1 \(top-level population \d"):
-        run_trajectory(cfg, seed=0)
+        run_trajectory(cfg, [0])
 
 
 def test_config_validation():
@@ -282,18 +280,72 @@ STREAM_PINS = {
 @pytest.mark.parametrize("label", sorted(STREAM_PINS))
 def test_random_stream_is_pinned(label):
     kw, n_atoms, n_jumps, samples = STREAM_PINS[label]
-    res = run_trajectory(TrajectoryConfig(**kw), seed=2025)
+    res = run_trajectory(TrajectoryConfig(**kw), [2025])
     assert res.n_atoms == n_atoms
     assert len(res.jump_times) == n_jumps
-    assert [res.mean_n[i] for i in (50, 100, 200)] == pytest.approx(samples, rel=1e-12, abs=0.0)
+    assert [res.mean_n[0, i] for i in (50, 100, 200)] == pytest.approx(samples, rel=1e-12, abs=0.0)
 
 
 def test_ensemble_counters_sum_the_trajectories():
     cfg = cavity_cfg(r=3.0, g=0.4e6, t_end=6.0, n_max=12, seed=9, n_trajectories=6)
     ens = run_ensemble(cfg)
-    runs = [run_trajectory(cfg, cfg.seed + i) for i in range(6)]
+    runs = [run_trajectory(cfg, [cfg.seed + i]) for i in range(6)]
     md = ens.metadata
     assert md["atoms"] == sum(r.n_atoms for r in runs) > 0
     assert md["jumps"] == sum(r.jump_times.size for r in runs) > 0
-    assert md["max_top_population"] == max(r.max_top_population for r in runs)
+    assert md["max_top_population"] == max(r.max_top_population[0] for r in runs)
     assert 0.0 < md["max_top_population"] < 1e-6
+
+
+# each config in a batch of six seeds, which take different numbers of steps;
+# with few events, the last fold fills more samples than one chunk holds
+BATCH_CONFIGS = {
+    "poisson": dict(r=3.0, g=0.4e6, t_end=6.0, n_max=12),
+    "sparse": dict(r=0.3, g=0.4e6, t_end=6.0, n_max=12),
+    "regular": dict(r=3.0, g=0.4e6, injection="regular", t_end=6.0, n_max=12),
+    "no-atoms": dict(r=0.0, theta=math.pi, t_end=2.0, n_max=3),
+    "scrambled": dict(r=3.0, g=0.4e6, transit_dephase=0.4, t_end=6.0, n_max=12),
+    "phase-walk": dict(r=3.0, g=0.4e6, linewidth=0.05, t_end=6.0, n_max=12),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BATCH_CONFIGS))
+def test_each_row_of_a_batch_is_its_seed_run_alone(label):
+    cfg = cavity_cfg(**BATCH_CONFIGS[label])
+    seeds = [3, 17, 4, 250, 9, 31]
+    batch = run_trajectory(cfg, seeds)
+    assert batch.mean_n.shape == (len(seeds), N_SAMPLES)
+    assert batch.n_atoms == int(batch.atoms.sum()) and type(batch.n_atoms) is int
+    row_jumps = np.split(batch.jump_times, np.cumsum(batch.jumps)[:-1])
+    for i, seed in enumerate(seeds):
+        lone = run_trajectory(cfg, [seed])
+        assert batch.atoms[i] == lone.n_atoms
+        assert batch.jumps[i] == lone.jump_times.size
+        assert np.array_equal(row_jumps[i], lone.jump_times)
+        np.testing.assert_allclose(batch.mean_n[i], lone.mean_n[0], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(batch.final[i], lone.final[0], rtol=0.0, atol=1e-13)
+        assert batch.max_top_population[i] == lone.max_top_population[0]
+    if cfg.r > 0.0:
+        assert np.unique(batch.atoms + batch.jumps).size > 1  # the rows end at different steps
+
+
+def test_a_row_past_the_cutoff_fails_the_batch():
+    # alone, seeds 0, 1, 3, 4 and 5 keep the top level of n_max = 7 below 1e-6;
+    # seed 2 passes it after a kick
+    cfg = cavity_cfg(r=20.0, g=0.05e6, t_end=4.0, n_max=7)
+    assert run_trajectory(cfg, [0, 1, 3, 4, 5]).n_atoms > 0
+    with pytest.raises(TruncationError, match=r"n_max=7 \(top-level population \d"):
+        run_trajectory(cfg, [2])
+    with pytest.raises(TruncationError, match=r"n_max=7 \(top-level population \d"):
+        run_trajectory(cfg, [0, 1, 2, 3, 4, 5])
+
+
+def test_ensemble_stderr_per_sample_is_the_spread_of_lone_runs():
+    cfg = cavity_cfg(r=3.0, g=0.4e6, t_end=6.0, n_max=12, seed=9, n_trajectories=6)
+    ens = run_ensemble(cfg)
+    lone = np.array([run_trajectory(cfg, [cfg.seed + i]).mean_n[0] for i in range(6)])
+    np.testing.assert_allclose(ens.mean_n, lone.mean(axis=0), rtol=1e-13, atol=0.0)
+    want = np.std(lone, axis=0, ddof=1) / math.sqrt(6)
+    np.testing.assert_allclose(ens.mean_n_stderr, want, rtol=1e-12, atol=1e-16)
+    assert ens.mean_n_stderr[0] == 0.0  # every trajectory starts in the vacuum
+    assert ens.mean_n_stderr[-1] > 0.0
