@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 
 import numpy as np
 import scipy.linalg
