@@ -476,7 +476,8 @@ def transient_buildup(cfg: RunConfig) -> tuple[SweepResult, dict]:
     which live on the top levels. The field rises from the vacuum towards
     that state, so those levels hold the buildup too; where evolve's tail
     check says otherwise, the integration runs once more on the steady
-    cutoff. The sidecar records the cutoff used as n_max_used.
+    cutoff. The sidecar records the cutoff used as n_max_used, and as
+    evolve_work that run's accepted steps, rejected trials and matvecs.
 
     A regular beam sends atoms 1/n_c apart through the exact map, one point
     per atom, against the lossless stepwise emission after the same number
@@ -525,6 +526,7 @@ def transient_buildup(cfg: RunConfig) -> tuple[SweepResult, dict]:
         baseline = np.full(mean.shape, mean_photon(s_ss))
         meta["baseline"] = "steady-state mean photon number"
         meta["n_max_used"] = n_max
+        meta["evolve_work"] = states.work
         summary = {"mode": "coarse-ode", "steady_mean_n": mean_photon(s_ss)}
     summary |= {"t_end": t_end, "final_mean_n": float(mean[-1])}
     return SweepResult(times, mean, baseline, meta), summary

@@ -25,8 +25,10 @@ exact decay-and-kick map is interaction.kick_sequence instead.
 from __future__ import annotations
 
 import cmath
+import collections.abc
 import dataclasses
 import math
+import operator
 
 import numpy as np
 import scipy.sparse
@@ -69,6 +71,10 @@ _DISSECTION_LEAF = 16
 # the dissection order's diagonal, and with it its fill, is mostly kept.
 _PIVOT_THRESHOLD = 0.1
 
+# the largest n_c g_tau^2 the balance takes, and the largest n_c and
+# dephasing a generator takes
+_KAPPA_MAX = 1e300
+
 
 @dataclasses.dataclass(frozen=True)
 class MasterParams:
@@ -90,7 +96,10 @@ class MasterParams:
         check_range("n_c", self.n_c, 0.0, open_lo=True)
         check_range("n_max", self.n_max, 1, integer=True)
         check_range("n_lo", self.n_lo, 0, self.n_max - 1, integer=True)
-        check_range("dephasing", self.dephasing, 0.0)
+        # a given basis skips the balance's bound; past it the generator's
+        # diagonal, -n_c - (n + m) - dephasing (n - m)^2 / 2, overflows in the LU
+        check_range("n_c", self.n_c, 0.0, _KAPPA_MAX)
+        check_range("dephasing", self.dephasing, 0.0, _KAPPA_MAX)
 
     @property
     def dim(self) -> int:
@@ -268,9 +277,10 @@ def steady_state(p: MasterParams) -> FieldState:
     traded row, is the rate at which probability leaks out. Row and column
     n_lo - 1 are the flow out of the lower edge through loss and absorption,
     which the trace row sees only in part. The result is padded with zeros
-    to levels 0..n_max. The checks raise in this order: a residual off the
-    trace row (ConvergenceError), then _check_edges' top population (by
-    errors.check_tail), trace leak and lower edge (each TruncationError).
+    to levels 0..n_max. The checks raise in this order: a factor SuperLU
+    finds singular or a residual off the trace row (each ConvergenceError),
+    then _check_edges' top population (by errors.check_tail), trace leak and
+    lower edge (each TruncationError).
     """
     g, red = _folded_generator(p)
     dim = p.width
@@ -291,9 +301,13 @@ def steady_state(p: MasterParams) -> FieldState:
     del g  # the factorization below sets the peak memory; free the fold first
     b = np.zeros(a.shape[0])
     b[rank[0]] = 1.0
-    x = scipy.sparse.linalg.splu(
-        a, permc_spec="NATURAL", diag_pivot_thresh=_PIVOT_THRESHOLD
-    ).solve(b)
+    # the factor is a temporary: held past the solve it would add to the checks' peak memory
+    try:
+        x = scipy.sparse.linalg.splu(
+            a, permc_spec="NATURAL", diag_pivot_thresh=_PIVOT_THRESHOLD
+        ).solve(b)
+    except RuntimeError as exc:  # SuperLU's only report of a zero pivot
+        raise ConvergenceError(f"steady-state factorization failed: {exc}") from None
 
     r = x[rank[red]].reshape(dim, dim)
     q = np.zeros((p.dim, p.dim), dtype=complex)
@@ -400,8 +414,6 @@ _WANDER_SIGMAS = 13.0
 _WINDOW_PAD = 10.0
 # the restoring rate below which the linear-noise spread is not trusted
 _LEAST_RESTORING = 0.04
-# the largest n_c g_tau^2 the balance takes
-_KAPPA_MAX = 1e300
 
 
 def _photon_spread(
@@ -630,7 +642,9 @@ def _error_norm(e5: np.ndarray, e3: np.ndarray) -> float:
     return n5 / math.sqrt((n5 + 0.01 * n3) * e5.size)
 
 
-def _dop853(g: scipy.sparse.csr_matrix, y: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _dop853(
+    g: scipy.sparse.csr_matrix, y: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, dict]:
     """Solution of y' = g y at the increasing times from times[0] = 0, one row per time.
 
     DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10) under
@@ -645,14 +659,16 @@ def _dop853(g: scipy.sparse.csr_matrix, y: np.ndarray, times: np.ndarray) -> np.
     at the partial step, again at no matvec; and the next step's g y_new is
     sum_j R_j rho^j W[j + 1] / h, so an accepted step costs the 12 matvecs
     of W[2..13] and the first one a further g y: 1 + 12 per accepted step
-    in all. A step-size underflow or a non-finite error norm raises
-    ConvergenceError.
+    in all. Returns the solution and the work it took: accepted_steps,
+    rejected_trials and matvecs, each counted where it happens. A step-size
+    underflow or a non-finite error norm raises ConvergenceError.
     """
     powers = np.arange(_DOP853.shape[1])
     out = np.empty((times.size, y.size))
     out[0] = y
     t, t_end, i = 0.0, float(times[-1]), 1
     f = g @ y
+    work = {"accepted_steps": 0, "rejected_trials": 0, "matvecs": 1}
     h = t_end
     while t < t_end:
         min_step = 10.0 * (np.nextafter(t, math.inf) - t)
@@ -660,6 +676,7 @@ def _dop853(g: scipy.sparse.csr_matrix, y: np.ndarray, times: np.ndarray) -> np.
         t_new = min(t + h, t_end)
         h = built = t_new - t
         w = _power_basis(g, y, f, h)
+        work["matvecs"] += w.shape[0] - 2  # W[0] is y and W[1] is h f
         rejected = False
         while True:
             c = _DOP853 * (h / built) ** powers
@@ -672,12 +689,14 @@ def _dop853(g: scipy.sparse.csr_matrix, y: np.ndarray, times: np.ndarray) -> np.
                 break
             h *= max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
             rejected = True
+            work["rejected_trials"] += 1
             if not h >= min_step:
                 raise ConvergenceError(
                     f"transient integration failed: step {h:.3e} below {min_step:.3e} at t={t}"
                 )
             t_new = t + h
             h = t_new - t
+        work["accepted_steps"] += 1
         end = int(np.searchsorted(times, t_new, side="right"))
         rho = (times[i:end] - t) / built
         out[i:end] = (_DOP853[0] * rho[:, None] ** powers) @ w
@@ -686,12 +705,33 @@ def _dop853(g: scipy.sparse.csr_matrix, y: np.ndarray, times: np.ndarray) -> np.
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
         h *= min(1.0, factor) if rejected else factor
         t, y = t_new, y_new
-    return out
+    return out, work
 
 
-def evolve(
-    p: MasterParams, q0: FieldState, t_end: float
-) -> tuple[np.ndarray, list[FieldState]]:
+class FoldedStates(collections.abc.Sequence):
+    """evolve's samples, held as the folded real unknowns; sample i is built when read.
+
+    Row i of y holds sample i's unknowns R[n, m], n <= m, in triu order; red
+    maps each full index (n, m) to its unknown and u is the gauge of _gauge,
+    so sample i is the FieldState Q = u * R / tr R. Indexing, negative
+    indices, slices (another FoldedStates) and iteration build one state per
+    sample read. work holds what the integration took, _dop853's counts.
+    """
+
+    def __init__(self, y: np.ndarray, red: np.ndarray, u: np.ndarray, work: dict) -> None:
+        self._y, self._red, self._u, self.work = y, red, u, work
+
+    def __len__(self) -> int:
+        return len(self._y)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return FoldedStates(self._y[i], self._red, self._u, self.work)
+        r = self._y[operator.index(i)][self._red].reshape(self._u.shape)
+        return FieldState(r * self._u / float(np.trace(r)))
+
+
+def evolve(p: MasterParams, q0: FieldState, t_end: float) -> tuple[np.ndarray, FoldedStates]:
     """Transient of the master equation from q0 for a time t_end (1/gamma_c).
 
     Integrates the generator on the same real state as steady_state: the
@@ -703,19 +743,22 @@ def evolve(
     taken as its step polynomial on powers of the constant generator. An
     accepted step costs 12 sparse matvecs (the first 13), a rejected trial
     and a sample none, and each sample is a full-order step to its time,
-    not an interpolant. Returns 81 evenly spaced times and the state at
-    each, renormalized to unit trace. It raises TruncationError if the
-    largest population each level reaches over the samples fails
-    _check_edges' top-population or trace-leak rule, and ConvergenceError
-    if the integration fails.
+    not an interpolant. Returns 81 evenly spaced times (the one time 0 when
+    t_end is 0) and the state at each, renormalized to unit trace, as a
+    FoldedStates: the samples stay folded, 81 dim(dim+1)/2 reals, and each
+    FieldState is built when it is read, so the dense 81 dim^2 complex
+    entries never exist at once (14.6 MB at 106 levels, 180 MB at 373 and
+    1.57 GB at the guard's 1100 levels). Its work attribute counts the
+    accepted steps, rejected trials and matvecs. It raises TruncationError
+    if the largest population each level reaches over the samples, read
+    from their diagonal unknowns, fails _check_edges' top-population or
+    trace-leak rule, and ConvergenceError if the integration fails.
     """
     if p.n_lo != 0:
         raise ValueError(f"evolve runs on the full basis, got n_lo={p.n_lo}")
     if q0.dim != p.dim:
         raise ValueError(f"q0 has dim {q0.dim}, params expect {p.dim}")
     check_range("t_end", t_end, 0.0)
-    if t_end == 0.0:
-        return np.zeros(1), [q0]
     g, red = _folded_generator(p)
     u = _gauge(p)
     r0 = q0.q * u.conj()
@@ -725,11 +768,9 @@ def evolve(
             f"q0 is not real symmetric in the gauge of the generator (off by "
             f"{off:.3e}); interaction.kick_sequence takes any state"
         )
-    times = np.linspace(0.0, t_end, 81)
-    states = []
-    for y in _dop853(g.tocsr(), r0.real[np.triu_indices(p.dim)], times):
-        r = y[red].reshape(p.dim, p.dim)
-        states.append(FieldState(r * u / float(np.trace(r))))
-    top = np.max([photon_distribution(s) for s in states], axis=0)
+    times = np.linspace(0.0, t_end, 81 if t_end else 1)
+    y, work = _dop853(g.tocsr(), r0.real[np.triu_indices(p.dim)], times)
+    pops = y[:, red[:: p.dim + 1]]
+    top = (pops / pops.sum(axis=1, keepdims=True)).max(axis=0)
     _check_edges(p, "transient reaches", float(top[-1]), float(_trace_leak(p, top)[-1]))
-    return times, states
+    return times, FoldedStates(y, red, u, work)

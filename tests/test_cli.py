@@ -210,11 +210,13 @@ def test_transient_discrete_mode_walks_the_atom_grid(capsys, tmp_path, small_con
 def test_transient_retries_once_on_the_steady_cutoff(capsys, tmp_path, small_config, monkeypatch):
     # a held cutoff of 2 levels cannot carry the buildup: evolve refuses it
     # and the transient runs again on the steady cutoff
-    used = []
+    used, works = [], []
 
     def recording_evolve(p, q0, t_end):
         used.append(p.n_max)
-        return steady.evolve(p, q0, t_end)
+        times, states = steady.evolve(p, q0, t_end)
+        works.append(states.work)
+        return times, states
 
     monkeypatch.setattr(steady, "_held_cutoff", lambda p, s: 2)
     monkeypatch.setattr(experiments, "evolve", recording_evolve)
@@ -226,7 +228,28 @@ def test_transient_retries_once_on_the_steady_cutoff(capsys, tmp_path, small_con
     steady_cutoff = steady.steady_state_auto(3.0, prepare(0.5 * math.pi), KickParams(0.1)).n_max
     assert used == [2, steady_cutoff]
     assert meta["n_max_used"] == steady_cutoff
+    # the refused run had no output; the counts are the steady cutoff's run's
+    assert len(works) == 1 and meta["evolve_work"] == works[0]
     assert out["final_mean_n"] == pytest.approx(out["steady_mean_n"], rel=0.01)
+
+
+def test_transient_sidecar_records_the_integration_work(capsys, tmp_path):
+    # the transient benchmark's point: 106 held levels, 616 accepted steps, 157
+    # rejected trials. Each accepted step builds W[2..13] on the one g y the
+    # first step starts from; the step count is a band, not an equality, since
+    # any reordering of the floating-point work can move a step boundary
+    config = tmp_path / "transient.json"
+    config.write_text(json.dumps({"g": 0.05 / 1e-6, "gamma_c": 1.0, "tau": 1e-6,
+                                  "theta": 0.5 * math.pi, "n_c": 300.0}), encoding="utf-8")
+    rc, _, _ = run_cli(capsys, "transient", "--config", str(config), "--out", str(tmp_path))
+    assert rc == 0
+    meta = json.loads((tmp_path / "transient.meta.json").read_text(encoding="utf-8"))
+    work = meta["evolve_work"]
+    assert sorted(work) == ["accepted_steps", "matvecs", "rejected_trials"]
+    assert meta["n_max_used"] == 105
+    assert work["matvecs"] == 1 + 12 * work["accepted_steps"]
+    assert abs(work["accepted_steps"] - 616) <= 1
+    assert work["rejected_trials"] > 0
 
 
 def test_transient_reraises_when_the_steady_cutoff_fails_too(

@@ -109,6 +109,10 @@ def test_apply_decay_takes_an_infinite_interval():
     [(lambda: KickParams(-1.0), "g_tau must be non-negative, got -1.0"),
      (lambda: MasterParams(0.0, K, HALF, 5), "n_c must be positive, got 0.0"),
      (lambda: MasterParams(1.0, K, HALF, 5, n_lo=5), "n_lo must lie in [0, 4], got 5"),
+     # past steady._KAPPA_MAX the generator's diagonal overflows
+     (lambda: MasterParams(1e301, K, HALF, 5), "n_c must lie in [0, 1e+300], got 1e+301"),
+     (lambda: MasterParams(1.0, K, HALF, 5, dephasing=1e301),
+      "dephasing must lie in [0, 1e+300], got 1e+301"),
      (lambda: vacuum(0), "n_max must be at least 1, got 0"),
      (lambda: AtomState(1.5, 0.0), "rho_ee must lie in [0, 1], got 1.5"),
      (lambda: steady_state_auto(-5.0, HALF, K), "n_c must be non-negative, got -5.0"),

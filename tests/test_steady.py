@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -801,34 +802,83 @@ def test_a_basis_failing_top_and_leak_reports_the_top(monkeypatch):
         steady_state(p)
 
 
+def _auto(n_c, a, g_tau):
+    return lambda: steady_state_auto(n_c, a, KickParams(g_tau))
+
+
 @pytest.mark.parametrize(
-    "n_c, a, g_tau, error, match, guard",
+    "call, error, match, guard",
     [
         # both window edges round to one float
-        (1e300, HALF, 1e-30, ResourceError, "past float resolution", None),
+        (_auto(1e300, HALF, 1e-30), ResourceError, "past float resolution", None),
         # n_c g_tau^2 overflows, for the LU and for the recursion
-        (1.0, HALF, 1e300, ValueError, r"^n_c \* g_tau\*\*2 must be finite", None),
-        (1.0, AtomState(0.5, 0.0), 1e300, ValueError, r"^n_c \* g_tau\*\*2 must be finite", None),
+        (_auto(1.0, HALF, 1e300), ValueError, r"^n_c \* g_tau\*\*2 must be finite", None),
+        (_auto(1.0, AtomState(0.5, 0.0), 1e300), ValueError,
+         r"^n_c \* g_tau\*\*2 must be finite", None),
         # the predicted field is too strong for the balance's difference quotient
-        (1e-300, AtomState(0.5, 0.0), 1e300, ResourceError, "past float resolution", None),
-        (1e-300, HALF, 1e300, ResourceError, "solver guard", None),
+        (_auto(1e-300, AtomState(0.5, 0.0), 1e300), ResourceError, "past float resolution", None),
+        (_auto(1e-300, HALF, 1e300), ResourceError, "solver guard", None),
         # n_c g_tau^2 is finite, but the balance's scan would overflow; under a
         # 60-level guard the last once reached SuperLU, which found it singular
-        (1.0, AtomState(0.0, 0.0), 1e154, ValueError,
+        (_auto(1.0, AtomState(0.0, 0.0), 1e154), ValueError,
          r"^n_c \* g_tau\*\*2 must lie in \[0, 1e\+300\]", None),
-        (1.7e308, AtomState(1.0, 0.0), 1.0, ValueError, r"^n_c \* g_tau\*\*2 must lie in", None),
-        (1.7e308, prepare(2.0), 1.0, ValueError, r"^n_c \* g_tau\*\*2 must lie in", 60),
+        (_auto(1.7e308, AtomState(1.0, 0.0), 1.0), ValueError, r"^n_c \* g_tau\*\*2 must lie in",
+         None),
+        (_auto(1.7e308, prepare(2.0), 1.0), ValueError, r"^n_c \* g_tau\*\*2 must lie in", 60),
+        # a given basis skips the balance: the generator's diagonal overflowed on the way
+        # into SuperLU, which found the factor singular (50 levels) or let a residual of
+        # 1e293 through (20 levels); a dephasing of 1e308 warned its way to a residual
+        (lambda: steady_state(MasterParams(1e308, KickParams(1.0), prepare(2.0), 50)),
+         ValueError, r"^n_c must lie in \[0, 1e\+300\], got 1e\+308$", None),
+        (lambda: steady_state(MasterParams(1e308, KickParams(1.0), prepare(2.0), 20)),
+         ValueError, r"^n_c must lie in \[0, 1e\+300\]", None),
+        (lambda: steady_state(MasterParams(1.0, KickParams(1.0), prepare(2.0), 50, dephasing=1e308)),
+         ValueError, r"^dephasing must lie in \[0, 1e\+300\], got 1e\+308$", None),
+        (lambda: evolve(MasterParams(1e308, KickParams(1.0), prepare(2.0), 50), vacuum(50), 1.0),
+         ValueError, r"^n_c must lie in \[0, 1e\+300\]", None),
+        (lambda: evolve(MasterParams(1.0, KickParams(1.0), prepare(2.0), 50, dephasing=1e308),
+                        vacuum(50), 1.0),
+         ValueError, r"^dephasing must lie in \[0, 1e\+300\]", None),
+        # within the bound a ground-state beam still leaves SuperLU a zero pivot
+        (lambda: steady_state(MasterParams(1e200, KickParams(math.pi), AtomState(0.0, 0.0), 20)),
+         ConvergenceError, r"^steady-state factorization failed: Factor is exactly singular$",
+         None),
     ],
     ids=["one-float-window", "kappa-overflow", "kappa-overflow-random-phase",
          "strong-field-random-phase", "strong-field", "balance-overflow-ground",
-         "balance-overflow-inverted", "balance-overflow-singular-factor"],
+         "balance-overflow-inverted", "balance-overflow-singular-factor",
+         "given-basis-n_c-overflow", "given-basis-n_c-overflow-small", "given-basis-dephasing",
+         "evolve-n_c-overflow", "evolve-dephasing-overflow", "singular-factor"],
 )
-def test_absurd_inputs_are_refused_by_type(n_c, a, g_tau, error, match, guard, monkeypatch):
+def test_absurd_inputs_are_refused_by_type(call, error, match, guard, monkeypatch):
     # the suite turns a warning on the way into an error
     if guard is not None:
         monkeypatch.setattr(steady, "DEFAULT_MAX_DIM", guard)
     with pytest.raises(error, match=match):
-        steady_state_auto(n_c, a, KickParams(g_tau))
+        call()
+
+
+def test_evolve_holds_its_samples_folded():
+    # the 81 samples stay 81 dim(dim+1)/2 reals until read: the whole call
+    # peaks below what they alone take as dense complex matrices, 81 dim^2
+    # 16 bytes (28.2 MiB here); measured 13.5 MiB, and 38.1 MiB when evolve
+    # built every sample's FieldState
+    dim = 151
+    p = MasterParams(300.0, KickParams(0.05), HALF, dim - 1)
+    tracemalloc.start()
+    try:
+        _, states = evolve(p, vacuum(dim - 1), 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 81 * dim**2 * 16
+    # read, a sample is the FieldState of its time, one at a time
+    assert len(states) == 81 and len(states[::2]) == 41 and len(states[-3:]) == 3
+    assert np.array_equal(states[-1].q, states[80].q)
+    assert np.array_equal(states[::2][-1].q, states[80].q)
+    assert [s.dim for s in states] == [dim] * 81
+    with pytest.raises(IndexError):
+        states[81]
 
 
 def test_evolve_refuses_a_basis_that_leaks_trace():
