@@ -368,7 +368,7 @@ def steady_distribution(cfg: RunConfig) -> tuple[SweepResult, dict]:
     meta["n_max_used"] = s.n_max
     summary = {
         "mean_n": mean_photon(s),
-        "purity": float(np.trace(s.q @ s.q).real),
+        "purity": float(np.vdot(s.q, s.q).real),
         "predicted_alpha": alpha,
         "n_max_used": s.n_max,
     }
@@ -522,7 +522,7 @@ def transient_buildup(cfg: RunConfig) -> tuple[SweepResult, dict]:
             except TruncationError:
                 if n_max == s_ss.n_max:
                     raise
-        mean = np.array([mean_photon(s) for s in states])
+        mean = states.populations() @ np.arange(n_max + 1)
         baseline = np.full(mean.shape, mean_photon(s_ss))
         meta["baseline"] = "steady-state mean photon number"
         meta["n_max_used"] = n_max

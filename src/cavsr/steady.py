@@ -161,37 +161,54 @@ def build_generator(p: MasterParams) -> scipy.sparse.csc_matrix:
     return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsc()
 
 
-def _gauge_angle(a: AtomState) -> float:
-    return cmath.phase(a.rho_eg) - 0.5 * math.pi
-
-
-def _gauge(p: MasterParams) -> np.ndarray:
-    """Phases u[n, m] = exp(i beta (n - m)) that make the generator real.
+class _Fold:
+    """The folded real state the solvers hold, and the one map from it to a FieldState.
 
     A field rotation commutes with photon loss and only shifts the atom
     phase, so with beta = arg(rho_eg) - pi/2 every coherence term of the
     kick stencil turns into +-|rho_eg| and U^dagger L U is real, where U
-    multiplies vec(Q) by u. The steady state is then Q = u * R with R real
-    symmetric. Any beta works when rho_eg = 0. The phases depend on n - m
-    only, so on a window they are the full basis's restricted to it.
+    multiplies vec(Q) by the gauge u[n, m] = exp(i beta (n - m)). The
+    generator then maps real symmetric R to real symmetric R, and a state is
+    Q = u * R. Any beta works when rho_eg = 0. The phases depend on n - m
+    only, so on a window they are the full basis's restricted to it. The
+    unknowns are R[n, m], n <= m, of the window n_lo..n_max in triu order,
+    red maps each full index (n, m) of the window, row-major, to its
+    unknown, (m, n) for n > m, and diagonal holds the unknowns R[n, n].
+    _folded_generator builds a basis's fold.
     """
-    n = np.arange(p.width)
-    return np.exp(1j * _gauge_angle(p.a) * (n[:, None] - n[None, :]))
+
+    def __init__(self, p: MasterParams, beta: float, red: np.ndarray) -> None:
+        self.n_lo, self.n_max, self.width = p.n_lo, p.n_max, p.width
+        self.beta, self.red, self.diagonal = beta, red, red[:: p.width + 1]
+
+    def gauge(self) -> np.ndarray:
+        n = np.arange(self.width)
+        return np.exp(1j * self.beta * (n[:, None] - n[None, :]))
+
+    def unknowns(self, r: np.ndarray) -> np.ndarray:
+        """The entries n <= m of the window's real symmetric R: each unknown's first in red."""
+        return r.ravel()[np.unique(self.red, return_index=True)[1]]
+
+    def state(self, x: np.ndarray) -> FieldState:
+        """The unit-trace FieldState u * R / tr R of the unknowns x, zero below n_lo."""
+        r = x[self.red].reshape(self.width, self.width)
+        q = np.zeros((self.n_max + 1,) * 2, dtype=complex)
+        q[self.n_lo :, self.n_lo :] = r * self.gauge()
+        q[self.n_lo :, self.n_lo :] /= float(np.trace(r))
+        return FieldState(q)
 
 
-def _folded_generator(p: MasterParams) -> tuple[scipy.sparse.coo_matrix, np.ndarray]:
-    """Real generator on the upper triangle n <= m of R, where Q = u * R.
+def _folded_generator(p: MasterParams) -> tuple[scipy.sparse.coo_matrix, _Fold]:
+    """Real generator on the unknowns of the fold it returns with it.
 
-    Returns the matrix, acting on the dim(dim+1)/2 unknowns R[n, m] with
-    n <= m in triu order, and the map from each full index (n, m) to its
-    unknown, (m, n) for n > m. In the gauge, offset (dn, dm) of the stencil
-    only picks up the phase exp(i beta (dn - dm)). The gauged generator maps
-    real symmetric R to real symmetric R, so only the rows n <= m are built,
-    and the columns of (n, m) and (m, n) fold into one: two COO entries that
-    a conversion sums.
+    The matrix acts on the fold's dim(dim+1)/2 unknowns R[n, m], n <= m.
+    In the gauge, offset (dn, dm) of the stencil only picks up the phase
+    exp(i beta (dn - dm)). The gauged generator maps real symmetric R to
+    real symmetric R, so only the rows n <= m are built, and the columns of
+    (n, m) and (m, n) fold into one: two COO entries that a conversion sums.
     """
     _check_guard(p)
-    beta = _gauge_angle(p.a)
+    beta = cmath.phase(p.a.rho_eg) - 0.5 * math.pi
     dim = p.width
     upper_n, upper_m = np.triu_indices(dim)
     # imaginary parts are roundoff in the right gauge; steady_state's residual
@@ -205,7 +222,7 @@ def _folded_generator(p: MasterParams) -> tuple[scipy.sparse.coo_matrix, np.ndar
     red[upper_m, upper_n] = red[upper_n, upper_m]
     red = red.ravel()
     rows, cols, vals = _triplets(st, dim, upper_n, upper_m, red)
-    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(upper_n.size,) * 2), red
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), (upper_n.size,) * 2), _Fold(p, beta, red)
 
 
 def _halves(box: tuple[int, int, int, int]) -> tuple[tuple, tuple, tuple] | None:
@@ -267,7 +284,7 @@ def _dissection_rank(width: int) -> np.ndarray:
 def steady_state(p: MasterParams) -> FieldState:
     """Unique steady state of the generator on the window n_lo..n_max.
 
-    Solves L vec(Q) = 0 in the real gauge of _gauge, on the dim(dim+1)/2
+    Solves L vec(Q) = 0 in the real gauge of _Fold, on the dim(dim+1)/2
     unknowns of the symmetric R (dim the window's width), with one row
     traded for the trace constraint, via sparse LU in the nested-dissection
     order of _dissection_rank. Every check applies the ungauged complex
@@ -282,7 +299,7 @@ def steady_state(p: MasterParams) -> FieldState:
     then _check_edges' top population (by errors.check_tail), trace leak and
     lower edge (each TruncationError).
     """
-    g, red = _folded_generator(p)
+    g, fold = _folded_generator(p)
     dim = p.width
     # row (0, 0) is redundant because the generator annihilates the trace
     # (up to the edge leaks a window must keep small anyway); trade it for
@@ -294,7 +311,7 @@ def steady_state(p: MasterParams) -> FieldState:
         (
             np.concatenate((g.data[keep], np.ones(dim))),
             (rank[np.concatenate((g.row[keep], np.zeros(dim, dtype=np.int64)))],
-             rank[np.concatenate((g.col[keep], red[np.arange(dim) * (dim + 1)]))]),
+             rank[np.concatenate((g.col[keep], fold.diagonal))]),
         ),
         shape=g.shape,
     ).tocsc()
@@ -309,23 +326,20 @@ def steady_state(p: MasterParams) -> FieldState:
     except RuntimeError as exc:  # SuperLU's only report of a zero pivot
         raise ConvergenceError(f"steady-state factorization failed: {exc}") from None
 
-    r = x[rank[red]].reshape(dim, dim)
-    q = np.zeros((p.dim, p.dim), dtype=complex)
-    q[p.n_lo :, p.n_lo :] = r * _gauge(p)
+    s = fold.state(x[rank])
     lo = max(p.n_lo - 1, 0)  # the checks read the window padded one level below
     pad = p.n_lo - lo
     stencil = _generator_stencil(p, *np.ogrid[lo : p.n_max + 1, lo : p.n_max + 1])
-    f = apply_stencil(q[lo:, lo:], stencil)
+    f = apply_stencil(s.q[lo:, lo:], stencil)
     inner = np.abs(f[pad:, pad:])
     best = float(inner.max())
     # a residual off the replaced trace row is the solver's; one confined to it is the rate
     # at which probability escapes past the edges, a basis problem that _check_edges reports
     if not best <= _RESIDUAL_TOL and not float(inner.ravel()[1:].max()) <= _RESIDUAL_TOL:
         raise ConvergenceError(f"steady-state residual {best:.3e} above {_RESIDUAL_TOL:.0e}")
-    q[p.n_lo :, p.n_lo :] /= float(np.trace(r))
     edge = max(np.abs(f[:pad]).max(initial=0.0), np.abs(f[:, :pad]).max(initial=0.0))
-    _check_edges(p, "steady state keeps", float(q[p.n_max, p.n_max].real), best, edge)
-    return FieldState(q)
+    _check_edges(p, "steady state keeps", float(s.q[p.n_max, p.n_max].real), best, edge)
+    return s
 
 
 def _trace_leak(p: MasterParams, pn: np.ndarray) -> np.ndarray:
@@ -642,6 +656,7 @@ def _error_norm(e5: np.ndarray, e3: np.ndarray) -> float:
     return n5 / math.sqrt((n5 + 0.01 * n3) * e5.size)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _dop853(
     g: scipy.sparse.csr_matrix, y: np.ndarray, times: np.ndarray
 ) -> tuple[np.ndarray, dict]:
@@ -661,7 +676,8 @@ def _dop853(
     of W[2..13] and the first one a further g y: 1 + 12 per accepted step
     in all. Returns the solution and the work it took: accepted_steps,
     rejected_trials and matvecs, each counted where it happens. A step-size
-    underflow or a non-finite error norm raises ConvergenceError.
+    underflow or a non-finite error norm raises ConvergenceError, with no
+    warning first: numpy's are silenced, so an overflowing trial shows as nan.
     """
     powers = np.arange(_DOP853.shape[1])
     out = np.empty((times.size, y.size))
@@ -711,24 +727,26 @@ def _dop853(
 class FoldedStates(collections.abc.Sequence):
     """evolve's samples, held as the folded real unknowns; sample i is built when read.
 
-    Row i of y holds sample i's unknowns R[n, m], n <= m, in triu order; red
-    maps each full index (n, m) to its unknown and u is the gauge of _gauge,
-    so sample i is the FieldState Q = u * R / tr R. Indexing, negative
-    indices, slices (another FoldedStates) and iteration build one state per
-    sample read. work holds what the integration took, _dop853's counts.
+    Row i of y holds sample i's unknowns, so sample i is fold.state(y[i]).
+    Indexing, negative indices, slices (another FoldedStates) and iteration
+    build one state per sample read, populations none. work holds _dop853's counts.
     """
 
-    def __init__(self, y: np.ndarray, red: np.ndarray, u: np.ndarray, work: dict) -> None:
-        self._y, self._red, self._u, self.work = y, red, u, work
+    def __init__(self, y: np.ndarray, fold: _Fold, work: dict) -> None:
+        self._y, self._fold, self.work = y, fold, work
 
     def __len__(self) -> int:
         return len(self._y)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return FoldedStates(self._y[i], self._red, self._u, self.work)
-        r = self._y[operator.index(i)][self._red].reshape(self._u.shape)
-        return FieldState(r * self._u / float(np.trace(r)))
+            return FoldedStates(self._y[i], self._fold, self.work)
+        return self._fold.state(self._y[operator.index(i)])
+
+    def populations(self) -> np.ndarray:
+        """Each sample's p_n, one row per sample, read off its diagonal unknowns."""
+        pops = self._y[:, self._fold.diagonal]
+        return pops / pops.sum(axis=1, keepdims=True)
 
 
 def evolve(p: MasterParams, q0: FieldState, t_end: float) -> tuple[np.ndarray, FoldedStates]:
@@ -736,7 +754,7 @@ def evolve(p: MasterParams, q0: FieldState, t_end: float) -> tuple[np.ndarray, F
 
     Integrates the generator on the same real state as steady_state: the
     dim(dim+1)/2 entries R[n, m], n <= m, of the real symmetric R with
-    Q = u * R in the gauge of _gauge. The generator preserves that form, so
+    Q = u * R in the gauge of _Fold. The generator preserves that form, so
     q0 must have it too (the vacuum, any Fock mixture, a steady state of
     the same atoms); any other q0 raises ValueError. The scheme is
     _dop853: DOP853 with scipy's step control, rtol 1e-8 and atol 1e-12,
@@ -750,8 +768,8 @@ def evolve(p: MasterParams, q0: FieldState, t_end: float) -> tuple[np.ndarray, F
     entries never exist at once (14.6 MB at 106 levels, 180 MB at 373 and
     1.57 GB at the guard's 1100 levels). Its work attribute counts the
     accepted steps, rejected trials and matvecs. It raises TruncationError
-    if the largest population each level reaches over the samples, read
-    from their diagonal unknowns, fails _check_edges' top-population or
+    if the largest population each level reaches over the samples,
+    FoldedStates.populations, fails _check_edges' top-population or
     trace-leak rule, and ConvergenceError if the integration fails.
     """
     if p.n_lo != 0:
@@ -759,9 +777,8 @@ def evolve(p: MasterParams, q0: FieldState, t_end: float) -> tuple[np.ndarray, F
     if q0.dim != p.dim:
         raise ValueError(f"q0 has dim {q0.dim}, params expect {p.dim}")
     check_range("t_end", t_end, 0.0)
-    g, red = _folded_generator(p)
-    u = _gauge(p)
-    r0 = q0.q * u.conj()
+    g, fold = _folded_generator(p)
+    r0 = q0.q * fold.gauge().conj()
     off = max(float(np.abs(r0.imag).max()), float(np.abs(r0 - r0.T).max()))
     if not off <= 1e-12 * abs(np.trace(q0.q)):
         raise ValueError(
@@ -769,8 +786,8 @@ def evolve(p: MasterParams, q0: FieldState, t_end: float) -> tuple[np.ndarray, F
             f"{off:.3e}); interaction.kick_sequence takes any state"
         )
     times = np.linspace(0.0, t_end, 81 if t_end else 1)
-    y, work = _dop853(g.tocsr(), r0.real[np.triu_indices(p.dim)], times)
-    pops = y[:, red[:: p.dim + 1]]
-    top = (pops / pops.sum(axis=1, keepdims=True)).max(axis=0)
+    y, work = _dop853(g.tocsr(), fold.unknowns(r0.real), times)
+    states = FoldedStates(y, fold, work)
+    top = states.populations().max(axis=0)
     _check_edges(p, "transient reaches", float(top[-1]), float(_trace_leak(p, top)[-1]))
-    return times, FoldedStates(y, red, u, work)
+    return times, states

@@ -458,6 +458,25 @@ def test_coarse_transient_integrates_on_the_levels_its_steady_state_holds():
     assert res.mean_n == pytest.approx([mean_photon(q) for q in states], rel=1e-8)
 
 
+def test_coarse_transient_reads_its_mean_off_the_folded_samples(monkeypatch):
+    # <n>(t) comes from the samples' diagonal unknowns: unfolding any sample
+    # into its dense FieldState fails the pipeline
+    def refuse(x):
+        raise AssertionError("a sample was unfolded")
+
+    def folded_only(p, q0, t_end):
+        times, states = evolve(p, q0, t_end)
+        monkeypatch.setattr(states._fold, "state", refuse)
+        return times, states
+
+    cfg = small_cavity(n_c=50.0, theta=2.0, t_end=4.0)
+    monkeypatch.setattr(experiments, "evolve", folded_only)
+    res, _ = transient_buildup(cfg)
+    n_max = res.metadata["n_max_used"]
+    _, states = evolve(MasterParams(50.0, cfg.kick(), cfg.atom(), n_max), vacuum(n_max), 4.0)
+    assert res.mean_n == pytest.approx([mean_photon(q) for q in states], rel=1e-14, abs=0.0)
+
+
 def test_regular_transient_refuses_a_baseline_past_the_guard_before_solving(monkeypatch):
     # 30 atoms need a 32-level lossless baseline, past a guard of 20 levels
     monkeypatch.setattr(steady, "DEFAULT_MAX_DIM", 20)

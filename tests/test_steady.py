@@ -151,15 +151,15 @@ def test_folded_generator_is_the_gauged_full_one(theta, phi, coherence, n_lo, wi
     # unknown through red
     a = dephase(prepare(theta, phi), coherence)
     p = MasterParams(40.0, KickParams(0.3), a, n_lo + width, n_lo)
-    g, red = steady._folded_generator(p)
-    dim = p.width
-    u = steady._gauge(p).ravel()
+    g, fold = steady._folded_generator(p)
+    dim, red = p.width, fold.red
+    u = fold.gauge().ravel()
     gauged = u.conj()[:, None] * build_generator(p).toarray() * u[None, :]
     rows = np.flatnonzero(np.triu(np.ones((dim, dim), dtype=bool)))
     assert np.array_equal(red[rows], np.arange(rows.size))
-    fold = np.zeros((dim * dim, rows.size))
-    fold[np.arange(dim * dim), red] = 1.0
-    ref = gauged[rows].real @ fold
+    summed = np.zeros((dim * dim, rows.size))
+    summed[np.arange(dim * dim), red] = 1.0
+    ref = gauged[rows].real @ summed
     assert np.max(np.abs(g.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -585,8 +585,8 @@ def test_threshold_pivoting_keeps_the_dissection_diagonal(monkeypatch, p):
 def test_a_wrong_gauge_shows_as_a_residual(monkeypatch):
     # the fold keeps its own gauge angle, so only the unfolded state the
     # ungauged check reads is wrong, and that shows off the trace row
-    gauge = steady._gauge
-    monkeypatch.setattr(steady, "_gauge", lambda p: gauge(p).conj())
+    gauge = steady._Fold.gauge
+    monkeypatch.setattr(steady._Fold, "gauge", lambda fold: gauge(fold).conj())
     with pytest.raises(ConvergenceError, match=r"^steady-state residual 3\.647e-01 above 1e-09$"):
         steady_state(MasterParams(20.0, KickParams(0.05), prepare(math.pi / 2, 1.0), 40))
 
@@ -806,6 +806,10 @@ def _auto(n_c, a, g_tau):
     return lambda: steady_state_auto(n_c, a, KickParams(g_tau))
 
 
+# (n_c, dephasing) within MasterParams' bound whose first transient trial overflows
+_OVERFLOWING_TRIALS = [(1e150, 0.0), (1e200, 0.0), (1e300, 0.0), (1.0, 1e150), (1.0, 1e300)]
+
+
 @pytest.mark.parametrize(
     "call, error, match, guard",
     [
@@ -839,6 +843,12 @@ def _auto(n_c, a, g_tau):
         (lambda: evolve(MasterParams(1.0, KickParams(1.0), prepare(2.0), 50, dephasing=1e308),
                         vacuum(50), 1.0),
          ValueError, r"^dephasing must lie in \[0, 1e\+300\]", None),
+        # within the bound the first trial, the whole span, overflows: the error
+        # norm is nan, and no warning comes first
+        *[(lambda n_c=n_c, rate=rate: evolve(
+              MasterParams(n_c, KickParams(1.0), prepare(2.0), 50, dephasing=rate), vacuum(50), 1.0),
+           ConvergenceError, r"^transient integration failed: error norm nan at t=0\.0$", None)
+          for n_c, rate in _OVERFLOWING_TRIALS],
         # within the bound a ground-state beam still leaves SuperLU a zero pivot
         (lambda: steady_state(MasterParams(1e200, KickParams(math.pi), AtomState(0.0, 0.0), 20)),
          ConvergenceError, r"^steady-state factorization failed: Factor is exactly singular$",
@@ -848,7 +858,9 @@ def _auto(n_c, a, g_tau):
          "strong-field-random-phase", "strong-field", "balance-overflow-ground",
          "balance-overflow-inverted", "balance-overflow-singular-factor",
          "given-basis-n_c-overflow", "given-basis-n_c-overflow-small", "given-basis-dephasing",
-         "evolve-n_c-overflow", "evolve-dephasing-overflow", "singular-factor"],
+         "evolve-n_c-overflow", "evolve-dephasing-overflow",
+         *[f"evolve-overflowing-trial-{n_c:g}-{rate:g}" for n_c, rate in _OVERFLOWING_TRIALS],
+         "singular-factor"],
 )
 def test_absurd_inputs_are_refused_by_type(call, error, match, guard, monkeypatch):
     # the suite turns a warning on the way into an error
@@ -879,6 +891,17 @@ def test_evolve_holds_its_samples_folded():
     assert [s.dim for s in states] == [dim] * 81
     with pytest.raises(IndexError):
         states[81]
+
+
+def test_populations_are_each_samples_photon_distribution():
+    # read off the diagonal unknowns, without unfolding a sample
+    p = MasterParams(30.0, KickParams(0.1), dephase(prepare(1.1, 0.7), 0.8), 40, dephasing=0.5)
+    _, states = evolve(p, vacuum(40), 2.0)
+    pops = states.populations()
+    assert pops.shape == (81, 41)
+    want = np.array([photon_distribution(s) for s in states])
+    assert np.max(np.abs(pops - want)) <= 1e-15
+    assert np.array_equal(states[10:20].populations(), pops[10:20])
 
 
 def test_evolve_refuses_a_basis_that_leaks_trace():
