@@ -161,6 +161,12 @@ def test_folded_generator_is_the_gauged_full_one(theta, phi, coherence, n_lo, wi
     summed[np.arange(dim * dim), red] = 1.0
     ref = gauged[rows].real @ summed
     assert np.max(np.abs(g.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # folding a real symmetric R takes its entries n <= m; unfolding pads u * R / tr R
+    r = np.add.outer(np.arange(dim), np.arange(dim)) + 1.0
+    assert np.array_equal(fold.unknowns(r), r.ravel()[rows])
+    q = fold.state(fold.unknowns(r)).q
+    assert q.shape == (p.dim, p.dim) and not q[:n_lo].any() and not q[:, :n_lo].any()
+    assert np.array_equal(q[n_lo:, n_lo:], r * fold.gauge() / np.trace(r))
 
 
 def test_generator_size_guard(monkeypatch):
