@@ -472,12 +472,12 @@ def transient_buildup(cfg: RunConfig) -> tuple[SweepResult, dict]:
     A Poisson beam integrates the master equation, against the steady <n>,
     on the fewest levels that hold that steady state by steady_state's
     upper-edge rules (steady._held_cutoff), not on the steady search's
-    cutoff: the explicit integrator's step is bound by the stiffest modes,
-    which live on the top levels. The field rises from the vacuum towards
-    that state, so those levels hold the buildup too; where evolve's tail
-    check says otherwise, the integration runs once more on the steady
-    cutoff. The sidecar records the cutoff used as n_max_used, and as
-    evolve_work that run's accepted steps, rejected trials and matvecs.
+    cutoff: the Krylov basis a sample interval needs grows with the
+    generator's spectral radius, which the top levels set. The field rises
+    from the vacuum towards that state, so those levels hold the buildup
+    too; where evolve's tail check says otherwise, the integration runs
+    once more on the steady cutoff. The sidecar records the cutoff used as n_max_used, and as
+    evolve_work that run's Krylov runs and matvecs.
 
     A regular beam sends atoms 1/n_c apart through the exact map, one point
     per atom, against the lossless stepwise emission after the same number

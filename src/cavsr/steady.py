@@ -171,23 +171,29 @@ class _Fold:
     generator then maps real symmetric R to real symmetric R, and a state is
     Q = u * R. Any beta works when rho_eg = 0. The phases depend on n - m
     only, so on a window they are the full basis's restricted to it. The
-    unknowns are R[n, m], n <= m, of the window n_lo..n_max in triu order,
-    red maps each full index (n, m) of the window, row-major, to its
-    unknown, (m, n) for n > m, and diagonal holds the unknowns R[n, n].
-    _folded_generator builds a basis's fold.
+    unknowns are R[n, m], n <= m, of the window n_lo..n_max in the order
+    order(width) gives, red maps each full index (n, m) of the window,
+    row-major, to its unknown, (m, n) for n > m, and diagonal holds the
+    unknowns R[n, n]. _folded_generator builds a basis's fold.
     """
 
     def __init__(self, p: MasterParams, beta: float, red: np.ndarray) -> None:
         self.n_lo, self.n_max, self.width = p.n_lo, p.n_max, p.width
         self.beta, self.red, self.diagonal = beta, red, red[:: p.width + 1]
 
+    @staticmethod
+    def order(width: int) -> tuple[np.ndarray, np.ndarray]:
+        """The window levels (n, m), n <= m, of each unknown in unknown order: triu order."""
+        return np.triu_indices(width)
+
     def gauge(self) -> np.ndarray:
-        n = np.arange(self.width)
-        return np.exp(1j * self.beta * (n[:, None] - n[None, :]))
+        """u[n, m] = exp(i beta (n - m)) on the window, the outer product of v = exp(i beta n) and v*."""
+        v = np.exp(1j * self.beta * np.arange(self.width))
+        return np.outer(v, v.conj())
 
     def unknowns(self, r: np.ndarray) -> np.ndarray:
-        """The entries n <= m of the window's real symmetric R: each unknown's first in red."""
-        return r.ravel()[np.unique(self.red, return_index=True)[1]]
+        """The entries n <= m of the window's real symmetric R, in unknown order."""
+        return r[self.order(self.width)]
 
     def state(self, x: np.ndarray) -> FieldState:
         """The unit-trace FieldState u * R / tr R of the unknowns x, zero below n_lo."""
@@ -210,13 +216,16 @@ def _folded_generator(p: MasterParams) -> tuple[scipy.sparse.coo_matrix, _Fold]:
     _check_guard(p)
     beta = cmath.phase(p.a.rho_eg) - 0.5 * math.pi
     dim = p.width
-    upper_n, upper_m = np.triu_indices(dim)
+    upper_n, upper_m = _Fold.order(dim)
     # imaginary parts are roundoff in the right gauge; steady_state's residual
     # on the ungauged stencil would show a wrong one
     st = {
         (dn, dm): (coef * np.exp(1j * beta * (dn - dm))).real
         for (dn, dm), coef in _generator_stencil(p, upper_n + p.n_lo, upper_m + p.n_lo).items()
     }
+    # red comes after the stencil and from the same order: built before it,
+    # or from a second call of order, it raised the peak RSS of a 372-level
+    # steady_state by about 1 MB
     red = np.empty((dim, dim), dtype=np.int64)
     red[upper_n, upper_m] = np.arange(upper_n.size)
     red[upper_m, upper_n] = red[upper_n, upper_m]
@@ -248,16 +257,16 @@ def _halves(box: tuple[int, int, int, int]) -> tuple[tuple, tuple, tuple] | None
 
 
 def _dissection_rank(width: int) -> np.ndarray:
-    """Elimination rank of each folded unknown, in triu order, by nested dissection.
+    """Elimination rank of each folded unknown, in the fold's order, by nested dissection.
 
     The triangle n <= m of a window width levels wide is bisected
     recursively by _halves; each box ranks its two halves first and its
     separator after them (A. George, SIAM J. Numer. Anal. 10, 345 (1973)).
     Each leaf and separator paints its rectangle of a width x width key
     with its visit number; the rectangles do not overlap, so a stable sort
-    of the triangle's keys ranks the unknowns box by box, each box's in
-    triu order. Unknown 0, R[n_lo, n_lo], whose row steady_state trades for
-    the dense trace row, ranks last.
+    of the keys read at _Fold.order(width) ranks the unknowns box by box,
+    each box's in the fold's order. Unknown 0, R[n_lo, n_lo], whose row
+    steady_state trades for the dense trace row, ranks last.
     """
     boxes = []
 
@@ -275,7 +284,7 @@ def _dissection_rank(width: int) -> np.ndarray:
     for i, (n0, n1, m0, m1) in enumerate(boxes):
         key[n0 : n1 + 1, m0 : m1 + 1] = i
     key[0, 0] = len(boxes)
-    order = np.argsort(key[np.triu_indices(width)], kind="stable")
+    order = np.argsort(key[_Fold.order(width)], kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return rank
@@ -604,123 +613,143 @@ def _held_cutoff(p: MasterParams, s: FieldState) -> int:
     return min(int(refused[-1]) + 1, s.n_max)
 
 
-# DOP853's step and its two error terms as polynomials in z = h G, for
-# y' = G y (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10). On a
-# linear autonomous system each stage h k_i of the tableau is P_i(z) y, with
-# P_i = z (1 + sum_j A[i, j] P_j), so P_i has degree i + 1. Row 0 is the step
-# y_new = R(z) y, R = 1 + sum_i B[i] P_i, of degree 12 and equal to exp(z)
-# through z^8; rows 1 and 2 are the embedded error terms h err5 and h err3,
-# sums over the stages and the first-same-as-last stage z R(z), which the
-# tableau weights 0, so they have degree 12 too. Column j holds the
-# coefficient of z^j, j = 0..13: the next step's derivative z R(z) y reads
-# the basis up to z^13. The literals are the shortest reprs of the doubles
-# this recursion gives on the tableau of scipy's DOP853 class;
-# tests/test_steady.py derives them again from that tableau and compares
-# them exactly.
-_DOP853 = np.array([
-    [1.0, 1.0000000000000004, 0.49999999999999956, 0.16666666666666724,
-     0.04166666666666692, 0.008333333333333576, 0.0013888888888889156,
-     0.00019841269841269895, 2.480158730158748e-05, 2.6916922001691e-06,
-     2.3413451082097818e-07, 1.4947364854591543e-08, 3.613324578128244e-10, 0.0],
-    [0.0, -1.1796119636642288e-16, 5.898059818321144e-17, -7.294512216482474e-16,
-     1.1615057873837209e-15, 3.5453411040275995e-17, -1.3495284686596729e-05,
-     1.9334654633240663e-08, 2.425572283573909e-07, -3.986199671840648e-08,
-     -2.4840232758051564e-08, -5.179991027569355e-09, -1.806662289064122e-10, 0.0],
-    [0.0, 2.7755575615628914e-16, 3.0531133177191805e-16, 4.2327252813834093e-16,
-     0.004202279202280007, 0.0019128497333627474, 0.0004618663214840214,
-     9.203663915338108e-05, 1.4960035021054483e-05, 1.9783991013752843e-06,
-     1.6968469610869003e-07, 8.82069232633511e-09, 1.8306229103919414e-10, 0.0],
-])
-
-# the tolerances and step-size controller of scipy's DOP853 class
-_RTOL, _ATOL = 1e-8, 1e-12
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1.0 / 8.0
+# the Krylov propagator's basis cap, the number of earlier basis vectors
+# each new one is orthogonalized against, and the error it allows relative
+# to the norm of the state a run starts from
+_KRYLOV_BASIS = 40
+_KRYLOV_DEPTH = 3
+_KRYLOV_TOL = 3e-13
 
 
-def _power_basis(g: scipy.sparse.csr_matrix, y: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
-    """Rows W[j] = (h g)^j y, j = 0..13, for y with g y = f: one matvec per power past the first."""
-    w = np.empty((_DOP853.shape[1], y.size))
-    w[0], w[1] = y, h * f
-    for j in range(2, w.shape[0]):
-        w[j] = g @ w[j - 1]
-        w[j] *= h
-    return w
+# Pade (13, 13) coefficients and the 1-norm up to which that approximant
+# of exp is accurate to double precision (N. J. Higham, SIAM J. Matrix Anal.
+# Appl. 26, 1179 (2005))
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_PADE13_THETA = 5.371920351148152
 
 
-def _error_norm(e5: np.ndarray, e3: np.ndarray) -> float:
-    """DOP853's error norm of a step from its error terms h err5, h err3 over the tolerance scale."""
-    n5, n3 = float(e5 @ e5), float(e3 @ e3)
-    if n5 == 0.0 and n3 == 0.0:
-        return 0.0
-    return n5 / math.sqrt((n5 + 0.01 * n3) * e5.size)
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a small dense matrix by Pade (13, 13) with scaling and squaring.
+
+    Higham's algorithm at its highest degree, in numpy's matmul and solve:
+    scipy.linalg.expm on the 40 x 40 Krylov matrices woke OpenBLAS's
+    threads through its LAPACK solve, and their spinning doubled the CPU
+    time of the whole transient.
+    """
+    norm = float(np.abs(a).sum(axis=0).max())
+    if not norm <= _PADE13_THETA * 2.0**52:
+        # s squarings multiply the rounding of the Pade step by 2^s: past 2^52
+        # not one digit is left, and a non-finite norm has none to begin with
+        return np.full(a.shape, math.nan)
+    s = math.ceil(math.log2(norm / _PADE13_THETA)) if norm > _PADE13_THETA else 0
+    a = a * 0.5**s
+    b = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    ident = np.eye(a.shape[0])
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
+             + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    x = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        x = x @ x
+    return x
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _dop853(
+def _krylov_step(hm: np.ndarray, last: float, tau: float) -> tuple[np.ndarray, float]:
+    """exp(tau H_m) e_1 of a Krylov run, and the run's error estimate relative to beta.
+
+    The error of beta V_m exp(tau H_m) e_1 is driven by the residual
+    beta last v_m e_m^T exp(s H_m) e_1 over 0 <= s <= tau, last = h[m, m-1].
+    The estimate is the larger of the residual at tau times tau and its
+    integral, tau e_m^T phi_1(tau H_m) e_1 with phi_1(z) = (e^z - 1) / z
+    (Y. Saad, SIAM J. Numer. Anal. 29, 209 (1992)). The first alone reads 0
+    where exp(tau H_m) underflows, which passes a one-vector run that zeroes
+    the state. Both come from one _expm of [[tau H_m, e_1], [0, 0]].
+    """
+    m = hm.shape[0]
+    aug = np.zeros((m + 1, m + 1))
+    aug[:m, :m] = tau * hm
+    aug[0, m] = 1.0
+    x = _expm(aug)
+    return x[:m, 0], last * tau * max(abs(x[m - 1, 0]), abs(x[m - 1, m]))
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _krylov(
     g: scipy.sparse.csr_matrix, y: np.ndarray, times: np.ndarray
 ) -> tuple[np.ndarray, dict]:
-    """Solution of y' = g y at the increasing times from times[0] = 0, one row per time.
+    """Solution exp(t g) y at the increasing times from times[0] = 0, one row per time.
 
-    DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10) under
-    the controller of scipy's DOP853 class: its tolerances, error norm and
-    step factors. On the constant g a step of size h is the polynomial
-    _DOP853[0] in z = h g, whose literal coefficients a test derives again
-    from scipy's tableau, so each step builds the basis W[j] = z^j y once
-    and takes every trial as a small weighted sum of its rows. A rejected
-    trial at h' = rho h only weights W[j] by rho^j, at no matvec, so the
-    first trial is the whole span and no initial-step estimate is needed;
-    each time sampled inside an accepted step is the same step polynomial
-    at the partial step, again at no matvec; and the next step's g y_new is
-    sum_j R_j rho^j W[j + 1] / h, so an accepted step costs the 12 matvecs
-    of W[2..13] and the first one a further g y: 1 + 12 per accepted step
-    in all. Returns the solution and the work it took: accepted_steps,
-    rejected_trials and matvecs, each counted where it happens. A step-size
-    underflow or a non-finite error norm raises ConvergenceError, with no
-    warning first: numpy's are silenced, so an overflowing trial shows as nan.
+    A Krylov subspace exponential (M. Hochbruck & C. Lubich, SIAM J. Numer.
+    Anal. 34, 1911 (1997)) takes each sample interval in one run or more.
+    A run's Arnoldi process starts from the current y with beta = |y| and
+    builds the basis V_m and the Hessenberg H_m with
+    g V_m = V_m H_m + h[m, m-1] v_m e_m^T; the step over tau is
+    beta V_m exp(tau H_m) e_1. Each new vector is orthogonalized against
+    the last _KRYLOV_DEPTH only, as in KIOPS (S. Gaudreault, G. Rainwater &
+    M. Tokman, J. Comput. Phys. 372, 236 (2018)), so it costs one matvec
+    and O(len(y)) more work. From one vector short of the last run's
+    dimension on, each new vector checks _krylov_step's estimate against
+    _KRYLOV_TOL. A run that fills _KRYLOV_BASIS vectors (or len(y)) halves
+    tau on the same basis until the estimate passes, and the next run
+    continues the interval from there. A breakdown, h[m, m-1] at roundoff
+    of the run's largest entry, leaves an invariant space and an exact
+    step. Returns the solution and the work it took: krylov_runs and
+    matvecs. A non-finite estimate, or a tau below ten spacings of the float
+    at t, raises ConvergenceError with no warning first: numpy's are
+    silenced, so an overflow shows as nan. Every product of two long
+    vectors is an einsum: on 20301 unknowns a w @ w woke OpenBLAS's threads
+    and took 360 us a call inside this loop, einsum 15 us.
     """
-    powers = np.arange(_DOP853.shape[1])
     out = np.empty((times.size, y.size))
     out[0] = y
-    t, t_end, i = 0.0, float(times[-1]), 1
-    f = g @ y
-    work = {"accepted_steps": 0, "rejected_trials": 0, "matvecs": 1}
-    h = t_end
-    while t < t_end:
-        min_step = 10.0 * (np.nextafter(t, math.inf) - t)
-        h = max(h, min_step)
-        t_new = min(t + h, t_end)
-        h = built = t_new - t
-        w = _power_basis(g, y, f, h)
-        work["matvecs"] += w.shape[0] - 2  # W[0] is y and W[1] is h f
-        rejected = False
-        while True:
-            c = _DOP853 * (h / built) ** powers
-            y_new, e5, e3 = c @ w
-            scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RTOL
-            err = _error_norm(e5 / scale, e3 / scale)
-            if not math.isfinite(err):
-                raise ConvergenceError(f"transient integration failed: error norm {err} at t={t}")
-            if err < 1.0:
-                break
-            h *= max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
-            rejected = True
-            work["rejected_trials"] += 1
-            if not h >= min_step:
-                raise ConvergenceError(
-                    f"transient integration failed: step {h:.3e} below {min_step:.3e} at t={t}"
-                )
-            t_new = t + h
-            h = t_new - t
-        work["accepted_steps"] += 1
-        end = int(np.searchsorted(times, t_new, side="right"))
-        rho = (times[i:end] - t) / built
-        out[i:end] = (_DOP853[0] * rho[:, None] ** powers) @ w
-        i = end
-        f = c[0, :-1] @ w[1:] / built
-        factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
-        h *= min(1.0, factor) if rejected else factor
-        t, y = t_new, y_new
+    cap = min(_KRYLOV_BASIS, y.size)
+    basis = np.empty((cap + 1, y.size))
+    h = np.zeros((cap + 1, cap))  # a run writes only the band its vectors use
+    work = {"krylov_runs": 0, "matvecs": 0}
+    t, start = 0.0, 1
+    for i in range(1, times.size):
+        while t < times[i]:
+            tau = times[i] - t
+            beta = math.sqrt(np.einsum("i,i", y, y))
+            np.divide(y, beta, out=basis[0])
+            largest = 0.0
+            for m in range(1, cap + 1):
+                w = g @ basis[m - 1]
+                j = max(0, m - _KRYLOV_DEPTH)
+                c = h[j:m, m - 1] = np.einsum("ij,j->i", basis[j:m], w)
+                w -= np.einsum("i,ij->j", c, basis[j:m])
+                last = h[m, m - 1] = math.sqrt(np.einsum("i,i", w, w))
+                np.divide(w, last, out=basis[m])
+                largest = max(largest, last, *np.abs(c).tolist())
+                exact = last <= 1e-14 * largest < math.inf
+                if m < start and not exact:
+                    continue
+                e, err = _krylov_step(h[:m, :m], 0.0 if exact else last, tau)
+                if not _KRYLOV_TOL < err < math.inf:
+                    break
+            work["krylov_runs"] += 1
+            work["matvecs"] += m
+            while not err <= _KRYLOV_TOL:
+                if not math.isfinite(err):
+                    raise ConvergenceError(
+                        f"transient integration failed: error estimate {err} at t={t}"
+                    )
+                tau *= 0.5
+                floor = 10.0 * (np.nextafter(t, math.inf) - t)
+                if not tau >= floor:
+                    raise ConvergenceError(
+                        f"transient integration failed: substep {tau:.3e} below {floor:.3e} at t={t}"
+                    )
+                e, err = _krylov_step(h[:m, :m], last, tau)
+            start = m - 1
+            y = beta * np.einsum("i,ij->j", e, basis[:m])
+            t = times[i] if tau == times[i] - t else t + tau
+        out[i] = y
     return out, work
 
 
@@ -729,7 +758,7 @@ class FoldedStates(collections.abc.Sequence):
 
     Row i of y holds sample i's unknowns, so sample i is fold.state(y[i]).
     Indexing, negative indices, slices (another FoldedStates) and iteration
-    build one state per sample read, populations none. work holds _dop853's counts.
+    build one state per sample read, populations none. work holds _krylov's counts.
     """
 
     def __init__(self, y: np.ndarray, fold: _Fold, work: dict) -> None:
@@ -757,18 +786,17 @@ def evolve(p: MasterParams, q0: FieldState, t_end: float) -> tuple[np.ndarray, F
     Q = u * R in the gauge of _Fold. The generator preserves that form, so
     q0 must have it too (the vacuum, any Fock mixture, a steady state of
     the same atoms); any other q0 raises ValueError. The scheme is
-    _dop853: DOP853 with scipy's step control, rtol 1e-8 and atol 1e-12,
-    taken as its step polynomial on powers of the constant generator. An
-    accepted step costs 12 sparse matvecs (the first 13), a rejected trial
-    and a sample none, and each sample is a full-order step to its time,
-    not an interpolant. Returns 81 evenly spaced times (the one time 0 when
+    _krylov, a Krylov subspace exponential of the constant generator, one
+    run per sample interval or more: each sample is the exponential taken
+    to its time within _KRYLOV_TOL of the state's norm per run, not an
+    interpolant. Returns 81 evenly spaced times (the one time 0 when
     t_end is 0) and the state at each, renormalized to unit trace, as a
     FoldedStates: the samples stay folded, 81 dim(dim+1)/2 reals, and each
     FieldState is built when it is read, so the dense 81 dim^2 complex
     entries never exist at once (14.6 MB at 106 levels, 180 MB at 373 and
     1.57 GB at the guard's 1100 levels). Its work attribute counts the
-    accepted steps, rejected trials and matvecs. It raises TruncationError
-    if the largest population each level reaches over the samples,
+    Krylov runs and matvecs. It raises TruncationError if the largest
+    population each level reaches over the samples,
     FoldedStates.populations, fails _check_edges' top-population or
     trace-leak rule, and ConvergenceError if the integration fails.
     """
@@ -786,7 +814,7 @@ def evolve(p: MasterParams, q0: FieldState, t_end: float) -> tuple[np.ndarray, F
             f"{off:.3e}); interaction.kick_sequence takes any state"
         )
     times = np.linspace(0.0, t_end, 81 if t_end else 1)
-    y, work = _dop853(g.tocsr(), fold.unknowns(r0.real), times)
+    y, work = _krylov(g.tocsr(), fold.unknowns(r0.real), times)
     states = FoldedStates(y, fold, work)
     top = states.populations().max(axis=0)
     _check_edges(p, "transient reaches", float(top[-1]), float(_trace_leak(p, top)[-1]))

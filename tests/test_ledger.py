@@ -46,6 +46,10 @@ CONFIGS = {
     # the transient benchmark's point: 106 held levels
     "buildup": {"g": 0.05 / 1e-6, "gamma_c": 1.0, "tau": 1e-6, "theta": 0.5 * math.pi,
                 "n_c": 300.0},
+    # a transient whose spectrum the pump's phase diffusion sets: Gamma_phi (n - m)^2 / 2
+    # reaches about 1500 on levels 0..22, against about 150 from n_c and the loss
+    "dephased": {"g": 0.05 / 1e-6, "gamma_c": 1.0, "tau": 1e-6, "theta": 0.5 * math.pi,
+                 "n_c": 100.0, "linewidth": 1.0},
 }
 
 # entry name -> argv, where "@name" is the path of CONFIGS[name]
@@ -68,6 +72,7 @@ ENTRIES = {
     "transient small": ["transient", "-c", "@small", "--t-end", "6.0"],
     "transient noisy": ["transient", "-c", "@noisy", "--t-end", "2.0"],
     "transient buildup": ["transient", "-c", "@buildup"],
+    "transient dephased": ["transient", "-c", "@dephased"],
     "transient regular": ["transient", "-c", "@regular", "--t-end", "2.0"],
     "trajectory small": ["trajectory", "-c", "@small", "--t-end", "4.0",
                          "--trajectories", "10", "--seed", "2"],

@@ -79,7 +79,7 @@ def no_solver(monkeypatch):
         raise AssertionError("a non-finite input reached the solver")
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", reached)
-    monkeypatch.setattr(steady, "_dop853", reached)
+    monkeypatch.setattr(steady, "_krylov", reached)
     monkeypatch.setattr(steady, "_balance_angle", reached)
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.integrate
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
@@ -812,7 +812,7 @@ def _auto(n_c, a, g_tau):
     return lambda: steady_state_auto(n_c, a, KickParams(g_tau))
 
 
-# (n_c, dephasing) within MasterParams' bound whose first transient trial overflows
+# (n_c, dephasing) within MasterParams' bound whose first transient run overflows
 _OVERFLOWING_TRIALS = [(1e150, 0.0), (1e200, 0.0), (1e300, 0.0), (1.0, 1e150), (1.0, 1e300)]
 
 
@@ -849,11 +849,11 @@ _OVERFLOWING_TRIALS = [(1e150, 0.0), (1e200, 0.0), (1e300, 0.0), (1.0, 1e150), (
         (lambda: evolve(MasterParams(1.0, KickParams(1.0), prepare(2.0), 50, dephasing=1e308),
                         vacuum(50), 1.0),
          ValueError, r"^dephasing must lie in \[0, 1e\+300\]", None),
-        # within the bound the first trial, the whole span, overflows: the error
-        # norm is nan, and no warning comes first
+        # within the bound the first Krylov run overflows: its error estimate is
+        # nan, and no warning comes first
         *[(lambda n_c=n_c, rate=rate: evolve(
               MasterParams(n_c, KickParams(1.0), prepare(2.0), 50, dephasing=rate), vacuum(50), 1.0),
-           ConvergenceError, r"^transient integration failed: error norm nan at t=0\.0$", None)
+           ConvergenceError, r"^transient integration failed: error estimate nan at t=0\.0$", None)
           for n_c, rate in _OVERFLOWING_TRIALS],
         # within the bound a ground-state beam still leaves SuperLU a zero pivot
         (lambda: steady_state(MasterParams(1e200, KickParams(math.pi), AtomState(0.0, 0.0), 20)),
@@ -946,7 +946,7 @@ def test_evolve_matches_matrix_exponential(atom):
 )
 def test_evolve_mean_matches_matrix_exponential(n_c, g_tau, atom, n_max, t_end):
     # <n>(t) at every sample, against the exponential of the complex generator;
-    # measured 4e-13 and 4e-11
+    # measured 2.8e-12 and 3.9e-12
     p = MasterParams(n_c, KickParams(g_tau), atom, n_max)
     _, states = evolve(p, vacuum(n_max), t_end)
     ref = scipy.sparse.linalg.expm_multiply(
@@ -958,94 +958,45 @@ def test_evolve_mean_matches_matrix_exponential(n_c, g_tau, atom, n_max, t_end):
     assert np.max(np.abs(got[1:] / want[1:] - 1.0)) <= 1e-9
 
 
-def _stable_system(n=12, seed=3):
-    """A small random linear system whose eigenvalues have negative real parts."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n)) / math.sqrt(n) - 2.0 * np.eye(n)
-    assert np.linalg.eigvals(a).real.max() < 0.0
-    return scipy.sparse.csr_matrix(a), rng.standard_normal(n)
+def _folded(p: MasterParams):
+    """The folded generator of p as CSR, and its vacuum's unknowns."""
+    g, fold = steady._folded_generator(p)
+    return g.tocsr(), fold.unknowns(vacuum(p.n_max).q.real)
 
 
-def test_step_polynomials_are_derived_from_scipys_tableau():
-    # on y' = G y each stage h k_i is P_i(z) y, P_i = z (1 + sum_j A[i, j] P_j);
-    # the step is 1 + sum_i B[i] P_i, the error terms weight the stages and
-    # the first-same-as-last stage z R(z) by E5 and E3
-    tableau = scipy.integrate.DOP853
-    stages = tableau.n_stages
-    p = np.zeros((stages + 1, stages + 2))
-    for i in range(stages):
-        inner = tableau.A[i, :i] @ p[:i]
-        inner[0] += 1.0
-        p[i, 1:] = inner[:-1]
-    step = tableau.B @ p[:stages]
-    step[0] += 1.0
-    p[stages, 1:] = step[:-1]
-    assert np.array_equal(steady._DOP853, np.array([step, tableau.E5 @ p, tableau.E3 @ p]))
+def test_krylov_matches_the_exponential_below_the_basis_cap():
+    # 21 unknowns, fewer than the basis holds: the folded generator of the
+    # ledger's small transient against scipy's exponential of the same matrix;
+    # measured 2.9e-13 and 3.7e-13 of the largest unknown
+    times = np.linspace(0.0, 6.0, 81)
+    for dephasing in (0.0, 10.0):
+        g, y = _folded(MasterParams(3.0, KickParams(0.1), HALF, 5, dephasing=dephasing))
+        assert y.size == 21 < steady._KRYLOV_BASIS
+        got, work = steady._krylov(g, y, times)
+        want = scipy.sparse.linalg.expm_multiply(
+            g.tocsc(), y, start=0.0, stop=6.0, num=81, endpoint=True
+        )
+        assert np.array_equal(got[0], y)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+        assert work["krylov_runs"] >= 80
 
 
-def test_dop853_step_polynomial_is_the_exponential_to_eighth_order():
-    step = steady._DOP853[0]
-    inv_factorials = [1.0 / math.factorial(j) for j in range(9)]
-    assert step[:9] == pytest.approx(inv_factorials, rel=1e-13, abs=0.0)
-    assert step[9] != pytest.approx(1.0 / math.factorial(9), rel=1e-3)
-    # degree 12: twelve stages, one power of z each
-    assert step[12] != 0.0
-    assert np.all(steady._DOP853[:, 13] == 0.0)
-
-
-def test_power_form_step_is_scipy_dop853_step():
-    g, y = _stable_system()
-    h = 0.05
-    solver = scipy.integrate.DOP853(
-        lambda _t, x: g @ x, 0.0, y, 10.0, first_step=h, rtol=1e-8, atol=1e-12
+def test_dephased_mean_matches_matrix_exponential():
+    # phase diffusion sets the spectrum here; <n>(t) at every nonzero sample
+    # against the exponential of the complex generator, each sample taken to
+    # unit trace as evolve's are; measured 2.6e-13
+    p = MasterParams(60.0, KickParams(0.05), HALF, 24, dephasing=math.pi)
+    _, states = evolve(p, vacuum(24), 4.0)
+    ref = scipy.sparse.linalg.expm_multiply(
+        build_generator(p), vacuum(24).q.ravel(), start=0.0, stop=4.0, num=81, endpoint=True
     )
-    solver.step()
-    assert solver.t == h  # accepted at the first trial, so solver.K holds its stages
-    y_new, e5, e3 = steady._DOP853 @ steady._power_basis(g, y, g @ y, h)
-    # the error terms are differences of O(|y|) stage sums, so roundoff is relative to |y|
-    for got, want in ((y_new, solver.y),
-                      (e5, h * solver.K.T @ solver.E5),
-                      (e3, h * solver.K.T @ solver.E3)):
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(y))
+    pops = np.einsum("kii->ki", ref.reshape(81, 25, 25)).real
+    want = pops / pops.sum(axis=1, keepdims=True) @ np.arange(25)
+    got = states.populations() @ np.arange(25)
+    assert np.max(np.abs(got[1:] / want[1:] - 1.0)) <= 1e-12
 
 
-def test_rescaled_power_basis_is_the_basis_at_the_smaller_step():
-    # a rejected trial weights W[j] by rho^j instead of rebuilding W at rho h
-    g, y = _stable_system()
-    f, h, rho = g @ y, 0.5, 0.37
-    rescaled = steady._power_basis(g, y, f, h) * rho ** np.arange(14)[:, None]
-    rebuilt = steady._power_basis(g, y, f, rho * h)
-    for got, want in zip(rescaled, rebuilt):
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_dop853_fails_typed_on_a_non_finite_error_or_a_step_underflow(monkeypatch):
-    times = np.linspace(0.0, 100.0, 3)
-    nan = scipy.sparse.csr_matrix(np.full((3, 3), math.nan))
-    with pytest.raises(ConvergenceError, match="error norm nan"):
-        steady._dop853(nan, np.ones(3), times)
-    # a step floor of 10 (ten spacings of 1) leaves only trials far past stability
-    monkeypatch.setattr(np, "nextafter", lambda t, _to: t + 1.0)
-    with pytest.raises(ConvergenceError, match="below 1.000e[+]01"):
-        steady._dop853(scipy.sparse.csr_matrix(-5.0 * np.eye(3)), np.ones(3), times)
-
-
-def _record_bases(monkeypatch) -> list:
-    """The step sizes of the bases _dop853 builds, one per accepted step."""
-    built = []
-    power_basis = steady._power_basis
-
-    def recording_basis(g, y, f, h):
-        built.append(h)
-        return power_basis(g, y, f, h)
-
-    monkeypatch.setattr(steady, "_power_basis", recording_basis)
-    return built
-
-
-def test_dop853_costs_g_y_and_twelve_matvecs_per_accepted_step(monkeypatch):
-    # the first basis spans the whole interval and the trials rejected on it
-    # cost nothing, so only the first g y comes on top of each step's W[2..13]
+def test_krylov_counts_every_matvec_and_run():
     class Counted:
         def __init__(self, g):
             self.g, self.calls = g, 0
@@ -1054,28 +1005,58 @@ def test_dop853_costs_g_y_and_twelve_matvecs_per_accepted_step(monkeypatch):
             self.calls += 1
             return self.g @ x
 
-    built = _record_bases(monkeypatch)
-    g, y = _stable_system()
+    g, y = _folded(MasterParams(60.0, KickParams(0.05), HALF, 30))
     counted = Counted(g)
-    steady._dop853(counted, y, np.linspace(0.0, 3.0, 7))
-    assert built[0] == 3.0 and len(built) > 1
-    assert counted.calls == 1 + 12 * len(built)
+    _, work = steady._krylov(counted, y, np.linspace(0.0, 8.0, 81))
+    assert sorted(work) == ["krylov_runs", "matvecs"]
+    assert counted.calls == work["matvecs"] > work["krylov_runs"] >= 80
 
 
-@pytest.mark.parametrize("n_c, n_max, t_end, steps", [(60.0, 30, 8.0, 98), (100.0, 40, 4.0, 73)])
-def test_no_step_growth_right_after_a_rejection(monkeypatch, n_c, n_max, t_end, steps):
-    # scipy's controller keeps h after a rejected trial instead of growing
-    # it; growing it at once costs 101 and 75 accepted steps here. A band,
-    # not an equality: any reordering of the floating-point work can move a
-    # step boundary
-    built = _record_bases(monkeypatch)
-    evolve(MasterParams(n_c, KickParams(0.05), HALF, n_max), vacuum(n_max), t_end)
-    assert abs(len(built) - steps) <= 1
+def test_a_stiff_spectrum_halves_the_substep():
+    # a spectrum 1e4 wide over an interval of 50: 40 vectors are far from
+    # enough, so each interval takes several runs on halved substeps. The
+    # first vector's exp(tau H_1) = exp(-2.5e5) underflows to 0, and the
+    # estimate's integral term keeps that run from passing with a zero state;
+    # measured 2.2e-11, what 14 squarings of a Pade step leave of its rounding
+    g = scipy.sparse.csr_matrix(scipy.sparse.diags(-np.linspace(0.0, 1e4, 100)))
+    times = np.linspace(0.0, 100.0, 3)
+    got, work = steady._krylov(g, np.ones(100), times)
+    want = np.exp(np.outer(times, g.diagonal()))
+    assert np.max(np.abs(got - want)) <= 1e-10
+    assert work["krylov_runs"] > 2 and work["matvecs"] > 40 * 2
+
+
+def test_expm_matches_scipys_on_krylov_sized_matrices():
+    # upper Hessenberg, as a Krylov run's, with a spectrum in the left half
+    # plane up to 600 wide; measured up to 5.8e-13 of the largest entry,
+    # where exp's own condition number is about 600 eps
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 17, 41):
+        for scale in (1e-3, 1.0, 30.0, 300.0):
+            a = scale * (np.triu(rng.standard_normal((m, m)), -1) / math.sqrt(m) - 2.0 * np.eye(m))
+            want = scipy.linalg.expm(a)
+            assert np.max(np.abs(steady._expm(a) - want)) <= 2e-12 * np.max(np.abs(want))
+    # past 2^52 squarings no digit is left: nan, as for a non-finite matrix
+    for bad in (1e17, math.inf, math.nan):
+        assert np.isnan(steady._expm(np.array([[-bad, 1.0], [0.0, 0.0]]))).all()
+
+
+def test_krylov_fails_typed_on_a_non_finite_estimate_or_a_substep_underflow(monkeypatch):
+    times = np.linspace(0.0, 100.0, 3)
+    nan = scipy.sparse.csr_matrix(np.full((3, 3), math.nan))
+    with pytest.raises(ConvergenceError, match="error estimate nan at t=0.0$"):
+        steady._krylov(nan, np.ones(3), times)
+    # a substep floor of 10 (ten spacings of 1) leaves halving no room: a full
+    # basis on an interval of 50 halves to 25 and 12.5, then falls below it
+    monkeypatch.setattr(np, "nextafter", lambda t, _to: t + 1.0)
+    g = scipy.sparse.csr_matrix(scipy.sparse.diags(-np.linspace(0.0, 1e4, 100)))
+    with pytest.raises(ConvergenceError, match="substep 6.250e[+]00 below 1.000e[+]01 at t=0.0$"):
+        steady._krylov(g, np.ones(100), times)
 
 
 def test_ground_state_atoms_leave_the_vacuum_alone():
-    # theta = 0 pumps nothing: g y = 0, every error term is 0, and the whole
-    # span is one step whose every sample is the vacuum itself
+    # theta = 0 pumps nothing: g y = 0, so every Krylov run breaks down at its
+    # first vector and is exact, and every sample is the vacuum itself
     p = MasterParams(30.0, KickParams(0.1), prepare(0.0), 10)
     times, states = evolve(p, vacuum(10), 5.0)
     assert times.size == 81
